@@ -18,7 +18,7 @@ from .harness import (
     run_experiment,
 )
 from .protocol import alice_measure, optimal_basis_pure
-from .tomography import PRNG_ID, derive_stream, reconstruct_linear, reconstruct_mle, simulate_counts
+from .tomography import ESTIMATOR_ID, PRNG_ID, derive_stream, reconstruct_linear, reconstruct_mle, simulate_counts
 
 _DEFAULT_GRIDS = {"family1": "0:45:2.5", "family2": "0:45:2.5", "werner": "0.05:0.95:0.05"}
 
@@ -170,7 +170,7 @@ def tomo_demo(family, theta, shots, seed, fmt, out):
             "config": {"family": int(family), "theta_deg": theta, "shots": shots, "seed": seed},
             "basis_bloch": list(basis.bloch),
             "outcomes": results,
-            "meta": {"prng": PRNG_ID, "version": __version__},
+            "meta": {"prng": PRNG_ID, "estimator": ESTIMATOR_ID, "version": __version__},
         }
         _write(json.dumps(payload, indent=2) + "\n", out)
     else:

@@ -20,9 +20,10 @@ from . import __version__, qcore, states
 from .coherence import qi_relative_entropy, rel_entropy_coherence
 from .fixtures import load_fixture
 from .protocol import OutcomeSet, alice_measure, average_assisted_coherence, optimal_basis_pure, y_basis
-from .tomography import PRNG_ID, derive_stream, reconstruct_mle, simulate_counts
+from .tomography import ESTIMATOR_ID, PRNG_ID, derive_stream, reconstruct_mle, simulate_counts
 
 GRID_SNAP = 1e-9
+GRID_MAX_POINTS = 1_000_000
 
 PURE_CSV_HEADER = "theta_deg,cd_before_theory,cd_before_sim,cd_after_theory,cd_after_sim,delta_sim"
 WERNER_CSV_HEADER = "p,cd_before_theory,cd_after_theory,cd_after_sim,bound_qi,delta_sim"
@@ -71,16 +72,22 @@ class RunConfig:
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
-    """Parse "start:stop:step" into an inclusive grid with 1e-9 endpoint snap."""
+    """Parse "start:stop:step" into an inclusive grid of at most GRID_MAX_POINTS, with 1e-9 endpoint snap."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be 'start:stop:step', got {text!r}")
     start, stop, step = (float(x) for x in parts)
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError(f"grid start, stop and step must be finite, got {text!r}")
     if step <= 0.0:
         raise ValueError(f"grid step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"grid stop {stop} is below start {start}")
-    count = int(math.floor((stop - start) / step + GRID_SNAP)) + 1
+    # checked before the int() conversion: (stop - start) / step can overflow to inf
+    intervals = (stop - start) / step + GRID_SNAP
+    if not intervals < GRID_MAX_POINTS:
+        raise ValueError(f"grid {text!r} has more than {GRID_MAX_POINTS} points")
+    count = int(math.floor(intervals)) + 1
     values = [start + i * step for i in range(count)]
     if abs(values[-1] - stop) <= GRID_SNAP:
         values[-1] = stop
@@ -211,7 +218,7 @@ def emit_json(config: RunConfig, rows: list[ExperimentRow]) -> str:
     payload = {
         "config": asdict(config),
         "rows": [asdict(r) for r in rows],
-        "meta": {"prng": PRNG_ID, "version": __version__},
+        "meta": {"prng": PRNG_ID, "estimator": ESTIMATOR_ID, "version": __version__},
     }
     return json.dumps(payload, indent=2) + "\n"
 

@@ -1,5 +1,10 @@
 """Simulated Pauli-basis photon counting for a single qubit, plus state
-reconstruction by linear inversion and by iterative maximum likelihood.
+reconstruction by linear inversion and by closed-form maximum likelihood.
+
+Maximum likelihood
+------------------
+The Pauli likelihood separates by axis, so the qubit MLE is closed-form (see
+reconstruct_mle).  ESTIMATOR_ID names it in harness output metadata.
 
 Reproducibility contract
 ------------------------
@@ -20,13 +25,14 @@ so frozen golden counts stay valid.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import qcore
 
 PRNG_ID = "splitmix64"
+ESTIMATOR_ID = "mle-closed-v1"
 BASES = ("X", "Y", "Z")
 BASIS_KETS = {
     "X": (qcore.KET_X_PLUS, qcore.KET_X_MINUS),
@@ -195,7 +201,6 @@ class ReconstructionResult:
     iterations: int
     converged: bool
     blended: bool = False
-    loglik_trace: tuple[float, ...] = field(default=())
 
 
 def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
@@ -217,63 +222,65 @@ def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     return ReconstructionResult(state=cand, method="linear", iterations=0, converged=True)
 
 
-def _trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+def _axis_root(s: float, mu: float) -> tuple[float, float]:
+    """Bloch component r(mu) on one axis of the boundary MLE, and dr/dmu.
+
+    r is the root in [-1, 1] of (1+s)/(1+r) - (1-s)/(1-r) = 2 mu r, which is
+    the middle real root of the cubic mu r^3 - (1 + mu) r + s = 0.  The cubic
+    has a double root only at |s| = 1, mu = 1/2, handled in factored form.
+    """
+    if abs(s) == 1.0:
+        # the cubic factors as (r - s)(mu r^2 + s mu r - 1): r stays pinned at s up to mu = 1/2
+        if mu <= 0.5:
+            return s, 0.0
+        root = math.sqrt(1.0 + 4.0 / mu)
+        return s * (root - 1.0) / 2.0, -s / (mu * mu * root)
+    if mu == 0.0:
+        return s, -s * (1.0 - s * s)
+    # trigonometric middle root, written as 2/a sin(arcsin(c)/3) so it has no cancellation as mu -> 0
+    a = math.sqrt(3.0 * mu / (1.0 + mu))
+    r = 2.0 / a * math.sin(math.asin(max(-1.0, min(1.0, 1.5 * s * a / (1.0 + mu)))) / 3.0)
+    return r, r * (1.0 - r * r) / (3.0 * mu * r * r - 1.0 - mu)
 
 
-def reconstruct_mle(record: TomographyRecord, max_iters: int = 500, tol: float = 1e-10) -> ReconstructionResult:
-    """Maximum-likelihood estimate via the iterative R-rho-R fixed point.
+def reconstruct_mle(record: TomographyRecord, max_steps: int = 100) -> ReconstructionResult:
+    """Closed-form maximum-likelihood estimate from Pauli-basis counts.
 
-    R(rho) = sum_j (f_j / tr(P_j rho)) P_j over the six Pauli projectors with
-    observed frequencies f_j = count_j / (3 * shots); iterate
-    rho <- normalize(R rho R) from I/2 until the trace distance between
-    iterates drops below tol.  If a projector has f_j > 0 but vanishing
-    predicted probability, the iterate is blended with 1e-6 * I and the
-    iteration continues (result flagged via `blended`).  The log-likelihood of
-    each iterate is recorded in loglik_trace.
+    Let s be the linear-inversion Stokes vector, s_k = (n+ - n-) / N.  If
+    |s| <= 1 the MLE is r = s.  Otherwise it is the point on the unit sphere
+    where n+/(1 + r_k) - n-/(1 - r_k) = 2 lambda r_k on each axis: for fixed
+    mu = 2 lambda / N, r_k is the middle real root of
+    mu r^3 - (1 + mu) r + s_k = 0 (trigonometric form), and |r(mu)| falls
+    monotonically in mu on [0, 3/2], which brackets the multiplier.  A Newton
+    root-find on mu that bisects whenever a step would leave the bracket
+    reaches |r| = 1.
+
+    `iterations` counts those root steps, 0 in the interior.  RuntimeError
+    is raised if the root-find has not converged in `max_steps`; the result
+    is never an unconverged or blended iterate.  The tests check it against
+    Hradil's iterative R-rho-R estimator (PRA 55, R1561, 1997).
     """
     _check_record(record)
-    projectors = []
-    counts = []
-    for b in BASES:
-        kets = BASIS_KETS[b]
-        for which in (0, 1):
-            projectors.append(qcore.projector(kets[which]))
-            counts.append(record.counts[b][which])
-    counts = np.array(counts, dtype=float)
-    freqs = counts / (3.0 * record.shots_per_basis)
-
-    rho = np.eye(2, dtype=complex) / 2.0
-    loglik = []
-    blended = False
-    converged = False
-    iterations = 0
-    for it in range(1, max_iters + 1):
-        iterations = it
-        probs = np.array([float((proj @ rho).trace().real) for proj in projectors])
-        if np.any((freqs > 0.0) & (probs < 1e-15)):
-            rho = (rho + 1e-6 * np.eye(2, dtype=complex)) / (1.0 + 2e-6)
-            blended = True
-            continue
-        observed = counts > 0.0
-        loglik.append(float((counts[observed] * np.log(probs[observed])).sum()))
-        r_op = np.zeros((2, 2), dtype=complex)
-        for f, p, proj in zip(freqs, probs, projectors):
-            if f > 0.0:
-                r_op += (f / p) * proj
-        new = r_op @ rho @ r_op
-        new /= new.trace().real
-        new = (new + new.conj().T) / 2.0
-        step = _trace_distance(new, rho)
-        rho = new
-        if step < tol:
-            converged = True
-            break
-    return ReconstructionResult(
-        state=rho,
-        method="mle",
-        iterations=iterations,
-        converged=converged,
-        blended=blended,
-        loglik_trace=tuple(loglik),
-    )
+    s = record.stokes()
+    steps = 0
+    if float(s @ s) > 1.0:
+        tol = 4.0 * np.finfo(float).eps
+        lo, hi, mu = 0.0, 1.5, 0.0
+        while True:
+            roots = [_axis_root(float(sk), mu) for sk in s]
+            r = np.array([rk for rk, _ in roots])
+            h = float(r @ r) - 1.0
+            lo, hi = (mu, hi) if h > 0.0 else (lo, mu)
+            if abs(h) <= tol or hi - lo <= tol * hi:
+                break
+            if steps == max_steps:
+                raise RuntimeError(f"MLE multiplier search did not converge in {max_steps} steps: {record.counts}")
+            steps += 1
+            dh = 2.0 * sum(rk * drk for rk, drk in roots)
+            mu = mu - h / dh if dh < 0.0 else hi
+            if not lo < mu < hi:
+                mu = 0.5 * (lo + hi)
+        s = r / math.sqrt(float(r @ r))
+    rx, ry, rz = s
+    state = (qcore.IDENTITY_2 + rx * qcore.PAULI_X + ry * qcore.PAULI_Y + rz * qcore.PAULI_Z) / 2.0
+    return ReconstructionResult(state=state, method="mle", iterations=steps, converged=True)

@@ -6,6 +6,7 @@ the library code paths it is used to check.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,3 +78,85 @@ def bloch_rho(nx: float, ny: float, nz: float) -> np.ndarray:
 def binomial_cdf_exact(n: int, p: float, k: int) -> float:
     """Exact-arithmetic-ish binomial CDF via math.comb."""
     return float(sum(math.comb(n, j) * p**j * (1.0 - p) ** (n - j) for j in range(k + 1)))
+
+
+# Pauli-basis projectors in the tomography's (plus, minus) order for X, Y, Z
+PAULI_PROJECTORS = (
+    bloch_rho(1.0, 0.0, 0.0), bloch_rho(-1.0, 0.0, 0.0),
+    bloch_rho(0.0, 1.0, 0.0), bloch_rho(0.0, -1.0, 0.0),
+    bloch_rho(0.0, 0.0, 1.0), bloch_rho(0.0, 0.0, -1.0),
+)
+
+
+def record_counts(record) -> np.ndarray:
+    """The six counts of a TomographyRecord in PAULI_PROJECTORS order."""
+    return np.array([record.counts[b][which] for b in "XYZ" for which in (0, 1)], dtype=float)
+
+
+def loglik(record, rho: np.ndarray) -> float:
+    """sum_j n_j log tr(P_j rho) over the observed outcomes (n_j > 0)."""
+    counts = record_counts(record)
+    probs = np.array([float((proj @ rho).trace().real) for proj in PAULI_PROJECTORS])
+    observed = counts > 0.0
+    return float((counts[observed] * np.log(probs[observed])).sum())
+
+
+@dataclass(frozen=True)
+class RRRResult:
+    state: np.ndarray
+    iterations: int
+    converged: bool
+    blended: bool
+    loglik_trace: tuple[float, ...]
+
+
+def mle_rrr_oracle(record, max_iters: int = 500, tol: float = 1e-10) -> RRRResult:
+    """Maximum-likelihood estimate via Hradil's iterative R-rho-R fixed point.
+
+    Z. Hradil, PRA 55, R1561 (1997).  R(rho) = sum_j (f_j / tr(P_j rho)) P_j
+    over the six Pauli projectors with observed frequencies
+    f_j = count_j / (3 * shots); iterate rho <- normalize(R rho R) from I/2
+    until the trace distance between iterates drops below tol.  If a
+    projector has f_j > 0 but vanishing predicted probability, the iterate is
+    blended with 1e-6 * I and the iteration continues (flagged via
+    `blended`).  The log-likelihood of each iterate is recorded in
+    loglik_trace.  Near pure states it often stops at max_iters unconverged
+    (Rehacek et al., PRA 75, 042108, 2007), so its value is a lower bound on
+    the maximum likelihood, not the maximum.
+    """
+    counts = record_counts(record)
+    freqs = counts / (3.0 * record.shots_per_basis)
+
+    rho = np.eye(2, dtype=complex) / 2.0
+    trace = []
+    blended = False
+    converged = False
+    iterations = 0
+    for it in range(1, max_iters + 1):
+        iterations = it
+        probs = np.array([float((proj @ rho).trace().real) for proj in PAULI_PROJECTORS])
+        if np.any((freqs > 0.0) & (probs < 1e-15)):
+            rho = (rho + 1e-6 * np.eye(2, dtype=complex)) / (1.0 + 2e-6)
+            blended = True
+            continue
+        observed = counts > 0.0
+        trace.append(float((counts[observed] * np.log(probs[observed])).sum()))
+        r_op = np.zeros((2, 2), dtype=complex)
+        for f, p, proj in zip(freqs, probs, PAULI_PROJECTORS):
+            if f > 0.0:
+                r_op += (f / p) * proj
+        new = r_op @ rho @ r_op
+        new /= new.trace().real
+        new = (new + new.conj().T) / 2.0
+        step = 0.5 * float(np.abs(np.linalg.eigvalsh(new - rho)).sum())
+        rho = new
+        if step < tol:
+            converged = True
+            break
+    return RRRResult(
+        state=rho,
+        iterations=iterations,
+        converged=converged,
+        blended=blended,
+        loglik_trace=tuple(trace),
+    )

@@ -16,11 +16,11 @@ from cohdist.harness import RunConfig, run_pure_experiment, run_werner_experimen
 from cohdist.fixtures import load_fixture
 from cohdist.protocol import MeasurementBasis, alice_measure, average_assisted_coherence, optimize_basis
 from cohdist.qcore import fidelity, negativity, partial_trace, projector
-from cohdist.sampling import random_bloch, random_density, random_pure_state
 from cohdist.states import make_werner
 from cohdist.tomography import derive_stream, reconstruct_mle, simulate_counts
 
 import oracles
+from sampling import random_bloch, random_density, random_pure_state
 
 THETA_GRID = tuple(2.5 * k for k in range(19))
 WERNER_FIXTURE_PS = load_fixture(3).params

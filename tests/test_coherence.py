@@ -11,10 +11,10 @@ from cohdist.coherence import (
     rel_entropy_coherence,
 )
 from cohdist.qcore import InvalidStateError, partial_trace, projector
-from cohdist.sampling import random_density, random_pure_state
 from cohdist.states import family1, family2, make_werner, singlet
 
 import oracles
+from sampling import random_density, random_pure_state
 
 
 # --- rel_entropy_coherence ---------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cohdist import cli
+from cohdist import cli, harness
 from cohdist.fixtures import load_fixture
 from cohdist.harness import (
     ExperimentRow,
@@ -50,6 +50,24 @@ def test_parse_grid_errors():
     for bad in ("1:2", "0:1:0", "1:0:0.1", "a:b:c"):
         with pytest.raises(ValueError):
             parse_grid(bad)
+
+
+def test_parse_grid_rejects_non_finite_values():
+    for bad in ("0:inf:1", "-inf:0:1", "nan:1:0.1", "0:1:inf"):
+        with pytest.raises(ValueError, match="finite"):
+            parse_grid(bad)
+    assert CliRunner().invoke(cli.main, ["pure1", "--grid", "0:inf:1"]).exit_code == 2
+
+
+def test_parse_grid_caps_point_count(monkeypatch):
+    for bad in ("0:45:1e-7", "-1e308:1e308:1"):
+        with pytest.raises(ValueError, match="points"):
+            parse_grid(bad)
+    assert CliRunner().invoke(cli.main, ["pure1", "--grid", "0:45:1e-7"]).exit_code == 2
+    monkeypatch.setattr(harness, "GRID_MAX_POINTS", 10)
+    assert len(parse_grid("0:9:1")) == 10
+    with pytest.raises(ValueError, match="points"):
+        parse_grid("0:10:1")
 
 
 def test_run_config_validation():
@@ -164,6 +182,7 @@ def test_json_round_trip_is_exact():
     assert parsed_rows == rows
     assert parsed_cfg["kind"] == "werner"
     assert json.loads(text)["meta"]["prng"] == "splitmix64"
+    assert json.loads(text)["meta"]["estimator"] == "mle-closed-v1"
 
 
 def test_csv_rejects_unknown_header():

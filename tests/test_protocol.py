@@ -15,10 +15,10 @@ from cohdist.protocol import (
     y_basis,
 )
 from cohdist.qcore import partial_trace, projector
-from cohdist.sampling import random_bloch, random_density, random_pure_state
 from cohdist.states import family1, family2, make_werner, singlet
 
 import oracles
+from sampling import random_bloch, random_density, random_pure_state
 
 
 # --- MeasurementBasis --------------------------------------------------------

@@ -13,10 +13,10 @@ from cohdist.qcore import (
     validate_density,
     von_neumann_entropy,
 )
-from cohdist.sampling import random_density, random_pure_state
 from cohdist.states import family1, make_werner, singlet
 
 import oracles
+from sampling import random_density, random_pure_state
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)

@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohdist import qcore
-from cohdist.protocol import alice_measure, y_basis
-from cohdist.qcore import fidelity, projector, validate_density
-from cohdist.sampling import random_density
-from cohdist.states import family1
+from cohdist.protocol import alice_measure, optimal_basis_pure, y_basis
+from cohdist.qcore import fidelity, partial_trace, projector, validate_density
+from cohdist.states import family1, make_pure
 from cohdist.tomography import (
     BASES,
     PRNG_ID,
@@ -22,6 +23,7 @@ from cohdist.tomography import (
 )
 
 import oracles
+from sampling import random_density
 
 
 class _FixedStream:
@@ -169,11 +171,115 @@ def test_linear_output_always_physical():
 
 # --- reconstruct_mle --------------------------------------------------------------
 
-def test_mle_fixed_point_converges_immediately():
-    rec = _record_from_counts(1000, (500, 500), (500, 500), (500, 500))
-    res = reconstruct_mle(rec)
-    assert res.converged and res.iterations == 1
-    assert np.allclose(res.state, np.eye(2) / 2, atol=1e-14)
+def _pipeline_records():
+    """Every record of the 19-point family1/family2 sampled pipeline at 1e5 shots, seed 42."""
+    records = []
+    for family in (1, 2):
+        for g in range(19):
+            psi = make_pure(family, 2.5 * g)
+            rho_ab = projector(psi)
+            records.append(simulate_counts(partial_trace(rho_ab, "B"), 10**5, derive_stream(42, g, 0)))
+            for t, outcome in enumerate(alice_measure(rho_ab, optimal_basis_pure(psi)), start=1):
+                if outcome.prob > 0.0:
+                    records.append(simulate_counts(outcome.bob_state, 10**5, derive_stream(42, g, t)))
+    return records
+
+
+def _mixed_records():
+    rng = np.random.default_rng(47)
+    return [
+        simulate_counts(random_density(rng, 2), shots, seed=derive_stream(13, k))
+        for k in range(20)
+        for shots in (10**2, 10**4, 10**6)
+    ]
+
+
+EDGE_RECORDS = {
+    "one-axis-no-minus-counts": _record_from_counts(100, (100, 0), (60, 40), (50, 50)),
+    "every-axis-pure": _record_from_counts(10, (10, 0), (10, 0), (10, 0)),
+    "unit-stokes-on-axis": _record_from_counts(10, (10, 0), (5, 5), (5, 5)),
+    "unit-stokes-off-axes": _record_from_counts(50, (40, 10), (45, 5), (25, 25)),
+    "zero-stokes": _record_from_counts(1000, (500, 500), (500, 500), (500, 500)),
+    "near-pure-one-minus-count": _record_from_counts(100_000, (50_010, 49_990), (49_900, 50_100), (99_999, 1)),
+}
+
+
+def _bloch(rho):
+    return np.array([2.0 * rho[0, 1].real, -2.0 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real])
+
+
+def _kkt_residual(record, r):
+    """Relative residual of n+(1-r) - n-(1+r) = 2 lambda r (1 - r^2) at the best lambda, and lambda."""
+    n = record.shots_per_basis
+    u = np.array([record.counts[b][0] - record.counts[b][1] for b in BASES]) - n * r
+    v = 2.0 * r * (1.0 - r * r)
+    lam = float(u @ v / (v @ v))
+    return float(np.linalg.norm(u - lam * v)) / n, lam
+
+
+def _assert_mle_at_least_oracle(record):
+    res = reconstruct_mle(record)
+    assert res.method == "mle" and res.converged and not res.blended
+    assert validate_density(res.state).ok
+    ll, ll_oracle = oracles.loglik(record, res.state), oracles.loglik(record, oracles.mle_rrr_oracle(record).state)
+    assert ll >= ll_oracle - 1e-12 * abs(ll_oracle)
+    s = record.stokes()
+    r = _bloch(res.state)
+    if s @ s <= 1.0:
+        assert res.iterations == 0
+        assert np.max(np.abs(r - s)) <= 1e-12
+    else:
+        assert abs(np.linalg.norm(r) - 1.0) <= 1e-12
+        residual, lam = _kkt_residual(record, r)
+        assert residual <= 1e-12 and lam >= 0.0
+    return res
+
+
+def test_mle_at_least_rrr_oracle_on_pipeline_and_mixed_records():
+    pipeline = _pipeline_records()
+    assert len(pipeline) == 114
+    results = [_assert_mle_at_least_oracle(rec) for rec in pipeline + _mixed_records()]
+    # Bob's conditional states are pure, so the pipeline exercises the boundary case
+    assert sum(res.iterations > 0 for res in results) >= 40
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_RECORDS))
+def test_mle_edge_records(name):
+    _assert_mle_at_least_oracle(EDGE_RECORDS[name])
+
+
+def test_mle_edge_record_values():
+    res = reconstruct_mle(EDGE_RECORDS["every-axis-pure"])
+    assert np.max(np.abs(_bloch(res.state) - np.ones(3) / math.sqrt(3.0))) <= 1e-12
+    res = reconstruct_mle(EDGE_RECORDS["unit-stokes-on-axis"])
+    assert res.iterations == 0
+    assert np.max(np.abs(res.state - oracles.bloch_rho(1.0, 0.0, 0.0))) <= 1e-15
+    res = reconstruct_mle(EDGE_RECORDS["zero-stokes"])
+    assert res.iterations == 0
+    assert np.max(np.abs(res.state - np.eye(2) / 2)) <= 1e-15
+
+
+def test_mle_raises_when_root_find_hits_step_cap():
+    rec = EDGE_RECORDS["one-axis-no-minus-counts"]
+    assert reconstruct_mle(rec).iterations > 1
+    with pytest.raises(RuntimeError, match="did not converge"):
+        reconstruct_mle(rec, max_steps=1)
+
+
+@st.composite
+def _count_records(draw):
+    shots = draw(st.integers(1, 10_000))
+    counts = [draw(st.integers(0, shots)) for _ in BASES]
+    return _record_from_counts(shots, *((c, shots - c) for c in counts))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_count_records())
+def test_mle_property_physical_and_at_least_oracle_likelihood(record):
+    res = reconstruct_mle(record)
+    assert validate_density(res.state).ok
+    ll_oracle = oracles.loglik(record, oracles.mle_rrr_oracle(record).state)
+    assert oracles.loglik(record, res.state) >= ll_oracle - 1e-12 * abs(ll_oracle)
 
 
 def test_mle_pure_state_limit():
@@ -189,18 +295,6 @@ def test_mle_family1_conditional_state():
     rec = simulate_counts(truth, 10**6, seed=derive_stream(42, 10, 1))
     res = reconstruct_mle(rec)
     assert fidelity(res.state, truth) >= 0.999
-
-
-def test_mle_loglik_monotone():
-    rng = np.random.default_rng(45)
-    for k in range(30):
-        rho = random_density(rng, 2)
-        rec = simulate_counts(rho, 2000, seed=derive_stream(11, k))
-        res = reconstruct_mle(rec)
-        ll = res.loglik_trace
-        assert ll
-        for a, b in zip(ll, ll[1:]):
-            assert b >= a - 1e-9 * abs(a)
 
 
 def test_mle_output_always_physical_and_deterministic():
@@ -230,3 +324,24 @@ def test_mle_consistency_with_growing_shots():
 def test_mle_rejects_malformed_record():
     with pytest.raises(ValueError):
         reconstruct_mle(_record_from_counts(100, (50, 51), (50, 50), (50, 50)))
+
+
+# --- R-rho-R reference estimator (tests/oracles.py) ------------------------------
+
+def test_mle_fixed_point_converges_immediately():
+    rec = _record_from_counts(1000, (500, 500), (500, 500), (500, 500))
+    res = oracles.mle_rrr_oracle(rec)
+    assert res.converged and res.iterations == 1
+    assert np.allclose(res.state, np.eye(2) / 2, atol=1e-14)
+
+
+def test_mle_loglik_monotone():
+    rng = np.random.default_rng(45)
+    for k in range(30):
+        rho = random_density(rng, 2)
+        rec = simulate_counts(rho, 2000, seed=derive_stream(11, k))
+        res = oracles.mle_rrr_oracle(rec)
+        ll = res.loglik_trace
+        assert ll
+        for a, b in zip(ll, ll[1:]):
+            assert b >= a - 1e-9 * abs(a)
