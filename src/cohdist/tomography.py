@@ -43,6 +43,8 @@ BASIS_KETS = {
 _MASK = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _INVERSION_MAX_SHOTS = 10_000
+# step cap for the MLE multiplier bisection, which needs at most 51 steps
+MLE_MAX_STEPS = 100
 
 
 def mix64(x: int) -> int:
@@ -222,28 +224,25 @@ def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     return ReconstructionResult(state=cand, method="linear", iterations=0, converged=True)
 
 
-def _axis_root(s: float, mu: float) -> tuple[float, float]:
-    """Bloch component r(mu) on one axis of the boundary MLE, and dr/dmu.
+def _axis_root(s: float, mu: float) -> float:
+    """Bloch component r(mu) on one axis of the boundary MLE.
 
-    r is the root in [-1, 1] of (1+s)/(1+r) - (1-s)/(1-r) = 2 mu r, which is
-    the middle real root of the cubic mu r^3 - (1 + mu) r + s = 0.  The cubic
-    has a double root only at |s| = 1, mu = 1/2, handled in factored form.
+    For |s| < 1, r is the root in (-1, 1) of (1+s)/(1+r) - (1-s)/(1-r) = 2 mu r,
+    which is the middle real root of the cubic mu r^3 - (1 + mu) r + s = 0.
+    For |s| = 1 the cubic factors as (r - s)(mu r^2 + s mu r - 1): r stays
+    pinned at s up to mu = 1/2, where the cubic has its only double root,
+    and follows the quadratic factor's root after that.
     """
     if abs(s) == 1.0:
-        # the cubic factors as (r - s)(mu r^2 + s mu r - 1): r stays pinned at s up to mu = 1/2
         if mu <= 0.5:
-            return s, 0.0
-        root = math.sqrt(1.0 + 4.0 / mu)
-        return s * (root - 1.0) / 2.0, -s / (mu * mu * root)
-    if mu == 0.0:
-        return s, -s * (1.0 - s * s)
+            return s
+        return s * (math.sqrt(1.0 + 4.0 / mu) - 1.0) / 2.0
     # trigonometric middle root, written as 2/a sin(arcsin(c)/3) so it has no cancellation as mu -> 0
     a = math.sqrt(3.0 * mu / (1.0 + mu))
-    r = 2.0 / a * math.sin(math.asin(max(-1.0, min(1.0, 1.5 * s * a / (1.0 + mu)))) / 3.0)
-    return r, r * (1.0 - r * r) / (3.0 * mu * r * r - 1.0 - mu)
+    return 2.0 / a * math.sin(math.asin(max(-1.0, min(1.0, 1.5 * s * a / (1.0 + mu)))) / 3.0)
 
 
-def reconstruct_mle(record: TomographyRecord, max_steps: int = 100) -> ReconstructionResult:
+def reconstruct_mle(record: TomographyRecord) -> ReconstructionResult:
     """Closed-form maximum-likelihood estimate from Pauli-basis counts.
 
     Let s be the linear-inversion Stokes vector, s_k = (n+ - n-) / N.  If
@@ -251,36 +250,31 @@ def reconstruct_mle(record: TomographyRecord, max_steps: int = 100) -> Reconstru
     where n+/(1 + r_k) - n-/(1 - r_k) = 2 lambda r_k on each axis: for fixed
     mu = 2 lambda / N, r_k is the middle real root of
     mu r^3 - (1 + mu) r + s_k = 0 (trigonometric form), and |r(mu)| falls
-    monotonically in mu on [0, 3/2], which brackets the multiplier.  A Newton
-    root-find on mu that bisects whenever a step would leave the bracket
-    reaches |r| = 1.
+    monotonically in mu on [0, 3/2], which brackets the multiplier.
+    Bisection on mu reaches |r| = 1 to rounding in at most 51 steps.
 
     `iterations` counts those root steps, 0 in the interior.  RuntimeError
-    is raised if the root-find has not converged in `max_steps`; the result
-    is never an unconverged or blended iterate.  The tests check it against
-    Hradil's iterative R-rho-R estimator (PRA 55, R1561, 1997).
+    is raised if the root-find has not converged in MLE_MAX_STEPS; the
+    result is never an unconverged or blended iterate.  The tests check it
+    against Hradil's iterative R-rho-R estimator (PRA 55, R1561, 1997).
     """
     _check_record(record)
     s = record.stokes()
     steps = 0
     if float(s @ s) > 1.0:
         tol = 4.0 * np.finfo(float).eps
-        lo, hi, mu = 0.0, 1.5, 0.0
+        lo, hi, s = 0.0, 1.5, s.tolist()
         while True:
-            roots = [_axis_root(float(sk), mu) for sk in s]
-            r = np.array([rk for rk, _ in roots])
-            h = float(r @ r) - 1.0
-            lo, hi = (mu, hi) if h > 0.0 else (lo, mu)
-            if abs(h) <= tol or hi - lo <= tol * hi:
-                break
-            if steps == max_steps:
-                raise RuntimeError(f"MLE multiplier search did not converge in {max_steps} steps: {record.counts}")
+            if steps == MLE_MAX_STEPS:
+                raise RuntimeError(f"MLE multiplier search did not converge in {MLE_MAX_STEPS} steps: {record.counts}")
             steps += 1
-            dh = 2.0 * sum(rk * drk for rk, drk in roots)
-            mu = mu - h / dh if dh < 0.0 else hi
-            if not lo < mu < hi:
-                mu = 0.5 * (lo + hi)
-        s = r / math.sqrt(float(r @ r))
+            mu = 0.5 * (lo + hi)
+            r = [_axis_root(sk, mu) for sk in s]
+            h = sum(rk * rk for rk in r) - 1.0
+            lo, hi = (mu, hi) if h > 0.0 else (lo, mu)
+            if abs(h) <= tol or hi - lo <= tol:
+                break
+        s = np.array(r) / math.sqrt(h + 1.0)
     rx, ry, rz = s
     state = (qcore.IDENTITY_2 + rx * qcore.PAULI_X + ry * qcore.PAULI_Y + rz * qcore.PAULI_Z) / 2.0
     return ReconstructionResult(state=state, method="mle", iterations=steps, converged=True)

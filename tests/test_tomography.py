@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohdist import qcore
+from cohdist import qcore, tomography
 from cohdist.protocol import alice_measure, optimal_basis_pure, y_basis
 from cohdist.qcore import fidelity, partial_trace, projector, validate_density
 from cohdist.states import family1, make_pure
@@ -201,6 +201,8 @@ EDGE_RECORDS = {
     "unit-stokes-off-axes": _record_from_counts(50, (40, 10), (45, 5), (25, 25)),
     "zero-stokes": _record_from_counts(1000, (500, 500), (500, 500), (500, 500)),
     "near-pure-one-minus-count": _record_from_counts(100_000, (50_010, 49_990), (49_900, 50_100), (99_999, 1)),
+    # Newton steps on the multiplier oscillate here between two points inside the bracket
+    "newton-two-cycle": _record_from_counts(11_130, (11_123, 7), (5_885, 5_245), (1_351, 9_779)),
 }
 
 
@@ -229,6 +231,7 @@ def _assert_mle_at_least_oracle(record):
         assert res.iterations == 0
         assert np.max(np.abs(r - s)) <= 1e-12
     else:
+        assert 0 < res.iterations <= 51
         assert abs(np.linalg.norm(r) - 1.0) <= 1e-12
         residual, lam = _kkt_residual(record, r)
         assert residual <= 1e-12 and lam >= 0.0
@@ -259,11 +262,12 @@ def test_mle_edge_record_values():
     assert np.max(np.abs(res.state - np.eye(2) / 2)) <= 1e-15
 
 
-def test_mle_raises_when_root_find_hits_step_cap():
+def test_mle_raises_when_root_find_hits_step_cap(monkeypatch):
     rec = EDGE_RECORDS["one-axis-no-minus-counts"]
     assert reconstruct_mle(rec).iterations > 1
+    monkeypatch.setattr(tomography, "MLE_MAX_STEPS", 1)
     with pytest.raises(RuntimeError, match="did not converge"):
-        reconstruct_mle(rec, max_steps=1)
+        reconstruct_mle(rec)
 
 
 @st.composite
