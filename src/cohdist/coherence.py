@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qcore
+from . import protocol, qcore
 
 
 @dataclass(frozen=True)
@@ -55,27 +55,19 @@ def coa_closed_form(rho_b) -> float:
 @dataclass(frozen=True)
 class CoaResult:
     value: float
-    argmax_basis: object  # protocol.MeasurementBasis; typed loosely to avoid an import cycle
+    argmax_basis: protocol.MeasurementBasis
     optimizer_trace: list
 
 
 def coa_numeric(psi_ab, grid_res: int = 64, refine_iters: int = 30) -> CoaResult:
     """Maximize the ensemble-averaged post-measurement coherence numerically.
 
-    Searches Alice's projective bases on a Bloch hemisphere grid followed by
-    per-coordinate golden-section refinement; independent of, and checkable
-    against, coa_closed_form on Bob's marginal.  Accepts pure parents only:
-    decompositions of mixed Bob states are reached physically through a
-    measurement on the purification.
+    Runs the protocol's basis search (a Bloch-hemisphere grid followed by
+    per-coordinate golden-section refinement) on |psi><psi|; independent of,
+    and checkable against, coa_closed_form on Bob's marginal.  Accepts pure
+    parents only: decompositions of mixed Bob states are reached physically
+    through a measurement on the purification.
     """
-    from . import protocol  # runtime import: protocol also uses this module
-
     psi = qcore.ensure_state_vector(psi_ab, dim=4)
-    rho = qcore.projector(psi)
-
-    def objective(theta, phi):
-        basis = protocol.MeasurementBasis.from_angles(theta, phi)
-        return protocol.average_assisted_coherence(protocol._measure(rho, basis))
-
-    theta, phi, value, trace = protocol._basis_search(objective, grid_res, refine_iters)
-    return CoaResult(value, protocol.MeasurementBasis.from_angles(theta, phi), trace)
+    basis, value, trace = protocol._basis_search(qcore.projector(psi), grid_res, refine_iters)
+    return CoaResult(value, basis, trace)

@@ -2,13 +2,18 @@
 
 Everything here is computed directly from elementary formulas (binary
 entropy, explicit eigenvalues, index arithmetic) so it stays independent of
-the library code paths it is used to check.
+the library code paths it is used to check.  The two reference estimators
+(the R-rho-R MLE and the dense basis search) are the slow algorithms the
+library replaced with closed forms; the basis search scores bases through the
+library's dense measurement map, not through its Pauli-coordinate closed form.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from cohdist.protocol import MeasurementBasis, _measure, average_assisted_coherence
 
 
 def shannon(probs) -> float:
@@ -160,3 +165,67 @@ def mle_rrr_oracle(record, max_iters: int = 500, tol: float = 1e-10) -> RRRResul
         blended=blended,
         loglik_trace=tuple(trace),
     )
+
+
+def dense_assisted_coherence(rho: np.ndarray, theta: float, phi: float) -> float:
+    """Average assisted coherence of the Alice basis at (theta, phi), via 4x4 projectors and eigvalsh."""
+    return average_assisted_coherence(_measure(rho, MeasurementBasis.from_angles(theta, phi)))
+
+
+def _golden_max(f, lo: float, hi: float, steps: int = 16) -> float:
+    gold = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - gold * (hi - lo), lo + gold * (hi - lo)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - gold * (hi - lo)
+            fc = f(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + gold * (hi - lo)
+            fd = f(d)
+    return 0.5 * (lo + hi)
+
+
+@dataclass(frozen=True)
+class SearchResult:
+    grid_index: tuple[int, int]
+    value: float
+    trace: list
+
+
+def basis_search_oracle(rho: np.ndarray, grid_res: int, refine_iters: int) -> SearchResult:
+    """The dense loop search over Alice's bases that the batched search replaced.
+
+    Scores the grid_res x grid_res hemisphere grid one basis at a time with
+    dense_assisted_coherence (theta-major, strict > so ties keep the smallest
+    (theta, phi)), then runs the same per-coordinate golden-section schedule:
+    brackets of one grid step, 16 shrinks each, shrunk by 0.7 per iteration.
+    The value is the best objective seen anywhere.
+    """
+    best = {"theta": 0.0, "phi": 0.0, "value": -np.inf}
+
+    def f(theta, phi):
+        v = dense_assisted_coherence(rho, theta, phi)
+        if v > best["value"]:
+            best.update(theta=theta, phi=phi, value=v)
+        return v
+
+    grid_index = (0, 0)
+    for i, theta in enumerate(np.linspace(0.0, math.pi / 2.0, grid_res)):
+        for j, phi in enumerate((2.0 * math.pi / grid_res) * np.arange(grid_res)):
+            running = best["value"]
+            if f(float(theta), float(phi)) > running:
+                grid_index = (i, j)
+    trace = [((best["theta"], best["phi"]), best["value"])]
+    cur_t, cur_p = best["theta"], best["phi"]
+    h_t = (math.pi / 2.0) / (grid_res - 1)
+    h_p = 2.0 * math.pi / grid_res
+    for _ in range(refine_iters):
+        cur_t = _golden_max(lambda t: f(t, cur_p), cur_t - h_t, cur_t + h_t)
+        cur_p = _golden_max(lambda p: f(cur_t, p), cur_p - h_p, cur_p + h_p)
+        trace.append(((cur_t, cur_p), f(cur_t, cur_p)))
+        h_t *= 0.7
+        h_p *= 0.7
+    return SearchResult(grid_index, best["value"], trace)

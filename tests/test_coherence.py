@@ -1,9 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cohdist import qcore
+from cohdist import coherence, qcore
 from cohdist.coherence import (
     coa_closed_form,
     coa_numeric,
@@ -151,3 +153,10 @@ def test_coa_numeric_input_errors():
         coa_numeric(np.array([1.0, 1.0, 0.0, 0.0]))  # not normalized
     with pytest.raises(ValueError):
         coa_numeric(family1(10.0), grid_res=4)
+
+
+def test_coherence_has_no_function_level_imports():
+    tree = ast.parse(Path(coherence.__file__).read_text())
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    nested = [n.lineno for f in functions for n in ast.walk(f) if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert nested == []

@@ -1,9 +1,15 @@
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from cohdist import qcore
+import cohdist
+from cohdist import protocol, qcore
 from cohdist.coherence import coa_closed_form, qi_relative_entropy, rel_entropy_coherence
 from cohdist.protocol import (
     MeasurementBasis,
@@ -221,10 +227,108 @@ def test_optimize_basis_werner_values():
 
 
 def test_optimize_basis_flat_objective():
-    _, value = optimize_basis(make_werner(0.0), grid_res=8, refine_iters=5)
+    basis, value = optimize_basis(make_werner(0.0), grid_res=8, refine_iters=5)
     assert value == pytest.approx(0.0, abs=1e-12)
+    assert basis.bloch == (0.0, 0.0, 1.0)  # ties go to the smallest (theta, phi)
 
 
 def test_optimize_basis_family1_bell_point():
     _, value = optimize_basis(projector(family1(22.5)), grid_res=16, refine_iters=15)
     assert value == pytest.approx(1.0, abs=1e-6)
+
+
+def test_optimize_basis_rejects_bad_arguments(monkeypatch):
+    rho = make_werner(0.5)
+    for bad in (7, 8.0, True, "16", None, protocol.GRID_RES_MAX + 1):
+        with pytest.raises(ValueError, match="grid_res"):
+            optimize_basis(rho, grid_res=bad)
+    for bad in (-1, 2.0, False, None):
+        with pytest.raises(ValueError, match="refine_iters"):
+            optimize_basis(rho, grid_res=8, refine_iters=bad)
+    optimize_basis(rho, grid_res=np.int64(8), refine_iters=np.int64(0))
+    monkeypatch.setattr(protocol, "GRID_RES_MAX", 10)
+    optimize_basis(rho, grid_res=10, refine_iters=0)
+    with pytest.raises(ValueError, match="grid_res"):
+        optimize_basis(rho, grid_res=11, refine_iters=0)
+
+
+# --- the Pauli-coordinate search against the dense loop (tests/oracles.py) -----
+
+def _grid(grid_res: int):
+    thetas = np.linspace(0.0, math.pi / 2.0, grid_res)
+    phis = (2.0 * math.pi / grid_res) * np.arange(grid_res)
+    n = np.array([[MeasurementBasis.from_angles(t, p).bloch for p in phis] for t in thetas])
+    return thetas, phis, n
+
+
+def test_closed_form_objective_matches_dense_path():
+    rng = np.random.default_rng(41)
+    products = [np.kron(projector(qcore.KET_H), random_density(rng, 2)) for _ in range(2)]
+    rhos = [random_density(rng, 4) for _ in range(24)] + products
+    rhos += [projector(family1(t)) for t in (0.0, 22.5)] + [projector(family2(t)) for t in (10.0, 45.0)]
+    for rho in products:  # the poles leave one outcome with probability 0
+        assert alice_measure(rho, MeasurementBasis((0.0, 0.0, 1.0))).outcomes[1].zero_prob
+    thetas, phis, n = _grid(16)
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    for rho in rhos:
+        coords = protocol._pauli_coordinates(rho)
+        floats = [c.tolist() for c in coords]
+        grid = protocol._assisted_coherence(n, *coords)
+        for i, theta in enumerate(thetas.tolist()):
+            for j, phi in enumerate(phis.tolist()):
+                dense = oracles.dense_assisted_coherence(rho, theta, phi)
+                assert abs(grid[i, j] - dense) <= 1e-12
+                assert abs(protocol._assisted_coherence_at(theta, phi, *floats) - dense) <= 1e-12
+        for theta, batched in zip((0.0, math.pi), protocol._assisted_coherence(poles, *coords)):
+            dense = oracles.dense_assisted_coherence(rho, theta, 0.0)
+            assert abs(batched - dense) <= 1e-12
+            assert abs(protocol._assisted_coherence_at(theta, 0.0, *floats) - dense) <= 1e-12
+
+
+def test_search_matches_dense_oracle_argmax_and_value():
+    rng = np.random.default_rng(43)
+    _, _, n = _grid(16)
+    mixed = [random_density(rng, 4) for _ in range(6)]
+    flat = [make_werner(0.7), projector(family1(22.5)), np.kron(projector(qcore.KET_H), random_density(rng, 2))]
+    for k, rho in enumerate(mixed + flat):
+        ref = oracles.basis_search_oracle(rho, 16, 6)
+        _, value, trace = protocol._basis_search(rho, 16, 6)
+        assert value >= ref.value - 1e-12
+        if k < len(mixed):
+            grid = protocol._assisted_coherence(n, *protocol._pauli_coordinates(rho))
+            second, first = np.sort(grid, axis=None)[-2:]
+            assert first - second > 1e-9  # a unique grid argmax
+            assert np.unravel_index(np.argmax(grid), grid.shape) == ref.grid_index
+            assert trace[0][0] == ref.trace[0][0]
+
+
+@st.composite
+def _mixed_states(draw):
+    g = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32))).reshape(2, 4, 4)
+    m = (g[0] + 1j * g[1]) @ (g[0] + 1j * g[1]).conj().T
+    trace = m.trace().real
+    assume(trace > 1e-6)
+    return m / trace
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(_mixed_states())
+def test_optimize_basis_property_unit_basis_between_marginal_and_qi_bound(rho):
+    basis, value = optimize_basis(rho, grid_res=8, refine_iters=3)
+    assert abs(float(np.linalg.norm(basis.bloch)) - 1.0) <= 1e-12
+    assert value <= qi_relative_entropy(rho) + 1e-9
+    assert value >= rel_entropy_coherence(partial_trace(rho, "B")).c_r - 1e-12
+
+
+def test_protocol_imports_without_coherence():
+    # the package __init__ imports every module, so load protocol under a bare package
+    pkg_dir = str(Path(cohdist.__file__).resolve().parent)
+    code = (
+        "import sys, types\n"
+        f"pkg = types.ModuleType('cohdist'); pkg.__path__ = [{pkg_dir!r}]\n"
+        "sys.modules['cohdist'] = pkg\n"
+        "import cohdist.protocol\n"
+        "print(sorted(m for m in sys.modules if m.startswith('cohdist.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "['cohdist.protocol', 'cohdist.qcore']"
