@@ -116,8 +116,8 @@ def fixtures(table, tolerance, fmt, out):
     Exits 0 if the maximum deviation is within --tolerance, 1 otherwise.
     """
     table_id = int(table)
-    if tolerance < 0:
-        raise click.UsageError(f"tolerance must be nonnegative, got {tolerance}")
+    if not 0.0 <= tolerance < float("inf"):  # also false for nan
+        raise click.UsageError(f"tolerance must be finite and nonnegative, got {tolerance}")
     config = fixture_run_config(table_id, fmt=fmt, out=out)
     report = compare_fixtures(table_id, run_experiment(config))
     _write(report.to_csv() if fmt == "csv" else report.to_json(), out)

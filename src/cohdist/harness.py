@@ -8,22 +8,27 @@ theory.  Pure-family rows report the collaboration value C_d^{A|B}; Werner
 rows report the single-copy post-assistance value C_d(rho_1^B) together with
 the quantum-incoherent upper bound, since whether that bound is attainable
 for mixed states is unresolved and the harness must not claim it is.
+
+One runner serves every kind through the KINDS table: it validates a stack
+of grid states once and scores it in Pauli coordinates in one numpy pass
+(protocol._outcomes); sampled mode tomographs the same Bloch vectors.
 """
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, qcore, states
-from .coherence import qi_relative_entropy, rel_entropy_coherence
+from . import __version__, protocol, qcore, states
 from .fixtures import load_fixture
-from .protocol import OutcomeSet, alice_measure, average_assisted_coherence, optimal_basis_pure, y_basis
 from .tomography import ESTIMATOR_ID, PRNG_ID, derive_stream, reconstruct_mle, simulate_counts
 
 GRID_SNAP = 1e-9
 GRID_MAX_POINTS = 1_000_000
+RUN_CHUNK = 4096  # grid points per numpy pass, so a long grid's temporaries stay small
 
 PURE_CSV_HEADER = "theta_deg,cd_before_theory,cd_before_sim,cd_after_theory,cd_after_sim,delta_sim"
 WERNER_CSV_HEADER = "p,cd_before_theory,cd_after_theory,cd_after_sim,bound_qi,delta_sim"
@@ -44,9 +49,32 @@ class ExperimentRow:
     bound_qi: float | None = None
 
 
+class Kind(NamedTuple):
+    factory: Callable[[float], np.ndarray]  # grid parameter -> a pure parent's ket, or a 4x4 density matrix
+    basis: Callable[[np.ndarray], np.ndarray]  # stack of factory outputs -> Alice's Bloch vectors
+    bound: bool  # rows carry the quantum-incoherent bound
+    header: str
+    columns: tuple[str, ...]  # ExperimentRow fields in CSV order
+
+
+_PURE_COLUMNS = ("param", "cd_before_theory", "cd_before_sim", "cd_after_theory", "cd_after_sim", "delta_sim")
+_WERNER_COLUMNS = ("param", "cd_before_theory", "cd_after_theory", "cd_after_sim", "bound_qi", "delta_sim")
+KINDS = {
+    "family1": Kind(states.family1, protocol.optimal_blochs_pure, False, PURE_CSV_HEADER, _PURE_COLUMNS),
+    "family2": Kind(states.family2, protocol.optimal_blochs_pure, False, PURE_CSV_HEADER, _PURE_COLUMNS),
+    # Alice measures |y+->, |y--> at every p (the Werner value is phase independent)
+    "werner": Kind(
+        states.make_werner, lambda m: np.tile([0.0, 1.0, 0.0], (len(m), 1)), True, WERNER_CSV_HEADER, _WERNER_COLUMNS
+    ),
+}
+_COLUMNS_BY_HEADER = {kind.header: kind.columns for kind in KINDS.values()}
+# keeps the entries of a two-qubit matrix whose Bob indices agree: dephasing on Bob
+_BOB_DIAGONAL = np.equal.outer(np.arange(4) % 2, np.arange(4) % 2)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    kind: str  # "family1" | "family2" | "werner"
+    kind: str  # a key of KINDS: "family1" | "family2" | "werner"
     params: tuple[float, ...]
     mode: str = "analytic"
     shots_per_basis: int = 100_000
@@ -56,7 +84,7 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("family1", "family2", "werner"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.mode not in ("analytic", "sampled"):
             raise ValueError(f"mode must be 'analytic' or 'sampled', got {self.mode!r}")
@@ -94,124 +122,79 @@ def parse_grid(text: str) -> tuple[float, ...]:
     return tuple(values)
 
 
-def _tomographed_cr(state: np.ndarray, shots: int, seed: int) -> float:
-    record = simulate_counts(state, shots, seed)
-    return rel_entropy_coherence(reconstruct_mle(record).state).c_r
-
-
-def _sampled_after(outcomes: OutcomeSet, shots: int, base_seed: int, grid_index: int) -> float:
-    total = 0.0
-    for t, outcome in enumerate(outcomes, start=1):
-        if outcome.prob <= 0.0:
-            continue
-        seed = derive_stream(base_seed, grid_index, t)
-        total += outcome.prob * _tomographed_cr(outcome.bob_state, shots, seed)
-    return total
-
-
-def run_pure_experiment(config: RunConfig) -> list[ExperimentRow]:
-    """Theory and (optionally) sampled rows for one of the pure families."""
-    if config.kind not in ("family1", "family2"):
-        raise ValueError(f"run_pure_experiment needs family1 or family2, got {config.kind!r}")
-    family = 1 if config.kind == "family1" else 2
-    rows = []
-    for g, theta in enumerate(config.params):
-        psi = states.make_pure(family, theta)
-        rho_ab = states.depolarize(qcore.projector(psi), config.epsilon_prep)
-        rho_b = qcore.partial_trace(rho_ab, "B")
-        cd_before = rel_entropy_coherence(rho_b).c_r
-        basis = optimal_basis_pure(psi)
-        outcomes = alice_measure(rho_ab, basis)
-        cd_after = average_assisted_coherence(outcomes)
-        if config.mode == "analytic":
-            before_sim, after_sim = cd_before, cd_after
-        else:
-            before_sim = _tomographed_cr(rho_b, config.shots_per_basis, derive_stream(config.seed, g, 0))
-            after_sim = _sampled_after(outcomes, config.shots_per_basis, config.seed, g)
-        rows.append(
-            ExperimentRow(
-                param=theta,
-                cd_before_theory=cd_before,
-                cd_before_sim=before_sim,
-                cd_after_theory=cd_after,
-                cd_after_sim=after_sim,
-                delta_sim=after_sim - before_sim,
-            )
-        )
-    return rows
-
-
-def run_werner_experiment(config: RunConfig) -> list[ExperimentRow]:
-    """Theory and (optionally) sampled rows for the Werner family.
-
-    Alice always measures the equatorial |y+->, |y--> basis (the value is
-    phase independent for this family); each row carries the quantum-
-    incoherent upper bound next to the achieved single-copy value.
-    """
-    if config.kind != "werner":
-        raise ValueError(f"run_werner_experiment needs kind 'werner', got {config.kind!r}")
-    basis = y_basis()
-    rows = []
-    for g, p in enumerate(config.params):
-        rho_ab = states.depolarize(states.make_werner(p), config.epsilon_prep)
-        rho_b = qcore.partial_trace(rho_ab, "B")
-        cd_before = rel_entropy_coherence(rho_b).c_r
-        outcomes = alice_measure(rho_ab, basis)
-        cd_after = average_assisted_coherence(outcomes)
-        bound = qi_relative_entropy(rho_ab)
-        if config.mode == "analytic":
-            before_sim, after_sim = cd_before, cd_after
-        else:
-            before_sim = _tomographed_cr(rho_b, config.shots_per_basis, derive_stream(config.seed, g, 0))
-            after_sim = _sampled_after(outcomes, config.shots_per_basis, config.seed, g)
-        rows.append(
-            ExperimentRow(
-                param=p,
-                cd_before_theory=cd_before,
-                cd_before_sim=before_sim,
-                cd_after_theory=cd_after,
-                cd_after_sim=after_sim,
-                delta_sim=after_sim - before_sim,
-                bound_qi=bound,
-            )
-        )
-    return rows
+def _tomographed_cr(bloch, config: RunConfig, *stream: int) -> float:
+    """C_r of the MLE estimate of the qubit (I + bloch . sigma) / 2 from counts on derive_stream(seed, *stream)."""
+    record = simulate_counts(qcore.bloch_state(bloch), config.shots_per_basis, derive_stream(config.seed, *stream))
+    state = reconstruct_mle(record).state
+    r = (2.0 * state[1, 0].real, 2.0 * state[1, 0].imag, (state[0, 0] - state[1, 1]).real)
+    return protocol._qubit_entropy_at(r[2]) - protocol._qubit_entropy_at(math.hypot(*r))
 
 
 def run_experiment(config: RunConfig) -> list[ExperimentRow]:
-    if config.kind == "werner":
-        return run_werner_experiment(config)
-    return run_pure_experiment(config)
+    """Theory and (optionally) sampled rows for every grid point of config.kind, RUN_CHUNK points per numpy pass.
+
+    An invalid state raises InvalidStateError naming the first bad parameter.
+    Sampled mode tomographs Bob's marginal on stream (seed, g, 0) and each
+    outcome with p >= ZERO_PROB_TOL on (seed, g, 1) for "+" and (seed, g, 2) for "-".
+    """
+    return [row for start in range(0, len(config.params), RUN_CHUNK) for row in _run_points(config, start)]
+
+
+def _run_points(config: RunConfig, start: int) -> list[ExperimentRow]:
+    kind, eps, params = KINDS[config.kind], config.epsilon_prep, config.params[start : start + RUN_CHUNK]
+    made = np.stack([kind.factory(x) for x in params])
+    rho = made[:, :, None] * made[:, None, :].conj() if made.ndim == 2 else made
+    rho = (1.0 - eps) * rho + eps * np.eye(4, dtype=complex) / 4.0
+    herm, trace, spectra, ok = qcore.density_defects(rho)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        report = qcore.ValidationReport(float(herm[i]), float(trace[i]), float(spectra[i, 0]), False)
+        raise qcore.InvalidStateError(f"invalid density matrix at parameter {params[i]}: {report}")
+    a, b, t = protocol._pauli_coordinates(rho)
+    outcomes = [(p[:, 0], r[:, 0]) for p, r in protocol._outcomes(kind.basis(made)[:, None, :], a, b, t)]
+    before = protocol._qubit_coherence(b).tolist()
+    after = sum(p * protocol._qubit_coherence(r) for p, r in outcomes).tolist()
+    bounds = [None] * len(params)
+    if kind.bound:
+        bounds = (qcore.entropy_bits(np.linalg.eigvalsh(rho * _BOB_DIAGONAL)) - qcore.entropy_bits(spectra)).tolist()
+    rows = []
+    for i, param in enumerate(params):
+        before_sim, after_sim, g = before[i], after[i], start + i
+        if config.mode == "sampled":  # p is 0 for the outcomes _outcomes drops
+            before_sim = _tomographed_cr(b[i], config, g, 0)
+            after_sim = sum(
+                float(p[i]) * _tomographed_cr(r[i], config, g, s) for s, (p, r) in enumerate(outcomes, 1) if p[i] > 0.0
+            )
+        rows.append(ExperimentRow(param, before[i], before_sim, after[i], after_sim, after_sim - before_sim, bounds[i]))
+    return rows
+
+
+def run_pure_experiment(config: RunConfig) -> list[ExperimentRow]:
+    """run_experiment for one of the pure families; any other kind is a ValueError."""
+    if config.kind not in ("family1", "family2"):
+        raise ValueError(f"run_pure_experiment needs family1 or family2, got {config.kind!r}")
+    return run_experiment(config)
+
+
+def run_werner_experiment(config: RunConfig) -> list[ExperimentRow]:
+    """run_experiment for the Werner family; any other kind is a ValueError."""
+    if config.kind != "werner":
+        raise ValueError(f"run_werner_experiment needs kind 'werner', got {config.kind!r}")
+    return run_experiment(config)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
-def _fmt(x: float) -> str:
-    return f"{x:.6g}"
+_CELL = "{:.6g}"  # every CSV cell, to 6 significant digits
+_fmt = _CELL.format
 
 
 def emit_csv(rows: list[ExperimentRow], kind: str) -> str:
-    lines = []
-    if kind == "werner":
-        lines.append(WERNER_CSV_HEADER)
-        for r in rows:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (r.param, r.cd_before_theory, r.cd_after_theory, r.cd_after_sim, r.bound_qi, r.delta_sim)
-                )
-            )
-    else:
-        lines.append(PURE_CSV_HEADER)
-        for r in rows:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (r.param, r.cd_before_theory, r.cd_before_sim, r.cd_after_theory, r.cd_after_sim, r.delta_sim)
-                )
-            )
-    return "\n".join(lines) + "\n"
+    """CSV in the layout of KINDS[kind]: its header, then its columns of every row."""
+    spec = KINDS[kind]
+    cells, line = operator.attrgetter(*spec.columns), ",".join([_CELL] * len(spec.columns))
+    return "\n".join([spec.header] + [line.format(*cells(r)) for r in rows]) + "\n"
 
 
 def emit_json(config: RunConfig, rows: list[ExperimentRow]) -> str:
@@ -224,38 +207,15 @@ def emit_json(config: RunConfig, rows: list[ExperimentRow]) -> str:
 
 
 def parse_rows_csv(text: str) -> list[ExperimentRow]:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    header, body = lines[0], lines[1:]
-    rows = []
-    if header == WERNER_CSV_HEADER:
-        for ln in body:
-            p, bt, at, asim, bq, d = (float(x) for x in ln.split(","))
-            rows.append(
-                ExperimentRow(
-                    param=p,
-                    cd_before_theory=bt,
-                    cd_before_sim=asim - d,
-                    cd_after_theory=at,
-                    cd_after_sim=asim,
-                    delta_sim=d,
-                    bound_qi=bq,
-                )
-            )
-    elif header == PURE_CSV_HEADER:
-        for ln in body:
-            p, bt, bs, at, asim, d = (float(x) for x in ln.split(","))
-            rows.append(
-                ExperimentRow(
-                    param=p,
-                    cd_before_theory=bt,
-                    cd_before_sim=bs,
-                    cd_after_theory=at,
-                    cd_after_sim=asim,
-                    delta_sim=d,
-                )
-            )
-    else:
+    """Rows of a CSV written by emit_csv; a layout without cd_before_sim gets cd_after_sim - delta_sim."""
+    header, *body = [ln for ln in text.strip().splitlines() if ln]
+    if header not in _COLUMNS_BY_HEADER:
         raise ValueError(f"unrecognized CSV header: {header!r}")
+    rows = []
+    for ln in body:
+        values = dict(zip(_COLUMNS_BY_HEADER[header], map(float, ln.split(",")), strict=True))
+        values.setdefault("cd_before_sim", values["cd_after_sim"] - values["delta_sim"])
+        rows.append(ExperimentRow(**values))
     return rows
 
 

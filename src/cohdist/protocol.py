@@ -7,17 +7,18 @@ ensemble-averaged distillable coherence it induces on Bob, the analytic
 optimal basis for pure parents, and a numerical basis optimizer for anything
 else.  Only rank-1 projective measurements are considered.
 
-The basis search works in Pauli (Fano / Horodecki) coordinates,
+The basis search and the harness work in Pauli (Fano / Horodecki) coordinates,
 rho_AB = (I x I + a.sigma x I + I x b.sigma + sum_ij T_ij sigma_i x sigma_j) / 4,
 with Alice's Bloch vector a, Bob's Bloch vector b and the correlation matrix
 T.  Measuring Alice along the Bloch vector n gives outcome probabilities
 p+- = (1 +- n.a) / 2 and leaves Bob with Bloch vectors
 r+- = (b +- T^t n) / (2 p+-); a qubit with Bloch vector r has
-C_r = h2((1 + r_z) / 2) - h2((1 + |r|) / 2).  (a, b, T) are computed once
-per search.  The whole theta x phi grid is then scored in one batched numpy
-evaluation, and the golden-section refinement evaluates the same closed form
-one basis at a time in plain floats.  The dense measurement map (`_measure`)
-is kept for `alice_measure`, whose Bob states the harness reports.
+C_r = h2((1 + r_z) / 2) - h2((1 + |r|) / 2).  The search computes (a, b, T)
+once, scores the whole theta x phi grid in one batched numpy evaluation,
+and refines with the same closed form one basis at a time in plain floats;
+the harness scores a whole stack of states, one basis each, in one call.
+The dense measurement map (`_measure`) now serves only the public
+`alice_measure`.
 
 On an exactly flat objective (the equator of a Werner state, a Bell state)
 the grid argmax is decided by rounding, so the returned phi may differ from
@@ -36,6 +37,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 ZERO_PROB_TOL = 1e-12
 GRID_RES_MAX = 1024  # the batched grid holds GRID_RES_MAX^2 Bloch vectors
 _PAULIS = np.stack([qcore.IDENTITY_2, qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z])
+# (rho.ravel() @ _PAULI_PAIRS)[4m + n] = tr[rho (s_m x s_n)]
+_PAULI_PAIRS = np.einsum("mji,nlk->ikjlmn", _PAULIS, _PAULIS).reshape(16, 16)
 
 
 @dataclass(frozen=True)
@@ -82,13 +85,6 @@ class MeasurementBasis:
 def y_basis() -> MeasurementBasis:
     """The |y+->, |y-> basis, Bloch vector (0, 1, 0)."""
     return MeasurementBasis((0.0, 1.0, 0.0))
-
-
-def bloch_vector(ket) -> np.ndarray:
-    """Bloch vector of a single-qubit pure state."""
-    a, b = np.asarray(ket, dtype=complex)
-    cross = np.conj(a) * b
-    return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(a) ** 2 - abs(b) ** 2])
 
 
 @dataclass(frozen=True)
@@ -156,9 +152,43 @@ def _canonical_direction(n: np.ndarray) -> np.ndarray:
     # antipodal Bloch vectors describe the same basis; pick the representative
     # with positive y, then positive x, then positive z
     tol = 1e-12
-    if n[1] < -tol or (abs(n[1]) <= tol and (n[0] < -tol or (abs(n[0]) <= tol and n[2] < 0.0))):
-        return -n
-    return n
+    x, y, z = n[..., 0], n[..., 1], n[..., 2]
+    flip = (y < -tol) | ((abs(y) <= tol) & ((x < -tol) | ((abs(x) <= tol) & (z < 0.0))))
+    return np.where(flip[..., None], -n, n)
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    # np.linalg.norm along the last axis, through the same BLAS dot, so a stack and a single vector round alike
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
+def _pure_parent_directions(psis: np.ndarray) -> np.ndarray:
+    """optimal_basis_pure's Bloch direction for each unit vector psis[..., :], before the final normalization."""
+    alice = np.swapaxes(psis.reshape(*psis.shape[:-1], 2, 2), -1, -2)  # [..., k, :] = Alice's vector for Bob's |k>
+    norms = _norm(alice)
+    support = norms > 1e-9
+    a, b = np.moveaxis(alice / np.where(support, norms, 1.0)[..., None], -1, 0)
+    # Bloch vectors of the normalized Alice vectors, in numpy's scalar arithmetic (no fused multiply-add,
+    # |z| by hypot, x ** 2 by pow), so a stack rounds as the single-state rule always has
+    z = np.float_power(np.hypot(a.real, a.imag), 2.0) - np.float_power(np.hypot(b.real, b.imag), 2.0)
+    blochs = np.stack([2.0 * (a.real * b.real + a.imag * b.imag), 2.0 * (a.real * b.imag - a.imag * b.real), z], -1)
+    normal = np.cross(blochs[..., 0, :], blochs[..., 1, :])
+    normal_norm = _norm(normal)
+    spanned = support.all(axis=-1) & (normal_norm >= 1e-9)
+    normal = _canonical_direction(normal / np.where(spanned, normal_norm, 1.0)[..., None])
+    # degenerate: only one independent direction to be orthogonal to
+    n0 = np.where(support[..., :1], blochs[..., 0, :], blochs[..., 1, :])
+    y_perp = np.array([0.0, 1.0, 0.0]) - n0[..., 1:2] * n0
+    y_norm = _norm(y_perp)
+    on_y = y_norm < 1e-9  # n0 is +-y, prefer +x
+    y_perp = np.where(on_y[..., None], [1.0, 0.0, 0.0], y_perp / np.where(on_y, 1.0, y_norm)[..., None])
+    return np.where(spanned[..., None], normal, y_perp)
+
+
+def optimal_blochs_pure(psis) -> np.ndarray:
+    """optimal_basis_pure(psi).bloch, bit for bit, for each unit vector psi in a (..., 4) stack."""
+    n = _pure_parent_directions(np.asarray(psis, dtype=complex))
+    return n / _norm(n)[..., None] + 0.0  # as MeasurementBasis normalizes
 
 
 def optimal_basis_pure(psi_ab) -> MeasurementBasis:
@@ -173,31 +203,11 @@ def optimal_basis_pure(psi_ab) -> MeasurementBasis:
     When the Alice Bloch vectors are parallel or antiparallel the orthogonality
     constraint is a circle; the tie-break picks the unit vector orthogonal to
     the first Alice vector with maximal y component, preferring +x when the
-    Alice vector is +-y itself.
+    Alice vector is +-y itself.  optimal_blochs_pure is the same rule on a
+    stack of states.
     """
     psi = qcore.ensure_state_vector(psi_ab, dim=4)
-    amps = psi.reshape(2, 2)  # (alice, bob)
-    blochs = []
-    for k in (0, 1):
-        a_k = amps[:, k]
-        norm = float(np.linalg.norm(a_k))
-        if norm > 1e-9:
-            blochs.append(bloch_vector(a_k / norm))
-    if not blochs:
-        raise qcore.InvalidStateError("state has no support on Bob's reference basis")
-    if len(blochs) == 2:
-        cross = np.cross(blochs[0], blochs[1])
-        norm = float(np.linalg.norm(cross))
-        if norm >= 1e-9:
-            n = _canonical_direction(cross / norm)
-            return MeasurementBasis(tuple(n))
-    # degenerate: only one independent direction to be orthogonal to
-    n0 = blochs[0]
-    y_perp = np.array([0.0, 1.0, 0.0]) - n0[1] * n0
-    norm = float(np.linalg.norm(y_perp))
-    if norm < 1e-9:  # n0 is +-y, prefer +x
-        return MeasurementBasis((1.0, 0.0, 0.0))
-    return MeasurementBasis(tuple(y_perp / norm))
+    return MeasurementBasis(tuple(_pure_parent_directions(psi)))
 
 
 def _golden_max(f, lo: float, hi: float, steps: int = 16) -> float:
@@ -222,9 +232,13 @@ def _is_int(value) -> bool:
 
 
 def _pauli_coordinates(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, T): a_i = tr[rho (s_i x I)], b_j = tr[rho (I x s_j)], T_ij = tr[rho (s_i x s_j)]."""
-    r = np.einsum("ikjl,mji,nlk->mn", rho.reshape(2, 2, 2, 2), _PAULIS, _PAULIS).real
-    return r[1:, 0], r[0, 1:], r[1:, 1:]
+    """(a, b, T) of each state in a (..., 4, 4) stack.
+
+    a_i = tr[rho (s_i x I)], b_j = tr[rho (I x s_j)], T_ij = tr[rho (s_i x s_j)].
+    """
+    lead = rho.shape[:-2]
+    r = (rho.reshape(*lead, 16) @ _PAULI_PAIRS).real.reshape(*lead, 4, 4)
+    return r[..., 1:, 0], r[..., 0, 1:], r[..., 1:, 1:]
 
 
 def _qubit_entropy(u):
@@ -234,16 +248,31 @@ def _qubit_entropy(u):
     return -(hi * np.log2(hi) + lo * np.log2(np.where(lo > 0.0, lo, 1.0)))
 
 
-def _assisted_coherence(n: np.ndarray, a, b, t) -> np.ndarray:
-    """sum_+- p+- C_r(r+-) for each Alice Bloch vector n[..., :]; outcomes with p < ZERO_PROB_TOL add 0."""
-    na, tn = n @ a, n @ t
-    total = np.zeros(na.shape)
+def _qubit_coherence(r):
+    """C_r of the qubit with Bloch vector r[..., :], elementwise."""
+    return _qubit_entropy(r[..., 2]) - _qubit_entropy(np.linalg.norm(r, axis=-1))
+
+
+def _outcomes(n: np.ndarray, a, b, t) -> list[tuple[np.ndarray, np.ndarray]]:
+    """[(p+, r+), (p-, r-)]: outcome probabilities and Bob's Bloch vectors for each Alice Bloch vector n[..., :].
+
+    n[..., m, :] is an Alice basis for the state (a, b, t)[...]: the
+    coordinates' leading axes broadcast against n's axes before its last
+    two.  Outcomes with p < ZERO_PROB_TOL get p = 0 and a meaningless r.
+    """
+    na, tn = (n @ a[..., None])[..., 0], n @ t
+    outcomes = []
     for sign in (1.0, -1.0):
         p = (1.0 + sign * na) / 2.0
         kept = p >= ZERO_PROB_TOL
-        r = (b + sign * tn) / (2.0 * np.where(kept, p, 1.0))[..., None]
-        total += np.where(kept, p * (_qubit_entropy(r[..., 2]) - _qubit_entropy(np.linalg.norm(r, axis=-1))), 0.0)
-    return total
+        r = (b[..., None, :] + sign * tn) / (2.0 * np.where(kept, p, 1.0))[..., None]
+        outcomes.append((np.where(kept, p, 0.0), r))
+    return outcomes
+
+
+def _assisted_coherence(n: np.ndarray, a, b, t) -> np.ndarray:
+    """sum_+- p+- C_r(r+-) for each Alice Bloch vector n[..., :] (see _outcomes); zero-probability outcomes add 0."""
+    return sum(p * _qubit_coherence(r) for p, r in _outcomes(n, a, b, t))
 
 
 def _qubit_entropy_at(u: float) -> float:

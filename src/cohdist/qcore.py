@@ -60,6 +60,15 @@ def ensure_state_vector(psi, dim: int | None = None) -> np.ndarray:
     return psi
 
 
+def density_defects(rho, tol: float = 1e-10):
+    """(hermiticity defect, trace defect, Hermitian-part spectrum, ok) of each matrix in a (..., d, d) stack."""
+    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
+    # eigenvalues of the Hermitian part, so the check is defined for any input
+    eigs = np.linalg.eigvalsh((rho + rho.conj().swapaxes(-1, -2)) / 2.0)
+    return herm, trace, eigs, (herm <= tol) & (trace <= tol) & (eigs[..., 0] >= -tol)
+
+
 def validate_density(rho, tol: float = 1e-10) -> ValidationReport:
     """Measure hermiticity/trace/positivity defects of a candidate density matrix.
 
@@ -68,13 +77,8 @@ def validate_density(rho, tol: float = 1e-10) -> ValidationReport:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
         return ValidationReport(np.inf, np.inf, -np.inf, False)
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    trace = float(abs(rho.trace() - 1.0))
-    # eigenvalues of the Hermitian part, so the check is defined for any input
-    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    min_eig = float(eigs[0])
-    ok = herm <= tol and trace <= tol and min_eig >= -tol
-    return ValidationReport(herm, trace, min_eig, ok)
+    herm, trace, eigs, ok = density_defects(rho, tol)
+    return ValidationReport(float(herm), float(trace), float(eigs[0]), bool(ok))
 
 
 def ensure_density(rho, dim: int | None = None, tol: float = 1e-10) -> np.ndarray:
@@ -88,6 +92,11 @@ def ensure_density(rho, dim: int | None = None, tol: float = 1e-10) -> np.ndarra
     if not report.ok:
         raise InvalidStateError(f"invalid density matrix: {report}")
     return rho
+
+
+def bloch_state(r) -> np.ndarray:
+    """The qubit density matrix (I + r . sigma) / 2."""
+    return (IDENTITY_2 + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2.0
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -134,9 +143,13 @@ def shannon_entropy(probs) -> float:
     p = np.asarray(probs, dtype=float)
     if p.min() < -EIGENVALUE_TOL:
         raise InvalidStateError(f"negative probability {p.min()} below tolerance")
+    return float(entropy_bits(p))
+
+
+def entropy_bits(p) -> np.ndarray:
+    """Entropy in bits along the last axis of a stack of probability vectors or spectra, clipped to [0, 1]."""
     p = np.clip(p, 0.0, 1.0)
-    nz = p[p > 0.0]
-    return float(-(nz * np.log2(nz)).sum())
+    return -(p * np.log2(np.where(p > 0.0, p, 1.0))).sum(axis=-1)
 
 
 def von_neumann_entropy(rho) -> float:

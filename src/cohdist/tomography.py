@@ -213,8 +213,7 @@ def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     renormalized, which maps |r| > 1 onto the pure state along r.
     """
     _check_record(record)
-    rx, ry, rz = record.stokes()
-    cand = (qcore.IDENTITY_2 + rx * qcore.PAULI_X + ry * qcore.PAULI_Y + rz * qcore.PAULI_Z) / 2.0
+    cand = qcore.bloch_state(record.stokes())
     w, v = np.linalg.eigh(cand)
     if w[0] < 0.0:
         w = np.clip(w, 0.0, None)
@@ -275,6 +274,4 @@ def reconstruct_mle(record: TomographyRecord) -> ReconstructionResult:
             if abs(h) <= tol or hi - lo <= tol:
                 break
         s = np.array(r) / math.sqrt(h + 1.0)
-    rx, ry, rz = s
-    state = (qcore.IDENTITY_2 + rx * qcore.PAULI_X + ry * qcore.PAULI_Y + rz * qcore.PAULI_Z) / 2.0
-    return ReconstructionResult(state=state, method="mle", iterations=steps, converged=True)
+    return ReconstructionResult(state=qcore.bloch_state(s), method="mle", iterations=steps, converged=True)

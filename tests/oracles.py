@@ -2,10 +2,12 @@
 
 Everything here is computed directly from elementary formulas (binary
 entropy, explicit eigenvalues, index arithmetic) so it stays independent of
-the library code paths it is used to check.  The two reference estimators
-(the R-rho-R MLE and the dense basis search) are the slow algorithms the
-library replaced with closed forms; the basis search scores bases through the
-library's dense measurement map, not through its Pauli-coordinate closed form.
+the library code paths it is used to check.  The reference algorithms (the
+R-rho-R MLE, the dense basis search, the scalar pure-parent basis rule and
+the per-point dense runner) are the slow ones the library replaced with
+closed forms or batched numpy; the basis search and the runner score bases
+through the library's dense measurement map, not through its
+Pauli-coordinate closed form.
 """
 
 import math
@@ -13,7 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cohdist.protocol import MeasurementBasis, _measure, average_assisted_coherence
+from cohdist import qcore, states
+from cohdist.coherence import qi_relative_entropy, rel_entropy_coherence
+from cohdist.harness import ExperimentRow
+from cohdist.protocol import MeasurementBasis, _measure, alice_measure, average_assisted_coherence, y_basis
+from cohdist.tomography import derive_stream, reconstruct_mle, simulate_counts
 
 
 def shannon(probs) -> float:
@@ -229,3 +235,85 @@ def basis_search_oracle(rho: np.ndarray, grid_res: int, refine_iters: int) -> Se
         h_t *= 0.7
         h_p *= 0.7
     return SearchResult(grid_index, best["value"], trace)
+
+
+def bloch_vector(ket) -> np.ndarray:
+    """Bloch vector of a single-qubit pure state."""
+    a, b = np.asarray(ket, dtype=complex)
+    cross = np.conj(a) * b
+    return np.array([2.0 * cross.real, 2.0 * cross.imag, abs(a) ** 2 - abs(b) ** 2])
+
+
+def _canonical_direction(n: np.ndarray) -> np.ndarray:
+    tol = 1e-12
+    if n[1] < -tol or (abs(n[1]) <= tol and (n[0] < -tol or (abs(n[0]) <= tol and n[2] < 0.0))):
+        return -n
+    return n
+
+
+def optimal_basis_pure_oracle(psi) -> MeasurementBasis:
+    """The scalar pure-parent basis rule that optimal_basis_pure batched: a basis unbiased against Alice's vectors.
+
+    Alice's normalized vectors |Psi_k> for Bob's |k> (norm > 1e-9) give
+    Bloch vectors; two independent ones give their canonical cross product,
+    otherwise the unit vector orthogonal to the first with maximal y, and +x
+    when that one is +-y.
+    """
+    amps = np.asarray(psi, dtype=complex).reshape(2, 2)  # (alice, bob)
+    blochs = []
+    for k in (0, 1):
+        a_k = amps[:, k]
+        norm = float(np.linalg.norm(a_k))
+        if norm > 1e-9:
+            blochs.append(bloch_vector(a_k / norm))
+    if len(blochs) == 2:
+        cross = np.cross(blochs[0], blochs[1])
+        norm = float(np.linalg.norm(cross))
+        if norm >= 1e-9:
+            return MeasurementBasis(tuple(_canonical_direction(cross / norm)))
+    n0 = blochs[0]
+    y_perp = np.array([0.0, 1.0, 0.0]) - n0[1] * n0
+    norm = float(np.linalg.norm(y_perp))
+    if norm < 1e-9:
+        return MeasurementBasis((1.0, 0.0, 0.0))
+    return MeasurementBasis(tuple(y_perp / norm))
+
+
+def _tomographed_cr(state: np.ndarray, shots: int, seed: int) -> float:
+    return rel_entropy_coherence(reconstruct_mle(simulate_counts(state, shots, seed)).state).c_r
+
+
+def dense_run_oracle(config) -> list[ExperimentRow]:
+    """The per-point dense runner that run_experiment batched.
+
+    For every grid point: build the state, depolarize it, take Bob's marginal
+    by partial trace, measure Alice densely (alice_measure: 4x4 projectors,
+    Bob states by partial trace) in optimal_basis_pure_oracle's basis (pure
+    families) or the y basis (Werner), and score every state by eigvalsh
+    (rel_entropy_coherence, average_assisted_coherence, qi_relative_entropy).
+    Sampled mode tomographs the dense Bob states on the same streams: index
+    0 for the marginal, 1 and 2 for the outcomes with nonzero probability.
+    """
+    rows = []
+    for g, param in enumerate(config.params):
+        if config.kind == "werner":
+            rho_ab, basis = states.make_werner(param), y_basis()
+        else:
+            psi = states.make_pure(1 if config.kind == "family1" else 2, param)
+            rho_ab, basis = qcore.projector(psi), optimal_basis_pure_oracle(psi)
+        rho_ab = states.depolarize(rho_ab, config.epsilon_prep)
+        rho_b = qcore.partial_trace(rho_ab, "B")
+        outcomes = alice_measure(rho_ab, basis)
+        before, after = rel_entropy_coherence(rho_b).c_r, average_assisted_coherence(outcomes)
+        before_sim, after_sim = before, after
+        if config.mode == "sampled":
+            shots = config.shots_per_basis
+            before_sim = _tomographed_cr(rho_b, shots, derive_stream(config.seed, g, 0))
+            after_sim = 0.0
+            for t, outcome in enumerate(outcomes, start=1):
+                if outcome.prob > 0.0:
+                    seed = derive_stream(config.seed, g, t)
+                    after_sim += outcome.prob * _tomographed_cr(outcome.bob_state, shots, seed)
+        bound = qi_relative_entropy(rho_ab) if config.kind == "werner" else None
+        rows.append(ExperimentRow(param, before, before_sim, after, after_sim, after_sim - before_sim, bound))
+    return rows

@@ -1,10 +1,12 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from cohdist import cli, harness
+from cohdist import cli, harness, qcore
 from cohdist.fixtures import load_fixture
 from cohdist.harness import (
     ExperimentRow,
@@ -190,6 +192,22 @@ def test_csv_rejects_unknown_header():
         parse_rows_csv("a,b,c\n1,2,3\n")
 
 
+def test_csv_layout_follows_the_kind_table():
+    assert harness.KINDS["family1"].header == harness.PURE_CSV_HEADER == harness.KINDS["family2"].header
+    assert harness.KINDS["werner"].header == harness.WERNER_CSV_HEADER
+    for kind, params in (("family2", (0.0, 10.0, 45.0)), ("werner", (0.0, 0.4, 1.0))):
+        _, rows = _analytic(kind, params)
+        text = emit_csv(rows, kind)
+        header, *body = text.splitlines()
+        assert header == harness.KINDS[kind].header
+        for row, line in zip(rows, body):
+            assert line == ",".join(f"{getattr(row, c):.6g}" for c in harness.KINDS[kind].columns)
+        with pytest.raises(ValueError):  # a row with a column too many or too few
+            parse_rows_csv(f"{header}\n{body[0]},1\n")
+        with pytest.raises(ValueError):
+            parse_rows_csv(f"{header}\n{body[0].rsplit(',', 1)[0]}\n")
+
+
 # --- fixtures --------------------------------------------------------------------
 
 def test_fixture_tables_load_with_expected_grids():
@@ -301,6 +319,13 @@ def test_cli_fixtures_exit_codes_follow_tolerance():
     assert result.exit_code == 2
 
 
+def test_cli_fixtures_rejects_non_finite_tolerance():
+    for bad in ("nan", "inf", "-inf"):
+        result = CliRunner().invoke(cli.main, ["fixtures", "--table", "3", "--tolerance", bad])
+        assert result.exit_code == 2, bad
+        assert "finite" in result.output
+
+
 def test_cli_fixtures_writes_report(tmp_path):
     out = tmp_path / "report.csv"
     result = CliRunner().invoke(
@@ -331,3 +356,82 @@ def test_cli_tomo_demo_json():
         assert o["fidelity_mle"] > 0.99
     result = CliRunner().invoke(cli.main, ["tomo-demo", "--theta", "90"])
     assert result.exit_code == 2
+
+
+# --- the batched runner against the per-point dense runner (tests/oracles.py) -----
+
+COLUMNS = ("param", "cd_before_theory", "cd_before_sim", "cd_after_theory", "cd_after_sim", "delta_sim")
+
+
+def _assert_rows_match(rows, ref, tol=1e-12):
+    assert len(rows) == len(ref)
+    for row, want in zip(rows, ref):
+        for col in COLUMNS:
+            assert abs(getattr(row, col) - getattr(want, col)) <= tol, (row.param, col)
+        if want.bound_qi is None:
+            assert row.bound_qi is None
+        else:
+            assert abs(row.bound_qi - want.bound_qi) <= tol, (row.param, "bound_qi")
+
+
+def _oracle_grids():
+    rng = np.random.default_rng(61)
+    grids = {k: [harness.parse_grid(g)] for k, g in cli._DEFAULT_GRIDS.items()}
+    for table_id in (1, 2, 3):
+        cfg = fixture_run_config(table_id)
+        grids[cfg.kind].append(cfg.params)
+    grids["family1"] += [(0.0, 45.0), tuple(rng.uniform(0.0, 45.0, 181))]
+    grids["family2"] += [(0.0, 45.0), tuple(rng.uniform(0.0, 45.0, 181))]
+    grids["werner"] += [(0.0, 1.0), tuple(rng.uniform(0.0, 1.0, 181))]
+    return grids
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05, 0.3])
+def test_run_experiment_matches_dense_oracle(epsilon):
+    for kind, grids in _oracle_grids().items():
+        for params in grids:
+            cfg = RunConfig(kind=kind, params=params, epsilon_prep=epsilon)
+            _assert_rows_match(harness.run_experiment(cfg), oracles.dense_run_oracle(cfg))
+
+
+def test_sampled_run_matches_dense_oracle():
+    # the batched runner hands simulate_counts Bob's Bloch vectors, the dense one his partial traces;
+    # the counts agree, so every column agrees to rounding
+    for kind, params in (("family1", (0.0, 12.5, 22.5, 45.0)), ("family2", (0.0, 30.0)), ("werner", (0.0, 0.5, 1.0))):
+        for epsilon in (0.0, 0.05):
+            for shots in (200, 20_000):
+                cfg = RunConfig(kind, params, mode="sampled", shots_per_basis=shots, seed=11, epsilon_prep=epsilon)
+                _assert_rows_match(harness.run_experiment(cfg), oracles.dense_run_oracle(cfg))
+
+
+def test_chunked_run_equals_one_pass(monkeypatch):
+    # stream indices count from the start of the whole grid, not of the chunk
+    cfgs = [RunConfig(kind, params, mode="sampled", shots_per_basis=500, seed=3) for kind, params in
+            (("family1", tuple(np.linspace(0.0, 45.0, 7))), ("werner", tuple(np.linspace(0.0, 1.0, 7))))]
+    whole = [harness.run_experiment(cfg) for cfg in cfgs]
+    monkeypatch.setattr(harness, "RUN_CHUNK", 3)
+    assert [harness.run_experiment(cfg) for cfg in cfgs] == whole
+    monkeypatch.setattr(harness, "RUN_CHUNK", 1)
+    assert [harness.run_experiment(cfg) for cfg in cfgs] == whole
+
+
+def test_invalid_factory_state_names_parameter_and_exits_2(monkeypatch):
+    def factory(p):  # trace 1 and Hermitian, but with eigenvalue -0.1 at p = 0.5
+        return np.diag([0.5, 0.3, 0.3, -0.1]).astype(complex) if p == 0.5 else harness.states.make_werner(p)
+
+    monkeypatch.setitem(harness.KINDS, "werner", harness.KINDS["werner"]._replace(factory=factory))
+    with pytest.raises(qcore.InvalidStateError, match="parameter 0.5"):
+        harness.run_experiment(RunConfig(kind="werner", params=(0.25, 0.5, 0.75)))
+    result = CliRunner().invoke(cli.main, ["werner", "--points", "0.25,0.5"])
+    assert result.exit_code == 2
+    assert "parameter 0.5" in result.output
+    harness.run_experiment(RunConfig(kind="werner", params=(0.25, 0.75)))
+
+
+def test_harness_imports_nothing_from_coherence():
+    tree = ast.parse(Path(harness.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "coherence" and "coherence" not in [a.name for a in node.names]
+        if isinstance(node, ast.Import):
+            assert all("coherence" not in a.name for a in node.names)

@@ -15,7 +15,6 @@ from cohdist.protocol import (
     MeasurementBasis,
     alice_measure,
     average_assisted_coherence,
-    bloch_vector,
     optimal_basis_pure,
     optimize_basis,
     y_basis,
@@ -37,8 +36,8 @@ def test_basis_kets_orthonormal_and_on_bloch_axis():
         assert abs(np.vdot(plus, plus) - 1) < 1e-12
         assert abs(np.vdot(minus, minus) - 1) < 1e-12
         assert abs(np.vdot(plus, minus)) < 1e-10
-        assert np.allclose(bloch_vector(plus), basis.bloch, atol=1e-10)
-        assert np.allclose(bloch_vector(minus), -np.array(basis.bloch), atol=1e-10)
+        assert np.allclose(oracles.bloch_vector(plus), basis.bloch, atol=1e-10)
+        assert np.allclose(oracles.bloch_vector(minus), -np.array(basis.bloch), atol=1e-10)
 
 
 def test_y_basis_kets():
@@ -213,6 +212,31 @@ def test_optimal_basis_achieves_closed_form():
 def test_optimal_basis_rejects_zero_vector():
     with pytest.raises(qcore.InvalidStateError):
         optimal_basis_pure(np.zeros(4))
+
+
+def test_batched_basis_rule_is_bit_identical_to_scalar_rule():
+    rng = np.random.default_rng(38)
+    psis = [random_pure_state(rng, 4) for _ in range(400)]
+    # product states: Alice's vectors are parallel, or Bob's |V> (or |H>) carries no amplitude
+    psis += [np.kron(random_pure_state(rng, 2), random_pure_state(rng, 2)) for _ in range(50)]
+    psis += [np.kron(random_pure_state(rng, 2), ket) for ket in (qcore.KET_H, qcore.KET_V) for _ in range(25)]
+    # an Alice vector along +-y, alone or with a second one
+    psis += [np.kron(ket, bob) for ket in (qcore.KET_Y_PLUS, qcore.KET_Y_MINUS) for bob in (qcore.KET_H, qcore.KET_X_PLUS)]
+    psis += [(np.kron(qcore.KET_Y_PLUS, qcore.KET_H) + np.kron(random_pure_state(rng, 2), qcore.KET_V)) for _ in range(10)]
+    # both Alice vectors in the xy (or yz) plane: the normal lies along z (or x), so the sign tie-break decides
+    for _ in range(10):
+        t1, t2 = rng.uniform(0.0, 2.0 * math.pi, 2)
+        for plane in (lambda t: [1.0, np.exp(1j * t)], lambda t: [math.cos(t / 2), 1j * math.sin(t / 2)]):
+            psis.append(np.kron(plane(t1), qcore.KET_H) + np.kron(plane(t2), qcore.KET_V))
+    psis = [psi / np.linalg.norm(psi) for psi in psis]
+    psis += [family1(t) for t in (0.0, 22.5, 45.0)] + [family2(t) for t in (0.0, 45.0)]
+    batched = protocol.optimal_blochs_pure(np.array(psis))
+    assert batched.shape == (len(psis), 3)
+    for psi, row in zip(psis, batched.tolist()):
+        scalar = optimal_basis_pure(psi).bloch
+        assert tuple(row) == scalar
+        assert scalar == oracles.optimal_basis_pure_oracle(psi).bloch
+    assert optimal_basis_pure(np.kron(qcore.KET_Y_MINUS, qcore.KET_H)).bloch == (1.0, 0.0, 0.0)
 
 
 # --- optimize_basis ----------------------------------------------------------
