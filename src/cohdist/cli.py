@@ -31,7 +31,9 @@ def _run_options(f):
             click.option("--mode", type=click.Choice(["analytic", "sampled"]), default="analytic", show_default=True),
             click.option("--shots", type=int, default=100_000, show_default=True, help="Shots per tomography basis."),
             click.option("--seed", type=int, default=42, show_default=True),
-            click.option("--epsilon-prep", type=float, default=0.0, show_default=True, help="Depolarizing preparation imperfection."),
+            click.option("--epsilon-prep", type=float, default=0.0, show_default=True, help=(
+                "Depolarizing preparation imperfection. Above 0, cd_after_theory is the value in the ideal parent's"
+                " basis, not necessarily the maximum over Alice's bases.")),
             click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True),
             click.option("--out", default=None, help="Output path (default: stdout)."),
         ]

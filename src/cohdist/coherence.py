@@ -62,11 +62,12 @@ class CoaResult:
 def coa_numeric(psi_ab, grid_res: int = 64, refine_iters: int = 30) -> CoaResult:
     """Maximize the ensemble-averaged post-measurement coherence numerically.
 
-    Runs the protocol's basis search (a Bloch-hemisphere grid followed by
-    per-coordinate golden-section refinement) on |psi><psi|; independent of,
-    and checkable against, coa_closed_form on Bob's marginal.  Accepts pure
-    parents only: decompositions of mixed Bob states are reached physically
-    through a measurement on the purification.
+    Runs the protocol's basis search (a Bloch-hemisphere grid, then zoom
+    rounds of a local lattice) on |psi><psi|; optimizer_trace holds the
+    running best ((theta, phi), value) after the grid and after each round.
+    Independent of, and checkable against, coa_closed_form on Bob's
+    marginal.  Accepts pure parents only: decompositions of mixed Bob states
+    are reached physically through a measurement on the purification.
     """
     psi = qcore.ensure_state_vector(psi_ab, dim=4)
     basis, value, trace = protocol._basis_search(qcore.projector(psi), grid_res, refine_iters)

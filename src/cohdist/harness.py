@@ -68,8 +68,6 @@ KINDS = {
     ),
 }
 _COLUMNS_BY_HEADER = {kind.header: kind.columns for kind in KINDS.values()}
-# keeps the entries of a two-qubit matrix whose Bob indices agree: dephasing on Bob
-_BOB_DIAGONAL = np.equal.outer(np.arange(4) % 2, np.arange(4) % 2)
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,7 @@ def _run_points(config: RunConfig, start: int) -> list[ExperimentRow]:
     after = sum(p * protocol._qubit_coherence(r) for p, r in outcomes).tolist()
     bounds = [None] * len(params)
     if kind.bound:
-        bounds = (qcore.entropy_bits(np.linalg.eigvalsh(rho * _BOB_DIAGONAL)) - qcore.entropy_bits(spectra)).tolist()
+        bounds = (qcore.entropy_bits(np.linalg.eigvalsh(rho * qcore.BOB_DIAGONAL)) - qcore.entropy_bits(spectra)).tolist()
     rows = []
     for i, param in enumerate(params):
         before_sim, after_sim, g = before[i], after[i], start + i
@@ -245,14 +243,9 @@ class DeviationReport:
 
     def to_csv(self) -> str:
         lines = [DEVIATION_CSV_HEADER]
-        for r in self.rows:
-            ordered = (
-                r.param,
-                r.fixture[0], r.theory[0], r.deviation[0],
-                r.fixture[1], r.theory[1], r.deviation[1],
-                r.fixture[2], r.theory[2], r.deviation[2],
-            )
-            lines.append(",".join(_fmt(v) for v in ordered))
+        for r in self.rows:  # param, then (fixture, theory, deviation) for before, after and delta
+            cells = [r.param] + [v for column in zip(r.fixture, r.theory, r.deviation) for v in column]
+            lines.append(",".join(_fmt(v) for v in cells))
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:

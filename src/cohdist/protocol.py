@@ -7,18 +7,16 @@ ensemble-averaged distillable coherence it induces on Bob, the analytic
 optimal basis for pure parents, and a numerical basis optimizer for anything
 else.  Only rank-1 projective measurements are considered.
 
-The basis search and the harness work in Pauli (Fano / Horodecki) coordinates,
+Measurement and search work in Pauli (Fano / Horodecki) coordinates,
 rho_AB = (I x I + a.sigma x I + I x b.sigma + sum_ij T_ij sigma_i x sigma_j) / 4,
 with Alice's Bloch vector a, Bob's Bloch vector b and the correlation matrix
 T.  Measuring Alice along the Bloch vector n gives outcome probabilities
 p+- = (1 +- n.a) / 2 and leaves Bob with Bloch vectors
 r+- = (b +- T^t n) / (2 p+-); a qubit with Bloch vector r has
-C_r = h2((1 + r_z) / 2) - h2((1 + |r|) / 2).  The search computes (a, b, T)
-once, scores the whole theta x phi grid in one batched numpy evaluation,
-and refines with the same closed form one basis at a time in plain floats;
-the harness scores a whole stack of states, one basis each, in one call.
-The dense measurement map (`_measure`) now serves only the public
-`alice_measure`.
+C_r = h2((1 + r_z) / 2) - h2((1 + |r|) / 2).  That map (_outcomes) is the
+only one: alice_measure builds Bob's matrices from it, the harness scores a
+whole stack of states with it, one basis each, and the basis search scores
+the theta x phi grid and then each zoom lattice in one batched call apiece.
 
 On an exactly flat objective (the equator of a Werner state, a Bell state)
 the grid argmax is decided by rounding, so the returned phi may differ from
@@ -33,9 +31,9 @@ import numpy as np
 
 from . import qcore
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 ZERO_PROB_TOL = 1e-12
 GRID_RES_MAX = 1024  # the batched grid holds GRID_RES_MAX^2 Bloch vectors
+ZOOM_POINTS = 17  # lattice points per axis in each zoom round of the basis search
 _PAULIS = np.stack([qcore.IDENTITY_2, qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z])
 # (rho.ravel() @ _PAULI_PAIRS)[4m + n] = tr[rho (s_m x s_n)]
 _PAULI_PAIRS = np.einsum("mji,nlk->ikjlmn", _PAULIS, _PAULIS).reshape(16, 16)
@@ -110,28 +108,18 @@ class OutcomeSet:
 def alice_measure(rho_ab, basis: MeasurementBasis) -> OutcomeSet:
     """Measure Alice's qubit projectively and collapse Bob accordingly.
 
-    Outcome probabilities are tr[(P_i x I) rho]; Bob's conditional states are
-    Tr_A[(P_i x I) rho (P_i x I)] / p_i.  A zero-probability outcome is kept
-    with prob 0, Bob state I/2 and the zero_prob flag set, so the outcome set
-    shape is stable.
+    p_i = tr[(P_i x I) rho] and Bob's states Tr_A[(P_i x I) rho (P_i x I)] / p_i
+    come from the state's Pauli coordinates (see _outcomes).  A
+    zero-probability outcome is kept with prob 0, Bob state I/2 and the
+    zero_prob flag set, so the outcome set shape is stable.
     """
     rho = qcore.ensure_density(rho_ab, dim=4)
-    return _measure(rho, basis)
-
-
-def _measure(rho: np.ndarray, basis: MeasurementBasis) -> OutcomeSet:
     outcomes = []
-    for label, ket in (("+", basis.ket_plus), ("-", basis.ket_minus)):
-        proj = np.kron(qcore.projector(ket), qcore.IDENTITY_2)
-        m = proj @ rho @ proj
-        p = float(m.trace().real)
-        if p < ZERO_PROB_TOL:
-            outcomes.append(Outcome(label, 0.0, np.eye(2, dtype=complex) / 2.0, zero_prob=True))
-            continue
-        bob = np.trace(m.reshape(2, 2, 2, 2), axis1=0, axis2=2) / p
-        bob = (bob + bob.conj().T) / 2.0
-        bob /= bob.trace().real
-        outcomes.append(Outcome(label, p, bob))
+    for label, (p, r) in zip("+-", _outcomes(np.array([basis.bloch]), *_pauli_coordinates(rho))):
+        if p[0] > 0.0:  # _outcomes sets p = 0 below ZERO_PROB_TOL
+            outcomes.append(Outcome(label, float(p[0]), qcore.bloch_state(r[0])))
+        else:
+            outcomes.append(Outcome(label, 0.0, qcore.IDENTITY_2 / 2.0, zero_prob=True))
     return OutcomeSet(tuple(outcomes))
 
 
@@ -210,23 +198,6 @@ def optimal_basis_pure(psi_ab) -> MeasurementBasis:
     return MeasurementBasis(tuple(_pure_parent_directions(psi)))
 
 
-def _golden_max(f, lo: float, hi: float, steps: int = 16) -> float:
-    """Argmax of f on [lo, hi] by golden-section shrink (f assumed unimodal)."""
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(steps):
-        if fc >= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _GOLDEN * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _GOLDEN * (hi - lo)
-            fd = f(d)
-    return 0.5 * (lo + hi)
-
-
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -281,72 +252,59 @@ def _qubit_entropy_at(u: float) -> float:
     return -(hi * math.log2(hi) + (lo * math.log2(lo) if lo > 0.0 else 0.0))
 
 
-def _assisted_coherence_at(theta: float, phi: float, a: list, b: list, t: list) -> float:
-    """_assisted_coherence of the one basis at (theta, phi), in plain floats."""
-    st = math.sin(theta)
-    n = (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
-    na = n[0] * a[0] + n[1] * a[1] + n[2] * a[2]
-    total = 0.0
-    for sign in (1.0, -1.0):
-        p = (1.0 + sign * na) / 2.0
-        if p >= ZERO_PROB_TOL:
-            r = [(bj + sign * (n[0] * c0 + n[1] * c1 + n[2] * c2)) / (2.0 * p) for bj, c0, c1, c2 in zip(b, *t)]
-            total += p * (_qubit_entropy_at(r[2]) - _qubit_entropy_at(math.hypot(*r)))
-    return total
+def _lattice_argmax(thetas: np.ndarray, phis: np.ndarray, coords) -> tuple[int, int, float]:
+    """(i, j, value) of the best basis (thetas[i], phis[j]) in one batched evaluation; ties go to the smallest (i, j)."""
+    st = np.sin(thetas)[:, None]
+    n = np.stack(np.broadcast_arrays(st * np.cos(phis), st * np.sin(phis), np.cos(thetas)[:, None]), axis=-1)
+    values = _assisted_coherence(n, *coords)
+    i, j = np.unravel_index(np.argmax(values), values.shape)
+    return int(i), int(j), float(values[i, j])
 
 
 def _basis_search(rho: np.ndarray, grid_res: int, refine_iters: int):
     """Maximize the average assisted coherence of a valid rho over projective bases.
 
     Scores a grid_res x grid_res grid on the Bloch hemisphere (theta in
-    [0, pi/2] inclusive, phi in [0, 2pi) -- antipodal bases are identical) in
-    one batched evaluation, then refines by per-coordinate golden-section
-    shrink around the running best.  The grid argmax is deterministic with
-    ties broken toward the lexicographically smallest (theta, phi).  Returns
-    (basis, value, trace) where value is the best objective seen anywhere and
-    trace records the search path.
+    [0, pi/2] inclusive, phi in [0, 2pi) -- antipodal bases are identical),
+    then zooms: each of refine_iters rounds scores a ZOOM_POINTS^2 lattice
+    spanning +-h around the running best (h starts at one grid step per
+    axis), moves to its argmax only if that is strictly better, and shrinks
+    h to one lattice spacing, except on an axis where the move ended on the
+    lattice's edge.  Returns (basis, value, trace); trace holds
+    ((theta, phi), value) of the running best after the grid and each round.
     """
     if not _is_int(grid_res) or not 8 <= grid_res <= GRID_RES_MAX:
         raise ValueError(f"grid_res must be an int in [8, {GRID_RES_MAX}], got {grid_res!r}")
     if not _is_int(refine_iters) or refine_iters < 0:
         raise ValueError(f"refine_iters must be an int >= 0, got {refine_iters!r}")
     coords = _pauli_coordinates(rho)
-    thetas = np.linspace(0.0, math.pi / 2.0, grid_res)
-    phis = (2.0 * math.pi / grid_res) * np.arange(grid_res)
-    st = np.sin(thetas)[:, None]
-    n = np.stack(np.broadcast_arrays(st * np.cos(phis), st * np.sin(phis), np.cos(thetas)[:, None]), axis=-1)
-    values = _assisted_coherence(n, *coords)
-    i, j = np.unravel_index(np.argmax(values), values.shape)
-    best = {"theta": float(thetas[i]), "phi": float(phis[j]), "value": float(values[i, j])}
-    floats = [c.tolist() for c in coords]
-
-    def f(theta, phi):
-        v = _assisted_coherence_at(theta, phi, *floats)
-        if v > best["value"]:
-            best.update(theta=theta, phi=phi, value=v)
-        return v
-
-    trace = [((best["theta"], best["phi"]), best["value"])]
-    cur_t, cur_p = best["theta"], best["phi"]
-    h_t = (math.pi / 2.0) / (grid_res - 1)
-    h_p = 2.0 * math.pi / grid_res
+    thetas, phis = np.linspace(0.0, math.pi / 2.0, grid_res), (2.0 * math.pi / grid_res) * np.arange(grid_res)
+    i, j, value = _lattice_argmax(thetas, phis, coords)
+    theta, phi = float(thetas[i]), float(phis[j])
+    trace = [((theta, phi), value)]
+    h_t, h_p = (math.pi / 2.0) / (grid_res - 1), 2.0 * math.pi / grid_res
+    offsets = np.linspace(-1.0, 1.0, ZOOM_POINTS)
+    shrink = 2.0 / (ZOOM_POINTS - 1)  # one lattice spacing, in units of h
+    edge = (0, ZOOM_POINTS - 1)
     for _ in range(refine_iters):
-        cur_t = _golden_max(lambda t: f(t, cur_p), cur_t - h_t, cur_t + h_t)
-        cur_p = _golden_max(lambda p: f(cur_t, p), cur_p - h_p, cur_p + h_p)
-        trace.append(((cur_t, cur_p), f(cur_t, cur_p)))
-        h_t *= 0.7
-        h_p *= 0.7
-    return MeasurementBasis.from_angles(best["theta"], best["phi"]), best["value"], trace
+        thetas, phis = theta + h_t * offsets, phi + h_p * offsets
+        i, j, v = _lattice_argmax(thetas, phis, coords)
+        moved = v > value
+        if moved:
+            theta, phi, value = float(thetas[i]), float(phis[j]), v
+        h_t *= 1.0 if moved and i in edge else shrink
+        h_p *= 1.0 if moved and j in edge else shrink
+        trace.append(((theta, phi), value))
+    return MeasurementBasis.from_angles(theta, phi), value, trace
 
 
 def optimize_basis(rho_ab, grid_res: int = 64, refine_iters: int = 30) -> tuple[MeasurementBasis, float]:
     """Numerically maximize the average assisted coherence over Alice bases.
 
-    A grid_res x grid_res Bloch-hemisphere grid, scored in one batched
-    evaluation, then refine_iters rounds of golden-section refinement.
-    grid_res must be an int in [8, GRID_RES_MAX] and refine_iters an int
-    >= 0; anything else raises ValueError.  Returns the basis with the best
-    value seen anywhere in the search, and that value.
+    A grid_res x grid_res Bloch-hemisphere grid, then refine_iters zoom
+    rounds of a local lattice (see _basis_search).  grid_res must be an int
+    in [8, GRID_RES_MAX] and refine_iters an int >= 0; anything else raises
+    ValueError.  Returns the best basis found and its value.
     """
     basis, value, _ = _basis_search(qcore.ensure_density(rho_ab, dim=4), grid_res, refine_iters)
     return basis, value

@@ -188,8 +188,7 @@ def simulate_counts(rho, shots_per_basis: int, seed: int) -> TomographyRecord:
     counts = {}
     for i, b in enumerate(BASES):
         ket_plus, _ = BASIS_KETS[b]
-        p_plus = float(np.vdot(ket_plus, rho @ ket_plus).real)
-        p_plus = min(max(p_plus, 0.0), 1.0)
+        p_plus = float(np.vdot(ket_plus, rho @ ket_plus).real)  # binomial_draw clips it to [0, 1]
         stream = SplitMix64(derive_stream(seed, i))
         n_plus = binomial_draw(shots_per_basis, p_plus, stream)
         counts[b] = (n_plus, shots_per_basis - n_plus)
@@ -208,19 +207,14 @@ class ReconstructionResult:
 def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     """Linear-inversion estimate with physical projection.
 
-    Builds (I + sum_k r_k sigma_k)/2 from the Stokes estimates; if that
-    candidate has a negative eigenvalue it is clipped to zero and the trace
-    renormalized, which maps |r| > 1 onto the pure state along r.
+    Builds (I + r . sigma)/2 from the Stokes estimates s with r = s / max(1, |s|):
+    the map that clips a negative eigenvalue of the candidate to zero and
+    renormalizes the trace, which sends |s| > 1 onto the pure state along s.
     """
     _check_record(record)
-    cand = qcore.bloch_state(record.stokes())
-    w, v = np.linalg.eigh(cand)
-    if w[0] < 0.0:
-        w = np.clip(w, 0.0, None)
-        w /= w.sum()
-        cand = (v * w) @ v.conj().T
-    cand = (cand + cand.conj().T) / 2.0
-    return ReconstructionResult(state=cand, method="linear", iterations=0, converged=True)
+    s = record.stokes()
+    state = qcore.bloch_state(s / max(1.0, float(np.linalg.norm(s))))
+    return ReconstructionResult(state=state, method="linear", iterations=0, converged=True)
 
 
 def _axis_root(s: float, mu: float) -> float:

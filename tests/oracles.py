@@ -3,11 +3,12 @@
 Everything here is computed directly from elementary formulas (binary
 entropy, explicit eigenvalues, index arithmetic) so it stays independent of
 the library code paths it is used to check.  The reference algorithms (the
-R-rho-R MLE, the dense basis search, the scalar pure-parent basis rule and
-the per-point dense runner) are the slow ones the library replaced with
-closed forms or batched numpy; the basis search and the runner score bases
-through the library's dense measurement map, not through its
-Pauli-coordinate closed form.
+R-rho-R MLE, the eigenvalue-clipping linear inversion, the dense
+measurement map, the dense golden-section basis search, the scalar
+pure-parent basis rule and the per-point dense runner) are the slow ones the
+library replaced with closed forms or batched numpy; the basis search and
+the runner measure through the dense map here (4x4 projectors, partial
+traces), not through the library's Pauli-coordinate closed form.
 """
 
 import math
@@ -18,8 +19,15 @@ import numpy as np
 from cohdist import qcore, states
 from cohdist.coherence import qi_relative_entropy, rel_entropy_coherence
 from cohdist.harness import ExperimentRow
-from cohdist.protocol import MeasurementBasis, _measure, alice_measure, average_assisted_coherence, y_basis
-from cohdist.tomography import derive_stream, reconstruct_mle, simulate_counts
+from cohdist.protocol import (
+    ZERO_PROB_TOL,
+    MeasurementBasis,
+    Outcome,
+    OutcomeSet,
+    average_assisted_coherence,
+    y_basis,
+)
+from cohdist.tomography import ReconstructionResult, derive_stream, reconstruct_mle, simulate_counts
 
 
 def shannon(probs) -> float:
@@ -173,6 +181,35 @@ def mle_rrr_oracle(record, max_iters: int = 500, tol: float = 1e-10) -> RRRResul
     )
 
 
+def linear_clip_oracle(record) -> ReconstructionResult:
+    """Linear inversion by eigenvalue clipping: a negative eigenvalue of (I + s . sigma)/2 goes to 0, then renormalize."""
+    cand = qcore.bloch_state(record.stokes())
+    w, v = np.linalg.eigh(cand)
+    if w[0] < 0.0:
+        w = np.clip(w, 0.0, None)
+        w /= w.sum()
+        cand = (v * w) @ v.conj().T
+    cand = (cand + cand.conj().T) / 2.0
+    return ReconstructionResult(state=cand, method="linear", iterations=0, converged=True)
+
+
+def _measure(rho: np.ndarray, basis: MeasurementBasis) -> OutcomeSet:
+    """The dense measurement map: p_i = tr[(P_i x I) rho], Bob's state Tr_A[(P_i x I) rho (P_i x I)] / p_i."""
+    outcomes = []
+    for label, ket in (("+", basis.ket_plus), ("-", basis.ket_minus)):
+        proj = np.kron(qcore.projector(ket), qcore.IDENTITY_2)
+        m = proj @ rho @ proj
+        p = float(m.trace().real)
+        if p < ZERO_PROB_TOL:
+            outcomes.append(Outcome(label, 0.0, np.eye(2, dtype=complex) / 2.0, zero_prob=True))
+            continue
+        bob = np.trace(m.reshape(2, 2, 2, 2), axis1=0, axis2=2) / p
+        bob = (bob + bob.conj().T) / 2.0
+        bob /= bob.trace().real
+        outcomes.append(Outcome(label, p, bob))
+    return OutcomeSet(tuple(outcomes))
+
+
 def dense_assisted_coherence(rho: np.ndarray, theta: float, phi: float) -> float:
     """Average assisted coherence of the Alice basis at (theta, phi), via 4x4 projectors and eigvalsh."""
     return average_assisted_coherence(_measure(rho, MeasurementBasis.from_angles(theta, phi)))
@@ -206,9 +243,10 @@ def basis_search_oracle(rho: np.ndarray, grid_res: int, refine_iters: int) -> Se
 
     Scores the grid_res x grid_res hemisphere grid one basis at a time with
     dense_assisted_coherence (theta-major, strict > so ties keep the smallest
-    (theta, phi)), then runs the same per-coordinate golden-section schedule:
-    brackets of one grid step, 16 shrinks each, shrunk by 0.7 per iteration.
-    The value is the best objective seen anywhere.
+    (theta, phi)), then refines by the per-coordinate golden-section schedule
+    the batched zoom replaced: brackets of one grid step, 16 shrinks each,
+    shrunk by 0.7 per iteration.  The value is the best objective seen
+    anywhere.
     """
     best = {"theta": 0.0, "phi": 0.0, "value": -np.inf}
 
@@ -287,7 +325,7 @@ def dense_run_oracle(config) -> list[ExperimentRow]:
     """The per-point dense runner that run_experiment batched.
 
     For every grid point: build the state, depolarize it, take Bob's marginal
-    by partial trace, measure Alice densely (alice_measure: 4x4 projectors,
+    by partial trace, measure Alice densely (_measure: 4x4 projectors,
     Bob states by partial trace) in optimal_basis_pure_oracle's basis (pure
     families) or the y basis (Werner), and score every state by eigvalsh
     (rel_entropy_coherence, average_assisted_coherence, qi_relative_entropy).
@@ -303,7 +341,7 @@ def dense_run_oracle(config) -> list[ExperimentRow]:
             rho_ab, basis = qcore.projector(psi), optimal_basis_pure_oracle(psi)
         rho_ab = states.depolarize(rho_ab, config.epsilon_prep)
         rho_b = qcore.partial_trace(rho_ab, "B")
-        outcomes = alice_measure(rho_ab, basis)
+        outcomes = _measure(rho_ab, basis)
         before, after = rel_entropy_coherence(rho_b).c_r, average_assisted_coherence(outcomes)
         before_sim, after_sim = before, after
         if config.mode == "sampled":

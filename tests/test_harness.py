@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohdist import cli, harness, qcore
 from cohdist.fixtures import load_fixture
@@ -70,6 +72,25 @@ def test_parse_grid_caps_point_count(monkeypatch):
     assert len(parse_grid("0:9:1")) == 10
     with pytest.raises(ValueError, match="points"):
         parse_grid("0:10:1")
+
+
+_grid_texts = st.one_of(
+    st.text(),
+    st.lists(st.one_of(st.text(max_size=8), st.floats().map(repr), st.integers(-10**6, 10**6).map(str)), max_size=4)
+    .map(":".join),
+    st.tuples(st.floats(-100, 100), st.floats(-100, 100), st.floats(-1, 100)).map(lambda v: ":".join(map(repr, v))),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_grid_texts)
+def test_parse_grid_raises_only_value_error(text):
+    try:
+        grid = parse_grid(text)
+    except ValueError:
+        return
+    assert 1 <= len(grid) <= harness.GRID_MAX_POINTS
+    assert all(a <= b for a, b in zip(grid, grid[1:]))
 
 
 def test_run_config_validation():
@@ -175,6 +196,14 @@ def test_csv_emit_parse_emit_idempotent():
         assert text.endswith("\n") and "\r" not in text
         again = emit_csv(parse_rows_csv(text), kind)
         assert again == text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(harness.KINDS)), st.lists(st.lists(st.floats(), min_size=7, max_size=7), max_size=6))
+def test_csv_emit_parse_emit_is_a_fixed_point(kind, cells):
+    rows = [ExperimentRow(*c[:6], bound_qi=c[6] if harness.KINDS[kind].bound else None) for c in cells]
+    text = emit_csv(rows, kind)
+    assert emit_csv(parse_rows_csv(text), kind) == text
 
 
 def test_json_round_trip_is_exact():

@@ -169,6 +169,23 @@ def test_linear_output_always_physical():
         assert validate_density(reconstruct_linear(rec).state).ok
 
 
+def test_linear_closed_form_matches_eigenvalue_clipping():
+    rng = np.random.default_rng(45)
+    records = [simulate_counts(random_density(rng, 2), int(shots), seed=int(rng.integers(1 << 32)))
+               for shots in rng.integers(1, 2000, 200)]
+    records += [_record_from_counts(n, *[(k, n - k) for k in rng.integers(0, n + 1, 3)]) for n in (1, 2, 5, 10, 100)]
+    records += [
+        _record_from_counts(10, (9, 1), (9, 1), (9, 1)),  # |s| > 1
+        _record_from_counts(10, (10, 0), (5, 5), (5, 5)),  # |s| = 1
+        _record_from_counts(10, (5, 5), (5, 5), (5, 5)),  # s = 0
+        _record_from_counts(3, (0, 3), (3, 0), (0, 3)),  # |s| = sqrt(3)
+    ]
+    assert sum(np.linalg.norm(rec.stokes()) > 1.0 for rec in records) >= 15
+    for rec in records:
+        got, want = reconstruct_linear(rec).state, oracles.linear_clip_oracle(rec).state
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
 # --- reconstruct_mle --------------------------------------------------------------
 
 def _pipeline_records():
