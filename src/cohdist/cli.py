@@ -18,9 +18,13 @@ from .harness import (
     run_experiment,
 )
 from .protocol import alice_measure, optimal_basis_pure
-from .tomography import ESTIMATOR_ID, PRNG_ID, derive_stream, reconstruct_linear, reconstruct_mle, simulate_counts
+from .tomography import (
+    ESTIMATOR_ID, PRNG_ID, SEED_LIMIT, SHOTS_MAX, derive_stream, reconstruct_linear, reconstruct_mle, simulate_counts
+)
 
 _DEFAULT_GRIDS = {"family1": "0:45:2.5", "family2": "0:45:2.5", "werner": "0.05:0.95:0.05"}
+_SHOTS, _SEED = click.IntRange(1, SHOTS_MAX), click.IntRange(0, SEED_LIMIT - 1)
+_SEED_HELP = "Run seed, an integer in [0, 2^64); each seed gives its own bit-identical output."
 
 
 def _run_options(f):
@@ -29,8 +33,8 @@ def _run_options(f):
             click.option("--grid", default=None, help="Parameter grid as start:stop:step (inclusive)."),
             click.option("--points", default=None, help="Explicit comma-separated parameter list."),
             click.option("--mode", type=click.Choice(["analytic", "sampled"]), default="analytic", show_default=True),
-            click.option("--shots", type=int, default=100_000, show_default=True, help="Shots per tomography basis."),
-            click.option("--seed", type=int, default=42, show_default=True),
+            click.option("--shots", type=_SHOTS, default=100_000, show_default=True, help="Shots per tomography basis."),
+            click.option("--seed", type=_SEED, default=42, show_default=True, help=_SEED_HELP),
             click.option("--epsilon-prep", type=float, default=0.0, show_default=True, help=(
                 "Depolarizing preparation imperfection. Above 0, cd_after_theory is the value in the ideal parent's"
                 " basis, not necessarily the maximum over Alice's bases.")),
@@ -135,8 +139,8 @@ def fixtures(table, tolerance, fmt, out):
 @main.command("tomo-demo")
 @click.option("--family", type=click.Choice(["1", "2"]), default="1", show_default=True)
 @click.option("--theta", type=float, default=22.5, show_default=True, help="Preparation angle in degrees.")
-@click.option("--shots", type=int, default=100_000, show_default=True)
-@click.option("--seed", type=int, default=42, show_default=True)
+@click.option("--shots", type=_SHOTS, default=100_000, show_default=True)
+@click.option("--seed", type=_SEED, default=42, show_default=True, help=_SEED_HELP)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json", show_default=True)
 @click.option("--out", default=None, help="Output path (default: stdout).")
 def tomo_demo(family, theta, shots, seed, fmt, out):
@@ -145,8 +149,6 @@ def tomo_demo(family, theta, shots, seed, fmt, out):
         psi = states.make_pure(int(family), theta)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    if shots < 1:
-        raise click.UsageError(f"shots must be >= 1, got {shots}")
     basis = optimal_basis_pure(psi)
     outcomes = alice_measure(qcore.projector(psi), basis)
     results = []

@@ -11,7 +11,8 @@ for mixed states is unresolved and the harness must not claim it is.
 
 One runner serves every kind through the KINDS table: it validates a stack
 of grid states once and scores it in Pauli coordinates in one numpy pass
-(protocol._outcomes); sampled mode tomographs the same Bloch vectors.
+(protocol._outcomes); sampled mode tomographs the same Bloch vectors, every
+record of the pass in one tomography.tomograph call.
 """
 
 import json
@@ -24,7 +25,8 @@ import numpy as np
 
 from . import __version__, protocol, qcore, states
 from .fixtures import load_fixture
-from .tomography import ESTIMATOR_ID, PRNG_ID, derive_stream, reconstruct_mle, simulate_counts
+# simulate_counts is not called here; it stays importable from the runner for the code that reads it there
+from .tomography import ESTIMATOR_ID, PRNG_ID, SEED_LIMIT, SHOTS_MAX, derive_stream, simulate_counts, tomograph
 
 GRID_SNAP = 1e-9
 GRID_MAX_POINTS = 1_000_000
@@ -88,8 +90,10 @@ class RunConfig:
             raise ValueError(f"mode must be 'analytic' or 'sampled', got {self.mode!r}")
         if not self.params:
             raise ValueError("parameter grid is empty")
-        if self.mode == "sampled" and self.shots_per_basis < 1:
-            raise ValueError(f"shots_per_basis must be >= 1 in sampled mode, got {self.shots_per_basis}")
+        if self.mode == "sampled" and not 1 <= self.shots_per_basis <= SHOTS_MAX:
+            raise ValueError(f"shots_per_basis must be in [1, {SHOTS_MAX}] in sampled mode, got {self.shots_per_basis}")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
         if not 0.0 <= self.epsilon_prep <= 1.0:
             raise ValueError(f"epsilon_prep must be in [0, 1], got {self.epsilon_prep}")
         if self.fmt not in ("csv", "json"):
@@ -98,7 +102,7 @@ class RunConfig:
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
-    """Parse "start:stop:step" into an inclusive grid of at most GRID_MAX_POINTS, with 1e-9 endpoint snap."""
+    """Parse "start:stop:step" into an inclusive grid of at most GRID_MAX_POINTS, over GRID_SNAP apart, end snapped."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be 'start:stop:step', got {text!r}")
@@ -117,15 +121,9 @@ def parse_grid(text: str) -> tuple[float, ...]:
     values = [start + i * step for i in range(count)]
     if abs(values[-1] - stop) <= GRID_SNAP:
         values[-1] = stop
+    if any(b - a <= GRID_SNAP for a, b in zip(values, values[1:])):  # parameters GRID_SNAP apart are one point
+        raise ValueError(f"grid {text!r} has points at most {GRID_SNAP} apart")
     return tuple(values)
-
-
-def _tomographed_cr(bloch, config: RunConfig, *stream: int) -> float:
-    """C_r of the MLE estimate of the qubit (I + bloch . sigma) / 2 from counts on derive_stream(seed, *stream)."""
-    record = simulate_counts(qcore.bloch_state(bloch), config.shots_per_basis, derive_stream(config.seed, *stream))
-    state = reconstruct_mle(record).state
-    r = (2.0 * state[1, 0].real, 2.0 * state[1, 0].imag, (state[0, 0] - state[1, 1]).real)
-    return protocol._qubit_entropy_at(r[2]) - protocol._qubit_entropy_at(math.hypot(*r))
 
 
 def run_experiment(config: RunConfig) -> list[ExperimentRow]:
@@ -155,16 +153,21 @@ def _run_points(config: RunConfig, start: int) -> list[ExperimentRow]:
     bounds = [None] * len(params)
     if kind.bound:
         bounds = (qcore.entropy_bits(np.linalg.eigvalsh(rho * qcore.BOB_DIAGONAL)) - qcore.entropy_bits(spectra)).tolist()
-    rows = []
-    for i, param in enumerate(params):
-        before_sim, after_sim, g = before[i], after[i], start + i
-        if config.mode == "sampled":  # p is 0 for the outcomes _outcomes drops
-            before_sim = _tomographed_cr(b[i], config, g, 0)
-            after_sim = sum(
-                float(p[i]) * _tomographed_cr(r[i], config, g, s) for s, (p, r) in enumerate(outcomes, 1) if p[i] > 0.0
-            )
-        rows.append(ExperimentRow(param, before[i], before_sim, after[i], after_sim, after_sim - before_sim, bounds[i]))
-    return rows
+    before_sim, after_sim = before, after
+    if config.mode == "sampled":  # records: Bob's marginal (t = 0) and the outcomes t = 1, 2 with p > 0
+        target, point = np.nonzero([np.ones(len(params), bool)] + [p > 0.0 for p, _ in outcomes])
+        blochs = np.stack([b] + [r for _, r in outcomes])[target, point]
+        streams = derive_stream(config.seed, (start + point).astype(np.uint64), target.astype(np.uint64))
+        est, _ = tomograph(blochs, config.shots_per_basis, streams)
+        # r_z as read off the estimate's matrix (I + r.sigma) / 2, whose diagonal rounds
+        est[:, 2] = (1.0 + est[:, 2]) / 2.0 - (1.0 - est[:, 2]) / 2.0
+        c_r = np.zeros((3, len(params)))
+        c_r[target, point] = protocol._qubit_coherence(est, libm=True)
+        before_sim, after_sim = c_r[0].tolist(), (outcomes[0][0] * c_r[1] + outcomes[1][0] * c_r[2]).tolist()
+    return [
+        ExperimentRow(param, before[i], before_sim[i], after[i], after_sim[i], after_sim[i] - before_sim[i], bounds[i])
+        for i, param in enumerate(params)
+    ]
 
 
 def run_pure_experiment(config: RunConfig) -> list[ExperimentRow]:

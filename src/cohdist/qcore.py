@@ -8,6 +8,7 @@ Conventions used throughout the package:
 * entropies are in bits (log base 2) and 0*log(0) = 0.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,6 +95,12 @@ def ensure_density(rho, dim: int | None = None, tol: float = 1e-10) -> np.ndarra
     if not report.ok:
         raise InvalidStateError(f"invalid density matrix: {report}")
     return rho
+
+
+def libm(fn, *arrays) -> np.ndarray:
+    """fn of math elementwise over equal-shaped arrays: numpy's SIMD log2, asin and erfc can differ in the last bit."""
+    shape = arrays[0].shape
+    return np.fromiter(map(fn, *(a.ravel().tolist() for a in arrays)), float, math.prod(shape)).reshape(shape)
 
 
 def bloch_state(r) -> np.ndarray:

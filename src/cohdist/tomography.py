@@ -1,10 +1,16 @@
 """Simulated Pauli-basis photon counting for a single qubit, plus state
 reconstruction by linear inversion and by closed-form maximum likelihood.
 
+Every stage works on a stack of records: `tomograph` takes all of a curve's
+Bloch vectors in one call, and simulate_counts, binomial_draw and
+reconstruct_mle wrap the same kernels for one record.  Their transcendental
+calls go through libm (qcore.libm), so a stack rounds as one record does.
+
 Maximum likelihood
 ------------------
 The Pauli likelihood separates by axis, so the qubit MLE is closed-form (see
-reconstruct_mle).  ESTIMATOR_ID names it in harness output metadata.
+reconstruct_mle); the records on the Bloch-sphere boundary bisect their
+multipliers in lockstep.  ESTIMATOR_ID names it in harness output metadata.
 
 Reproducibility contract
 ------------------------
@@ -13,14 +19,20 @@ stream element k is mix64(seed + (k+1) * 0x9E3779B97F4A7C15) where mix64 is
 the splitmix64 finalizer.  Uniform doubles are (u64 >> 11) * 2**-53.  Each
 Pauli basis uses its own stream derived as seed XOR mix64 of the basis index,
 and exactly one uniform is consumed per binomial draw, so identical
-(state, shots, seed) always give bit-identical counts.  The algorithm
-identifier PRNG_ID is recorded in harness output metadata.
+(state, shots, seed) always give bit-identical counts.  Seeds are integers in
+[0, 2**64) and shots at most SHOTS_MAX.  The algorithm identifier PRNG_ID is
+recorded in harness output metadata.
 
+Axis k gives "+" with probability (1 + r_k) / 2 for the Bloch vector r.
 Binomial sampling uses exact CDF inversion (k = min{k : F(k) >= u}) for
 shots <= 10_000, with the pmf evaluated by the two-sided recurrence from the
-mode, and the normal approximation with continuity correction
+mode (Devroye, Non-Uniform Random Variate Generation, 1986, ch. X) and summed
+from 0, and the normal approximation with continuity correction
 k = floor(n p + z sigma + 1/2) above that.  Thresholds and methods are fixed
-so frozen golden counts stay valid.
+so frozen golden counts stay valid.  The inversion evaluates a window around
+the mode from Bernstein's tail bound: left of it every pmf term underflows to
+0.0 (tail e^-800), right of it each term is under half an ulp of the running
+sum (tail e^-40), so the window's CDF is the full-support one bit for bit.
 """
 
 import json
@@ -28,27 +40,27 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import qcore
 
 PRNG_ID = "splitmix64"
 ESTIMATOR_ID = "mle-closed-v1"
 BASES = ("X", "Y", "Z")
-BASIS_KETS = {
-    "X": (qcore.KET_X_PLUS, qcore.KET_X_MINUS),
-    "Y": (qcore.KET_Y_PLUS, qcore.KET_Y_MINUS),
-    "Z": (qcore.KET_H, qcore.KET_V),
-}
+SHOTS_MAX = 2**53  # counts and n p stay exact in float64
+SEED_LIMIT = 2**64  # seeds are integers in [0, SEED_LIMIT)
 
 _MASK = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _INVERSION_MAX_SHOTS = 10_000
+_TAIL_BELOW, _TAIL_ABOVE = 800.0, 40.0  # Bernstein exponents of the inversion window (see the module docstring)
+_WINDOW_FLOATS = 2**14  # window elements per numpy pass, so the sampler's temporaries stay small
 # step cap for the MLE multiplier bisection, which needs at most 51 steps
 MLE_MAX_STEPS = 100
 
 
-def mix64(x: int) -> int:
-    """splitmix64 finalizer: the stateless 64-bit mixing function."""
+def mix64(x):
+    """splitmix64 finalizer: the stateless 64-bit mixing function, on an int or a uint64 array."""
     z = x & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -72,67 +84,116 @@ class SplitMix64:
         return (self.next_u64() >> 11) * 2.0 ** -53
 
 
-def derive_stream(seed: int, *indices: int) -> int:
-    """Stable sub-stream seed: seed XOR a mix of the task indices.
+def derive_stream(seed, *indices):
+    """Stable sub-stream seed: seed XOR a mix of the task indices; ints, or uint64 arrays that broadcast.
 
     Used to give every (grid point, tomography target, Pauli basis) its own
     independent stream without coupling draw counts across tasks.
     """
     h = seed & _MASK
     for slot, idx in enumerate(indices):
-        h ^= mix64(((slot + 1) * _GOLDEN_GAMMA + idx) & _MASK)
+        h = h ^ mix64((((slot + 1) * _GOLDEN_GAMMA) & _MASK) + idx & _MASK)
     return h
-
-
-def _normal_quantile(u: float) -> float:
-    # bisection on Phi(z) = u; ~1e-16 interval after 100 halvings of [-40, 40]
-    lo, hi = -40.0, 40.0
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if 0.5 * math.erfc(-mid / math.sqrt(2.0)) < u:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _binomial_inverse_cdf(u: float, n: int, p: float) -> int:
-    mode = min(n, int((n + 1) * p))
-    log_pmf_mode = (
-        math.lgamma(n + 1)
-        - math.lgamma(mode + 1)
-        - math.lgamma(n - mode + 1)
-        + mode * math.log(p)
-        + (n - mode) * math.log1p(-p)
-    )
-    pmf = np.zeros(n + 1)
-    pmf[mode] = math.exp(log_pmf_mode)
-    if mode < n:
-        k = np.arange(mode, n, dtype=float)
-        pmf[mode + 1 :] = pmf[mode] * np.cumprod((n - k) / (k + 1.0) * (p / (1.0 - p)))
-    if mode > 0:
-        k = np.arange(mode, 0, -1, dtype=float)
-        pmf[mode - 1 :: -1] = pmf[mode] * np.cumprod(k / (n - k + 1.0) * ((1.0 - p) / p))
-    cdf = np.cumsum(pmf)
-    cdf /= cdf[-1]
-    return int(np.searchsorted(cdf, u, side="left"))
 
 
 def binomial_draw(n: int, p: float, stream: SplitMix64) -> int:
     """One Binomial(n, p) draw; consumes exactly one uniform from the stream."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    u = max(stream.next_float(), 2.0 ** -53)
-    p = min(max(p, 0.0), 1.0)
-    if p == 0.0 or n == 0:
-        return 0
-    if p == 1.0:
-        return n
-    if n <= _INVERSION_MAX_SHOTS:
-        return _binomial_inverse_cdf(u, n, p)
-    z = _normal_quantile(u)
-    k = math.floor(n * p + z * math.sqrt(n * p * (1.0 - p)) + 0.5)
-    return min(max(int(k), 0), n)
+    if not 0 <= n <= SHOTS_MAX:
+        raise ValueError(f"n must be in [0, {SHOTS_MAX}], got {n}")
+    return int(_binomial_draws(n, np.array([p], dtype=float), np.array([stream.next_float()]))[0])
+
+
+def _binomial_draws(n: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Binomial(n, p[i]) by inversion of the uniform u[i], for 1-d p and u (see the module docstring)."""
+    u, p = np.maximum(u, 2.0**-53), np.clip(p, 0.0, 1.0)
+    k = np.where(p == 1.0, n, 0)
+    live = np.flatnonzero((p > 0.0) & (p < 1.0) & (n > 0))
+    if n > _INVERSION_MAX_SHOTS:
+        k[live] = _normal_draws(n, p[live], u[live])
+        return k
+    ps, which = np.unique(p[live], return_inverse=True)  # draws with one p share its CDF
+    rows = max(1, _WINDOW_FLOATS // (sum(_window(n, np.array([0.5]))[1:]) + 1))  # about the widest window, p = 1/2's
+    for i in range(0, ps.size, rows):
+        k0, cdf = _window_cdf(n, ps[i : i + rows])
+        mine = np.flatnonzero((which >= i) & (which < i + rows))
+        k[live[mine]] = [k0[j] + np.searchsorted(cdf[j], v) for j, v in zip(which[mine] - i, u[live[mine]].tolist())]
+    return k
+
+
+def _window(n: int, p: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """(modes of Binomial(n, p[i]), most window terms any row keeps left and right of its mode, at least 1)."""
+    # Bernstein: P(X - n p >= t) and P(n p - X >= t) are at most e^-T for t = T/3 + sqrt(T^2/9 + 2 T var)
+    mean, var = n * p, n * p * (1.0 - p)
+    below, above = (tail / 3.0 + np.sqrt(tail * tail / 9.0 + 2.0 * tail * var) for tail in (_TAIL_BELOW, _TAIL_ABOVE))
+    mode = np.minimum(n, ((n + 1) * p).astype(np.int64))
+    first, last = np.maximum(0, np.floor(mean - below)), np.minimum(n, np.ceil(mean + above))
+    return mode, int(np.max(mode - first, initial=1)), int(np.max(last - mode, initial=1))
+
+
+def _window_cdf(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k0, cdf): cdf[i, j] is the full-support F(k0[i] + j) of Binomial(n, p[i]), 0 < p < 1, bit for bit.
+
+    The block spans the rows' widest window; a row's terms outside its own are the full support's too.
+    """
+    mode, wl, wr = _window(n, p)
+    lg = math.lgamma
+    top = [  # pmf(mode), in scalar floats
+        math.exp(lg(n + 1) - lg(m + 1) - lg(n - m + 1) + m * math.log(x) + (n - m) * math.log1p(-x))
+        for m, x in zip(mode.tolist(), p.tolist())
+    ]
+    # pmf(k -+ 1) / pmf(k) is down[hi - k] (1 - p) / p or up[k - lo] p / (1 - p) over the k the rows reach,
+    # 0 off the support; pmf runs as their products away from the mode
+    lo, hi = int(mode.min()), int(mode.max())
+    k = np.arange(max(lo - wl + 1, 0), hi + 1.0)
+    down = np.concatenate([(k / (n - k + 1.0))[::-1], np.zeros(wl)])
+    k = np.arange(lo, min(hi + wr - 1, n) + 1.0)
+    up = np.concatenate([(n - k) / (k + 1.0), np.zeros(wr)])
+    odds = np.divide(1.0 - p, p, out=np.zeros_like(p), where=mode > 0)  # no terms left of a mode at 0
+    below, above = sliding_window_view(down, wl)[hi - mode], sliding_window_view(up, wr)[mode - lo]
+    below *= odds[:, None]
+    above *= (p / (1.0 - p))[:, None]
+    cdf = np.empty((p.size, wl + 1 + wr))
+    np.cumprod(below, axis=1, out=cdf[:, wl - 1 :: -1])
+    np.cumprod(above, axis=1, out=cdf[:, wl + 1 :])
+    cdf[:, wl] = 1.0
+    cdf *= np.array(top)[:, None]
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf /= cdf[:, -1:].copy()
+    return mode - wl, cdf
+
+
+def _normal_draws(n: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """floor(n p + z sigma + 1/2) in [0, n], z from 100 halvings of [-40, 40] on Phi(z) = u."""
+    z, rows = np.empty_like(u), np.arange(u.size)
+    lo, hi = np.full_like(u, -40.0), np.full_like(u, 40.0)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        # a midpoint that rounds to an end leaves the bracket where it is for every later halving
+        moving = (mid != lo) & (mid != hi)
+        if not moving.all():
+            z[rows[~moving]] = mid[~moving]
+            rows, lo, hi, u, mid = rows[moving], lo[moving], hi[moving], u[moving], mid[moving]
+            if not rows.size:
+                break
+        below = 0.5 * qcore.libm(math.erfc, -mid / math.sqrt(2.0)) < u
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    z[rows] = 0.5 * (lo + hi)
+    return np.clip(np.floor(n * p + z * np.sqrt(n * p * (1.0 - p)) + 0.5), 0, n).astype(np.int64)
+
+
+def _basis_uniforms(streams: np.ndarray) -> np.ndarray:
+    """u[i, b] = SplitMix64(derive_stream(streams[i], b)).next_float() for the uint64 seeds streams[i]."""
+    return (mix64(derive_stream(streams[:, None], np.arange(3, dtype=np.uint64)) + _GOLDEN_GAMMA) >> 11) * 2.0**-53
+
+
+def _pauli_counts(blochs: np.ndarray, shots: int, streams: np.ndarray) -> np.ndarray:
+    """Counts of "+" on X, Y, Z of the qubits (I + blochs[i] . sigma)/2, basis b drawing on _basis_uniforms(streams)."""
+    return _binomial_draws(shots, ((1.0 + blochs) / 2.0).ravel(), _basis_uniforms(streams).ravel()).reshape(-1, 3)
+
+
+def tomograph(blochs: np.ndarray, shots: int, streams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(MLE Bloch vectors, root steps) from simulated counts of each qubit; see _pauli_counts and reconstruct_mle."""
+    return _mle(_pauli_counts(blochs, shots, streams), shots)
 
 
 @dataclass(frozen=True)
@@ -179,19 +240,15 @@ def _check_record(record: TomographyRecord) -> None:
 def simulate_counts(rho, shots_per_basis: int, seed: int) -> TomographyRecord:
     """Draw shot-noisy Pauli-basis counts for a qubit state.
 
-    count_plus for basis i is Binomial(shots, tr(P_plus rho)) from the stream
+    count_plus for basis i is Binomial(shots, (1 + r_i) / 2), r the Bloch vector, from the stream
     derive_stream(seed, i); deterministic for fixed (rho, shots, seed).
     """
     rho = qcore.ensure_density(rho, dim=2)
-    if shots_per_basis < 1:
-        raise ValueError(f"shots_per_basis must be >= 1, got {shots_per_basis}")
-    counts = {}
-    for i, b in enumerate(BASES):
-        ket_plus, _ = BASIS_KETS[b]
-        p_plus = float(np.vdot(ket_plus, rho @ ket_plus).real)  # binomial_draw clips it to [0, 1]
-        stream = SplitMix64(derive_stream(seed, i))
-        n_plus = binomial_draw(shots_per_basis, p_plus, stream)
-        counts[b] = (n_plus, shots_per_basis - n_plus)
+    if not 1 <= shots_per_basis <= SHOTS_MAX:
+        raise ValueError(f"shots_per_basis must be in [1, {SHOTS_MAX}], got {shots_per_basis}")
+    bloch = np.array([2.0 * rho[1, 0].real, 2.0 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real])
+    plus = _pauli_counts(bloch[None], shots_per_basis, np.array([seed & _MASK], dtype=np.uint64))[0].tolist()
+    counts = {b: (k, shots_per_basis - k) for b, k in zip(BASES, plus)}
     return TomographyRecord(shots_per_basis=shots_per_basis, seed=seed, counts=counts)
 
 
@@ -217,8 +274,8 @@ def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     return ReconstructionResult(state=state, method="linear", iterations=0, converged=True)
 
 
-def _axis_root(s: float, mu: float) -> float:
-    """Bloch component r(mu) on one axis of the boundary MLE.
+def _axis_roots(s: np.ndarray, mu: np.ndarray, unit: bool) -> np.ndarray:
+    """Bloch components r(mu) of the boundary MLE, elementwise; unit says whether any |s| is 1.
 
     For |s| < 1, r is the root in (-1, 1) of (1+s)/(1+r) - (1-s)/(1-r) = 2 mu r,
     which is the middle real root of the cubic mu r^3 - (1 + mu) r + s = 0.
@@ -226,13 +283,40 @@ def _axis_root(s: float, mu: float) -> float:
     pinned at s up to mu = 1/2, where the cubic has its only double root,
     and follows the quadratic factor's root after that.
     """
-    if abs(s) == 1.0:
-        if mu <= 0.5:
-            return s
-        return s * (math.sqrt(1.0 + 4.0 / mu) - 1.0) / 2.0
     # trigonometric middle root, written as 2/a sin(arcsin(c)/3) so it has no cancellation as mu -> 0
-    a = math.sqrt(3.0 * mu / (1.0 + mu))
-    return 2.0 / a * math.sin(math.asin(max(-1.0, min(1.0, 1.5 * s * a / (1.0 + mu)))) / 3.0)
+    mu1 = 1.0 + mu
+    a = np.sqrt(3.0 * mu / mu1)
+    c = np.maximum(-1.0, np.minimum(1.0, 1.5 * s * a / mu1))
+    r = 2.0 / a * qcore.libm(math.sin, qcore.libm(math.asin, c) / 3.0)
+    if unit:
+        r = np.where(np.abs(s) == 1.0, np.where(mu <= 0.5, s, s * (np.sqrt(1.0 + 4.0 / mu) - 1.0) / 2.0), r)
+    return r
+
+
+def _mle(plus: np.ndarray, shots: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Bloch vectors, root steps) of the closed-form MLE for "+" counts plus[i] on X, Y, Z (see reconstruct_mle)."""
+    s = (2 * plus - shots) / shots
+    steps = np.zeros(len(s), dtype=np.int64)
+    rows = np.flatnonzero(np.vecdot(s, s) > 1.0)
+    t, lo, hi = s[rows], np.zeros((rows.size, 1)), np.full((rows.size, 1), 1.5)
+    unit, tol = bool((np.abs(t) == 1.0).any()), 4.0 * np.finfo(float).eps
+    for step in range(1, MLE_MAX_STEPS + 1):
+        if not rows.size:
+            break
+        mu = 0.5 * (lo + hi)
+        r = _axis_roots(t, mu, unit)
+        q = r * r
+        h = q[:, :1] + q[:, 1:2] + q[:, 2:] - 1.0
+        out = h > 0.0
+        lo, hi = np.where(out, mu, lo), np.where(out, hi, mu)
+        done = ((np.abs(h) <= tol) | (hi - lo <= tol))[:, 0]
+        if done.any():
+            s[rows[done]] = r[done] / np.sqrt(h[done] + 1.0)
+            steps[rows[done]] = step
+            rows, t, lo, hi = rows[~done], t[~done], lo[~done], hi[~done]
+    if rows.size:
+        raise RuntimeError(f"MLE multiplier search did not converge in {MLE_MAX_STEPS} steps: {plus[rows[0]]} of {shots}")
+    return s, steps
 
 
 def reconstruct_mle(record: TomographyRecord) -> ReconstructionResult:
@@ -252,20 +336,5 @@ def reconstruct_mle(record: TomographyRecord) -> ReconstructionResult:
     against Hradil's iterative R-rho-R estimator (PRA 55, R1561, 1997).
     """
     _check_record(record)
-    s = record.stokes()
-    steps = 0
-    if float(s @ s) > 1.0:
-        tol = 4.0 * np.finfo(float).eps
-        lo, hi, s = 0.0, 1.5, s.tolist()
-        while True:
-            if steps == MLE_MAX_STEPS:
-                raise RuntimeError(f"MLE multiplier search did not converge in {MLE_MAX_STEPS} steps: {record.counts}")
-            steps += 1
-            mu = 0.5 * (lo + hi)
-            r = [_axis_root(sk, mu) for sk in s]
-            h = sum(rk * rk for rk in r) - 1.0
-            lo, hi = (mu, hi) if h > 0.0 else (lo, mu)
-            if abs(h) <= tol or hi - lo <= tol:
-                break
-        s = np.array(r) / math.sqrt(h + 1.0)
-    return ReconstructionResult(state=qcore.bloch_state(s), method="mle", iterations=steps, converged=True)
+    bloch, steps = _mle(np.array([[record.counts[b][0] for b in BASES]]), record.shots_per_basis)
+    return ReconstructionResult(state=qcore.bloch_state(bloch[0]), method="mle", iterations=int(steps[0]), converged=True)

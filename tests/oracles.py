@@ -5,18 +5,19 @@ entropy, explicit eigenvalues, index arithmetic) so it stays independent of
 the library code paths it is used to check.  The reference algorithms (the
 R-rho-R MLE, the eigenvalue-clipping linear inversion, the dense
 measurement map, the dense golden-section basis search, the scalar
-pure-parent basis rule and the per-point dense runner) are the slow ones the
-library replaced with closed forms or batched numpy; the basis search and
-the runner measure through the dense map here (4x4 projectors, partial
-traces), not through the library's Pauli-coordinate closed form.
+pure-parent basis rule, the per-record scalar sampler and MLE, and the
+per-point dense runner) are the slow ones the library replaced with closed
+forms or batched numpy; the basis search and the runner measure through the
+dense map here (4x4 projectors, partial traces), not through the library's
+Pauli-coordinate closed form.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from cohdist import qcore, states
+from cohdist import harness, protocol, qcore, states
 from cohdist.coherence import qi_relative_entropy, rel_entropy_coherence
 from cohdist.harness import ExperimentRow
 from cohdist.protocol import (
@@ -27,7 +28,7 @@ from cohdist.protocol import (
     average_assisted_coherence,
     y_basis,
 )
-from cohdist.tomography import ReconstructionResult, derive_stream, reconstruct_mle, simulate_counts
+from cohdist.tomography import BASES, MLE_MAX_STEPS, ReconstructionResult, SplitMix64, TomographyRecord, derive_stream
 
 
 def shannon(probs) -> float:
@@ -317,8 +318,121 @@ def optimal_basis_pure_oracle(psi) -> MeasurementBasis:
     return MeasurementBasis(tuple(y_perp / norm))
 
 
+# --- the per-record scalar sampler and MLE that the batched tomography replaced ---
+
+def normal_quantile(u: float) -> float:
+    """Bisection on Phi(z) = u: 100 halvings of [-40, 40], no early exit."""
+    lo, hi = -40.0, 40.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if 0.5 * math.erfc(-mid / math.sqrt(2.0)) < u:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def binomial_pmf_full(n: int, p: float) -> np.ndarray:
+    """Every pmf term of Binomial(n, p), 0 < p < 1, by the two-sided ratio recurrence from the mode."""
+    mode = min(n, int((n + 1) * p))
+    log_pmf_mode = (
+        math.lgamma(n + 1)
+        - math.lgamma(mode + 1)
+        - math.lgamma(n - mode + 1)
+        + mode * math.log(p)
+        + (n - mode) * math.log1p(-p)
+    )
+    pmf = np.zeros(n + 1)
+    pmf[mode] = math.exp(log_pmf_mode)
+    if mode < n:
+        k = np.arange(mode, n, dtype=float)
+        pmf[mode + 1 :] = pmf[mode] * np.cumprod((n - k) / (k + 1.0) * (p / (1.0 - p)))
+    if mode > 0:
+        k = np.arange(mode, 0, -1, dtype=float)
+        pmf[mode - 1 :: -1] = pmf[mode] * np.cumprod(k / (n - k + 1.0) * ((1.0 - p) / p))
+    return pmf
+
+
+def binomial_cdf_full(n: int, p: float) -> np.ndarray:
+    cdf = np.cumsum(binomial_pmf_full(n, p))
+    return cdf / cdf[-1]
+
+
+def _binomial_inverse_cdf(u: float, n: int, p: float) -> int:
+    """min{k : F(k) >= u} over the full support 0..n."""
+    return int(np.searchsorted(binomial_cdf_full(n, p), u, side="left"))
+
+
+def binomial_draw_oracle(n: int, p: float, u: float) -> int:
+    """The scalar sampler: full-support inversion up to 10_000 shots, the normal approximation above."""
+    u = max(u, 2.0 ** -53)
+    p = min(max(p, 0.0), 1.0)
+    if p == 0.0 or n == 0:
+        return 0
+    if p == 1.0:
+        return n
+    if n <= 10_000:
+        return _binomial_inverse_cdf(u, n, p)
+    z = normal_quantile(u)
+    k = math.floor(n * p + z * math.sqrt(n * p * (1.0 - p)) + 0.5)
+    return min(max(int(k), 0), n)
+
+
+_PLUS_KETS = (qcore.KET_X_PLUS, qcore.KET_Y_PLUS, qcore.KET_H)
+
+
+def simulate_counts_oracle(rho: np.ndarray, shots: int, seed: int) -> TomographyRecord:
+    """One record: p+ = <ket+|rho|ket+> per basis, one draw on SplitMix64(derive_stream(seed, basis))."""
+    counts = {}
+    for i, (b, ket) in enumerate(zip(BASES, _PLUS_KETS)):
+        p_plus = float(np.vdot(ket, rho @ ket).real)
+        k = binomial_draw_oracle(shots, p_plus, SplitMix64(derive_stream(seed, i)).next_float())
+        counts[b] = (k, shots - k)
+    return TomographyRecord(shots_per_basis=shots, seed=seed, counts=counts)
+
+
+def _axis_root(s: float, mu: float) -> float:
+    if abs(s) == 1.0:
+        return s if mu <= 0.5 else s * (math.sqrt(1.0 + 4.0 / mu) - 1.0) / 2.0
+    a = math.sqrt(3.0 * mu / (1.0 + mu))
+    return 2.0 / a * math.sin(math.asin(max(-1.0, min(1.0, 1.5 * s * a / (1.0 + mu)))) / 3.0)
+
+
+def mle_oracle(record) -> tuple[np.ndarray, int]:
+    """(Bloch vector, root steps) of the closed-form MLE, one record at a time in scalar floats."""
+    s = record.stokes()
+    steps = 0
+    if float(s @ s) > 1.0:
+        tol = 4.0 * np.finfo(float).eps
+        lo, hi, s = 0.0, 1.5, s.tolist()
+        while steps < MLE_MAX_STEPS:
+            steps += 1
+            mu = 0.5 * (lo + hi)
+            r = [_axis_root(sk, mu) for sk in s]
+            h = sum(rk * rk for rk in r) - 1.0
+            lo, hi = (mu, hi) if h > 0.0 else (lo, mu)
+            if abs(h) <= tol or hi - lo <= tol:
+                break
+        s = np.array(r) / math.sqrt(h + 1.0)
+    return s, steps
+
+
+def _qubit_entropy_at(u: float) -> float:
+    u = min(abs(u), 1.0)
+    hi, lo = (1.0 + u) / 2.0, (1.0 - u) / 2.0
+    return -(hi * math.log2(hi) + (lo * math.log2(lo) if lo > 0.0 else 0.0))
+
+
+def tomographed_estimate(state: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """The scalar MLE estimate, as a density matrix, from the scalar sampler's counts of one qubit state."""
+    return qcore.bloch_state(mle_oracle(simulate_counts_oracle(state, shots, seed))[0])
+
+
 def _tomographed_cr(state: np.ndarray, shots: int, seed: int) -> float:
-    return rel_entropy_coherence(reconstruct_mle(simulate_counts(state, shots, seed)).state).c_r
+    """C_r of tomographed_estimate in scalar floats, as the per-record runner scored it."""
+    est = tomographed_estimate(state, shots, seed)
+    r = (2.0 * est[1, 0].real, 2.0 * est[1, 0].imag, (est[0, 0] - est[1, 1]).real)
+    return _qubit_entropy_at(r[2]) - _qubit_entropy_at(math.hypot(*r))
 
 
 def dense_run_oracle(config) -> list[ExperimentRow]:
@@ -329,7 +443,9 @@ def dense_run_oracle(config) -> list[ExperimentRow]:
     Bob states by partial trace) in optimal_basis_pure_oracle's basis (pure
     families) or the y basis (Werner), and score every state by eigvalsh
     (rel_entropy_coherence, average_assisted_coherence, qi_relative_entropy).
-    Sampled mode tomographs the dense Bob states on the same streams: index
+    Sampled mode tomographs the dense Bob states on the same streams, one
+    record at a time through the scalar sampler and MLE above
+    (tomographed_estimate), and scores the estimates by eigvalsh too: index
     0 for the marginal, 1 and 2 for the outcomes with nonzero probability.
     """
     rows = []
@@ -346,12 +462,39 @@ def dense_run_oracle(config) -> list[ExperimentRow]:
         before_sim, after_sim = before, after
         if config.mode == "sampled":
             shots = config.shots_per_basis
-            before_sim = _tomographed_cr(rho_b, shots, derive_stream(config.seed, g, 0))
+            before_sim = rel_entropy_coherence(tomographed_estimate(rho_b, shots, derive_stream(config.seed, g, 0))).c_r
             after_sim = 0.0
             for t, outcome in enumerate(outcomes, start=1):
                 if outcome.prob > 0.0:
                     seed = derive_stream(config.seed, g, t)
-                    after_sim += outcome.prob * _tomographed_cr(outcome.bob_state, shots, seed)
+                    estimate = tomographed_estimate(outcome.bob_state, shots, seed)
+                    after_sim += outcome.prob * rel_entropy_coherence(estimate).c_r
         bound = qi_relative_entropy(rho_ab) if config.kind == "werner" else None
         rows.append(ExperimentRow(param, before, before_sim, after, after_sim, after_sim - before_sim, bound))
+    return rows
+
+
+def per_record_sampled_oracle(config) -> list[ExperimentRow]:
+    """The per-record sampled runner that run_experiment batched, on the runner's own Bloch vectors.
+
+    The analytic rows, then for each grid point g: Bob's marginal b on
+    stream (seed, g, 0) and each outcome t with p > 0 on (seed, g, t),
+    one record at a time through _tomographed_cr's scalar sampler, MLE and
+    scoring, weighted by the runner's outcome probabilities.
+    """
+    kind, shots = harness.KINDS[config.kind], config.shots_per_basis
+    made = np.stack([kind.factory(x) for x in config.params])
+    rho = made[:, :, None] * made[:, None, :].conj() if made.ndim == 2 else made
+    rho = (1.0 - config.epsilon_prep) * rho + config.epsilon_prep * np.eye(4) / 4.0
+    a, b, t = protocol._pauli_coordinates(rho)
+    outcomes = [(p[:, 0], r[:, 0]) for p, r in protocol._outcomes(kind.basis(made)[:, None, :], a, b, t)]
+    rows = []
+    for g, row in enumerate(harness.run_experiment(replace(config, mode="analytic"))):
+        before = _tomographed_cr(qcore.bloch_state(b[g]), shots, derive_stream(config.seed, g, 0))
+        after = sum(
+            float(p[g]) * _tomographed_cr(qcore.bloch_state(r[g]), shots, derive_stream(config.seed, g, s))
+            for s, (p, r) in enumerate(outcomes, 1)
+            if p[g] > 0.0
+        )
+        rows.append(replace(row, cd_before_sim=before, cd_after_sim=after, delta_sim=after - before))
     return rows

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohdist import cli, harness, qcore
+from cohdist import cli, harness, protocol, qcore
 from cohdist.fixtures import load_fixture
 from cohdist.harness import (
     ExperimentRow,
@@ -90,7 +91,16 @@ def test_parse_grid_raises_only_value_error(text):
     except ValueError:
         return
     assert 1 <= len(grid) <= harness.GRID_MAX_POINTS
-    assert all(a <= b for a, b in zip(grid, grid[1:]))
+    assert all(a < b and b - a > harness.GRID_SNAP for a, b in zip(grid, grid[1:]))
+
+
+def test_parse_grid_rejects_points_closer_than_grid_snap():
+    # a step below the spacing of doubles repeats a point (1e16 + 1 == 1e16); points within GRID_SNAP are one point
+    for text in ("1e16:10000000000000002:1", "0.5:0.5000000000000002:1e-16", "0:1e-9:1e-9", "0:1e-9:4e-10"):
+        with pytest.raises(ValueError, match="apart"):
+            parse_grid(text)
+    result = CliRunner().invoke(cli.main, ["werner", "--grid", "0.5:0.5000000000000002:1e-16"])
+    assert result.exit_code == 2
 
 
 def test_run_config_validation():
@@ -102,6 +112,26 @@ def test_run_config_validation():
         RunConfig(kind="werner", params=(0.5,), mode="sampled", shots_per_basis=0)
     with pytest.raises(ValueError):
         RunConfig(kind="werner", params=(0.5,), mode="exact")
+
+
+def test_shots_and_seeds_outside_their_exact_ranges_are_usage_errors():
+    shots_max = harness.SHOTS_MAX
+    for seed in (-5, 2**64, 2**64 + 5):
+        with pytest.raises(ValueError, match="seed"):
+            RunConfig(kind="werner", params=(0.5,), seed=seed)
+    with pytest.raises(ValueError, match="shots"):
+        RunConfig(kind="werner", params=(0.5,), mode="sampled", shots_per_basis=shots_max + 1)
+    RunConfig(kind="werner", params=(0.5,), mode="sampled", shots_per_basis=shots_max, seed=2**64 - 1)
+    runner = CliRunner()
+    # 18446744073709551621 = 2**64 + 5 would alias seed 5, and -5 seed 2**64 - 5
+    bad = (["--shots", "100000000000000000000"], ["--shots", str(shots_max + 1)], ["--seed", "18446744073709551621"],
+           ["--seed", "-5"], ["--seed", str(2**64)])
+    for args in bad:
+        assert runner.invoke(cli.main, ["werner", "--mode", "sampled", "--points", "0.5", *args]).exit_code == 2, args
+        assert runner.invoke(cli.main, ["tomo-demo", *args]).exit_code == 2, args
+    ok = runner.invoke(cli.main, ["werner", "--mode", "sampled", "--points", "0.5", "--seed", str(2**64 - 1)])
+    assert ok.exit_code == 0
+    assert "[0, 2^64)" in runner.invoke(cli.main, ["werner", "--help"]).output
 
 
 # --- analytic rows --------------------------------------------------------------
@@ -424,13 +454,27 @@ def test_run_experiment_matches_dense_oracle(epsilon):
 
 
 def test_sampled_run_matches_dense_oracle():
-    # the batched runner hands simulate_counts Bob's Bloch vectors, the dense one his partial traces;
-    # the counts agree, so every column agrees to rounding
-    for kind, params in (("family1", (0.0, 12.5, 22.5, 45.0)), ("family2", (0.0, 30.0)), ("werner", (0.0, 0.5, 1.0))):
+    # the batched pipeline (p+ from Bob's Bloch vectors, windowed inversion, lockstep MLE) agrees to rounding with
+    # the dense runner, which tomographs Bob's partial traces one record at a time with the scalar sampler and
+    # MLE, and gives the CSV bytes of the per-record runner on its own Bloch vectors
+    grids = {"family1": (0.0, 12.5, 22.5, 45.0), "family2": (0.0, 30.0, 45.0), "werner": (0.0, 0.5, 0.95, 1.0)}
+    for kind, params in grids.items():
         for epsilon in (0.0, 0.05):
-            for shots in (200, 20_000):
+            for shots in (1, 200, 10_000, 10_001, 100_000, 1_000_000):
                 cfg = RunConfig(kind, params, mode="sampled", shots_per_basis=shots, seed=11, epsilon_prep=epsilon)
-                _assert_rows_match(harness.run_experiment(cfg), oracles.dense_run_oracle(cfg))
+                rows = harness.run_experiment(cfg)
+                _assert_rows_match(rows, oracles.dense_run_oracle(cfg))
+                assert emit_csv(rows, kind) == emit_csv(oracles.per_record_sampled_oracle(cfg), kind)
+
+
+def test_sampled_scoring_rounds_as_scalar_code():
+    # sampled rows score each estimate with libm's log2 and hypot, as the per-record runner did
+    rng = np.random.default_rng(5)
+    r = rng.normal(size=(2000, 3)) * rng.uniform(0.0, 1.2, (2000, 1))
+    r[:100] /= np.linalg.norm(r[:100], axis=1, keepdims=True)
+    r[100:110] = [[0.0, 0.0, 1.0]] * 10
+    want = [oracles._qubit_entropy_at(z) - oracles._qubit_entropy_at(math.hypot(x, y, z)) for x, y, z in r.tolist()]
+    assert protocol._qubit_coherence(r, libm=True).tolist() == want
 
 
 def test_chunked_run_equals_one_pass(monkeypatch):

@@ -13,6 +13,7 @@ from cohdist.states import family1, make_pure
 from cohdist.tomography import (
     BASES,
     PRNG_ID,
+    SHOTS_MAX,
     SplitMix64,
     TomographyRecord,
     binomial_draw,
@@ -62,6 +63,16 @@ def test_derive_stream_is_stable_and_distinct():
     assert derive_stream(42, 1, 2) != derive_stream(42, 2, 1)
 
 
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+def test_batched_stream_uniforms_match_scalar_streams(seed):
+    # the harness's (grid point g, target t) records on a 19 x 3 grid, each drawing on Pauli bases b = 0, 1, 2
+    g, t = (a.ravel().astype(np.uint64) for a in np.meshgrid(np.arange(19), np.arange(3), indexing="ij"))
+    got = tomography._basis_uniforms(derive_stream(seed, g, t))
+    want = [[SplitMix64(derive_stream(derive_stream(seed, int(gi), int(ti)), b)).next_float() for b in range(3)]
+            for gi, ti in zip(g, t)]
+    assert got.tolist() == want
+
+
 # --- binomial sampling ----------------------------------------------------------
 
 def test_binomial_inversion_matches_exact_cdf():
@@ -91,6 +102,58 @@ def test_binomial_normal_path_quantiles():
     assert binomial_draw(n, 0.5, _FixedStream(0.5)) == n // 2
     k_hi = binomial_draw(n, 0.5, _FixedStream(0.9986501019683699))  # Phi(3)
     assert abs(k_hi - (n / 2 + 3 * sigma)) <= 2
+
+
+def _edge_triples():
+    """(n, p, u) over the sampler's edges, then skewed random triples, 10_050 in all."""
+    triples = [(n, p, u) for n in (1, 2, 10_000, 10_001, 10**6) for p in (1e-12, 1e-6, 1 - 1e-6, 0.0, 1.0)
+               for u in (2.0**-53, 1 - 2.0**-53)]
+    rng = np.random.default_rng(71)
+    for _ in range(10_000):
+        n = int(rng.choice([int(rng.integers(1, 60)), int(rng.integers(1, 10_001)), 10_000, 10_001, 10**5, 10**6]))
+        p = float(rng.choice([rng.uniform(), 10 ** rng.uniform(-14, 0), 1 - 10 ** rng.uniform(-14, 0), 0.5, 1e-12]))
+        u = float(rng.choice([rng.uniform(), 10 ** rng.uniform(-16, 0), 1 - 10 ** rng.uniform(-16, 0), 2.0**-53, 0.5]))
+        triples.append((n, p, u))
+    return triples
+
+
+def test_batched_sampler_matches_scalar_oracle_bit_for_bit():
+    # full-support inversion up to 10_000 shots, the 100-halving normal path above
+    triples = _edge_triples()
+    by_n = {}
+    for i, (n, _, _) in enumerate(triples):
+        by_n.setdefault(n, []).append(i)
+    got = [0] * len(triples)
+    for n, idx in by_n.items():
+        p, u = (np.array([triples[i][c] for i in idx]) for c in (1, 2))
+        for i, k in zip(idx, tomography._binomial_draws(n, p, u).tolist()):
+            got[i] = k
+    assert got == [oracles.binomial_draw_oracle(n, p, u) for n, p, u in triples]
+    assert [binomial_draw(n, p, _FixedStream(u)) for n, p, u in triples[:200]] == got[:200]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 257, 4_999, 9_999, 10_000])
+def test_inversion_window_holds_the_full_support_cdf(n):
+    # the window's CDF equals the full-support one bit for bit, which is 0.0 left of it and 1.0 right of it
+    rng = np.random.default_rng(n)
+    ps = np.concatenate([10 ** rng.uniform(-14, 0, 40), 1 - 10 ** rng.uniform(-14, 0, 40), rng.uniform(size=40),
+                         [0.5, 1e-12, 1e-6, 1 - 1e-6, 1 / (n + 1), 1 - 1 / (n + 1), 5e-324, 1 - 2.0**-53]])
+    k0, cdf = tomography._window_cdf(n, ps)
+    for first, row, p in zip(k0.tolist(), cdf, ps.tolist()):
+        full = oracles.binomial_cdf_full(n, p)
+        k = np.arange(first, first + row.size)
+        inside = (k >= 0) & (k <= n)
+        assert np.array_equal(row[inside], full[k[inside]]), p
+        assert (row[k < 0] == 0.0).all() and (row[k > n] == 1.0).all()
+        assert (full[: max(first, 0)] == 0.0).all() and (full[min(k[-1], n) :] == 1.0).all(), p
+
+
+def test_shots_beyond_the_exact_range_are_rejected():
+    with pytest.raises(ValueError):
+        binomial_draw(SHOTS_MAX + 1, 0.5, _FixedStream(0.5))
+    with pytest.raises(ValueError):
+        simulate_counts(np.eye(2) / 2, SHOTS_MAX + 1, seed=1)
+    assert binomial_draw(SHOTS_MAX, 0.5, _FixedStream(0.5)) == SHOTS_MAX // 2
 
 
 # --- simulate_counts ------------------------------------------------------------
@@ -253,6 +316,22 @@ def _assert_mle_at_least_oracle(record):
         residual, lam = _kkt_residual(record, r)
         assert residual <= 1e-12 and lam >= 0.0
     return res
+
+
+def test_lockstep_mle_matches_scalar_estimator():
+    records = _pipeline_records() + _mixed_records() + list(EDGE_RECORDS.values())
+    by_shots = {}
+    for rec in records:
+        by_shots.setdefault(rec.shots_per_basis, []).append(rec)
+    boundary = 0
+    for shots, recs in by_shots.items():
+        blochs, steps = tomography._mle(np.array([[r.counts[b][0] for b in BASES] for r in recs]), shots)
+        for rec, bloch, n_steps in zip(recs, blochs, steps.tolist()):
+            want, want_steps = oracles.mle_oracle(rec)
+            assert np.array_equal(bloch, want)  # bit for bit: libm's asin and sin, as the scalar loop calls them
+            assert n_steps == want_steps and (n_steps == 0 or 1 <= n_steps <= 51)
+            boundary += n_steps > 0
+    assert boundary >= 40
 
 
 def test_mle_at_least_rrr_oracle_on_pipeline_and_mixed_records():
