@@ -18,7 +18,7 @@ record of the pass in one tomography.tomograph call.
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -70,6 +70,7 @@ KINDS = {
     ),
 }
 _COLUMNS_BY_HEADER = {kind.header: kind.columns for kind in KINDS.values()}
+_FIELDS = tuple(f.name for f in fields(ExperimentRow))
 
 
 @dataclass(frozen=True)
@@ -212,11 +213,19 @@ def parse_rows_csv(text: str) -> list[ExperimentRow]:
     header, *body = [ln for ln in text.strip().splitlines() if ln]
     if header not in _COLUMNS_BY_HEADER:
         raise ValueError(f"unrecognized CSV header: {header!r}")
+    columns = _COLUMNS_BY_HEADER[header]
+    derive = "cd_before_sim" not in columns
+    cells_of = columns + ("cd_before_sim",) * derive  # a row's cells, then the derived one
+    pick = operator.itemgetter(*(cells_of.index(f) for f in _FIELDS if f in cells_of))
+    after, delta = columns.index("cd_after_sim"), columns.index("delta_sim")
     rows = []
     for ln in body:
-        values = dict(zip(_COLUMNS_BY_HEADER[header], map(float, ln.split(",")), strict=True))
-        values.setdefault("cd_before_sim", values["cd_after_sim"] - values["delta_sim"])
-        rows.append(ExperimentRow(**values))
+        cells = list(map(float, ln.split(",")))
+        if len(cells) != len(columns):
+            raise ValueError(f"CSV row has {len(cells)} cells, expected {len(columns)}: {ln!r}")
+        if derive:
+            cells.append(cells[after] - cells[delta])
+        rows.append(ExperimentRow(*pick(cells)))
     return rows
 
 

@@ -268,7 +268,9 @@ def _basis_search(rho: np.ndarray, grid_res: int, refine_iters: int):
     spanning +-h around the running best (h starts at one grid step per
     axis), moves to its argmax only if that is strictly better, and shrinks
     h to one lattice spacing, except on an axis where the move ended on the
-    lattice's edge.  Returns (basis, value, trace); trace holds
+    lattice's edge.  Once a lattice has rounded onto a single point, the
+    rounds left would score that point again without moving, so the search
+    stops there.  Returns (basis, value, trace); trace holds
     ((theta, phi), value) of the running best after the grid and each round.
     """
     if not _is_int(grid_res) or not 8 <= grid_res <= GRID_RES_MAX:
@@ -284,7 +286,7 @@ def _basis_search(rho: np.ndarray, grid_res: int, refine_iters: int):
     offsets = np.linspace(-1.0, 1.0, ZOOM_POINTS)
     shrink = 2.0 / (ZOOM_POINTS - 1)  # one lattice spacing, in units of h
     edge = (0, ZOOM_POINTS - 1)
-    for _ in range(refine_iters):
+    for rounds_left in range(refine_iters - 1, -1, -1):
         thetas, phis = theta + h_t * offsets, phi + h_p * offsets
         i, j, v = _lattice_argmax(thetas, phis, coords)
         moved = v > value
@@ -293,6 +295,10 @@ def _basis_search(rho: np.ndarray, grid_res: int, refine_iters: int):
         h_t *= 1.0 if moved and i in edge else shrink
         h_p *= 1.0 if moved and j in edge else shrink
         trace.append(((theta, phi), value))
+        if (thetas == thetas[0]).all() and (phis == phis[0]).all():
+            # the lattice has collapsed onto one point: every later round scores it again and cannot move
+            trace += trace[-1:] * rounds_left
+            break
     return MeasurementBasis.from_angles(theta, phi), value, trace
 
 

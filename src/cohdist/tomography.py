@@ -10,7 +10,11 @@ Maximum likelihood
 ------------------
 The Pauli likelihood separates by axis, so the qubit MLE is closed-form (see
 reconstruct_mle); the records on the Bloch-sphere boundary bisect their
-multipliers in lockstep.  ESTIMATOR_ID names it in harness output metadata.
+multipliers in lockstep.  Newton steps seed each multiplier, and a record
+starts its bisection at the deepest bracket that two libm evaluations certify
+the bisection from [0, 3/2] reaches (see _mle_start), so every iterate and
+the step count are those of the bisection from scratch.  ESTIMATOR_ID names
+it in harness output metadata.
 
 Reproducibility contract
 ------------------------
@@ -28,11 +32,15 @@ Binomial sampling uses exact CDF inversion (k = min{k : F(k) >= u}) for
 shots <= 10_000, with the pmf evaluated by the two-sided recurrence from the
 mode (Devroye, Non-Uniform Random Variate Generation, 1986, ch. X) and summed
 from 0, and the normal approximation with continuity correction
-k = floor(n p + z sigma + 1/2) above that.  Thresholds and methods are fixed
-so frozen golden counts stay valid.  The inversion evaluates a window around
-the mode from Bernstein's tail bound: left of it every pmf term underflows to
-0.0 (tail e^-800), right of it each term is under half an ulp of the running
-sum (tail e^-40), so the window's CDF is the full-support one bit for bit.
+k = floor(n p + z sigma + 1/2) above that, z from 100 halvings on Phi(z) = u.
+A draw takes that k from a closed-form z and a two-point check that the
+halvings end where the floor cannot change (see _normal_draws); a draw that
+fails the check runs the halvings.  Thresholds and methods are fixed so
+frozen golden counts stay valid, and the counts are the same bits either way.
+The inversion evaluates a window around the mode from Bernstein's tail bound:
+left of it every pmf term underflows to 0.0 (tail e^-800), right of it each
+term is under half an ulp of the running sum (tail e^-40), so the window's
+CDF is the full-support one bit for bit.
 """
 
 import json
@@ -57,6 +65,19 @@ _TAIL_BELOW, _TAIL_ABOVE = 800.0, 40.0  # Bernstein exponents of the inversion w
 _WINDOW_FLOATS = 2**14  # window elements per numpy pass, so the sampler's temporaries stay small
 # step cap for the MLE multiplier bisection, which needs at most 51 steps
 MLE_MAX_STEPS = 100
+_ACKLAM = (  # numerators and denominators of _inverse_normal's central and tail regions
+    [-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
+     1.383577518672690e02, -3.066479806614716e01, 2.506628277459239],
+    [-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
+     6.680131188771972e01, -1.328068155288572e01, 1.0],
+    [-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838,
+     -2.549732539343734, 4.374664141464968, 2.938163982698783],
+    [7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996, 3.754408661907416, 1.0],
+)
+_QUANTILE_MARGIN = 2.0**-46  # times (1 + z^2) u: at least twice _phi's rounding error near Phi(z) = u
+_MLE_MARGIN = 2.0**-44  # times 1 + sum 1/sqrt(1 - s_k^2): ~4x the rounding error of two _excess values
+_MLE_DEPTH = 44  # deepest jump of the multiplier bisection; its brackets are exact floats
+_NEWTON_STEPS = 4  # Newton steps that seed the jump
 
 
 def mix64(x):
@@ -163,7 +184,48 @@ def _window_cdf(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _normal_draws(n: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """floor(n p + z sigma + 1/2) in [0, n], z from 100 halvings of [-40, 40] on Phi(z) = u."""
+    """floor(n p + z sigma + 1/2) in [0, n], z from 100 halvings of [-40, 40] on Phi(z) = u.
+
+    The draw needs z only as far as that floor does.  Each draw starts from the
+    closed-form z0 of _inverse_normal and checks two points a < z0 < b:
+    _phi(a) < u - m and _phi(b) >= u + m, where m is twice the rounding bound
+    of _phi (a few ulps from libm erfc, plus the rounding of its argument).
+    Every halving midpoint at or below a then moves lo and every one at or
+    above b moves hi, so the halvings end inside [a, b] (within 2**-80 when
+    they run out before lo and hi meet), and the floor at both ends agreeing
+    gives the draw.  A draw that fails either check takes the halvings.
+    """
+
+    def floors(z, i=slice(None)):
+        return np.clip(np.floor(n * p[i] + z * np.sqrt(n * p[i] * (1.0 - p[i])) + 0.5), 0, n).astype(np.int64)
+
+    z = _inverse_normal(u)
+    margin = _QUANTILE_MARGIN * (1.0 + z * z) * u
+    half = 4e-9 * np.abs(z) + 4.0 * margin * math.sqrt(2.0 * math.pi) * np.exp(z * z / 2.0)
+    a, b = z - half, z + half
+    k = floors(a - 2.0**-80)
+    fall = np.flatnonzero((_phi(a) >= u - margin) | (_phi(b) < u + margin) | (floors(b + 2.0**-80) != k))
+    if fall.size:
+        k[fall] = floors(_bisect_quantiles(u[fall]), fall)
+    return k
+
+
+def _inverse_normal(u: np.ndarray) -> np.ndarray:
+    """Phi^-1(u) for 0 < u < 1 to a relative error below 1.15e-9 (P. J. Acklam's rational approximation)."""
+    a, b, c, d = _ACKLAM
+    q = u - 0.5
+    t = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))
+    central = q * np.polyval(a, q * q) / np.polyval(b, q * q)
+    return np.where(np.abs(q) <= 0.47575, central, np.copysign(np.polyval(c, t) / np.polyval(d, t), q))
+
+
+def _phi(z: np.ndarray) -> np.ndarray:
+    """The normal CDF as the halvings round it, through libm erfc."""
+    return 0.5 * qcore.libm(math.erfc, -z / math.sqrt(2.0))
+
+
+def _bisect_quantiles(u: np.ndarray) -> np.ndarray:
+    """z from 100 halvings of [-40, 40] on _phi(z) = u; a midpoint that rounds to an end stops its row."""
     z, rows = np.empty_like(u), np.arange(u.size)
     lo, hi = np.full_like(u, -40.0), np.full_like(u, 40.0)
     for _ in range(100):
@@ -175,10 +237,10 @@ def _normal_draws(n: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
             rows, lo, hi, u, mid = rows[moving], lo[moving], hi[moving], u[moving], mid[moving]
             if not rows.size:
                 break
-        below = 0.5 * qcore.libm(math.erfc, -mid / math.sqrt(2.0)) < u
+        below = _phi(mid) < u
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     z[rows] = 0.5 * (lo + hi)
-    return np.clip(np.floor(n * p + z * np.sqrt(n * p * (1.0 - p)) + 0.5), 0, n).astype(np.int64)
+    return z
 
 
 def _basis_uniforms(streams: np.ndarray) -> np.ndarray:
@@ -274,23 +336,63 @@ def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     return ReconstructionResult(state=state, method="linear", iterations=0, converged=True)
 
 
-def _axis_roots(s: np.ndarray, mu: np.ndarray, unit: bool) -> np.ndarray:
+def _axis_roots(s: np.ndarray, mu: np.ndarray, unit: bool, libm: bool = True) -> np.ndarray:
     """Bloch components r(mu) of the boundary MLE, elementwise; unit says whether any |s| is 1.
 
     For |s| < 1, r is the root in (-1, 1) of (1+s)/(1+r) - (1-s)/(1-r) = 2 mu r,
     which is the middle real root of the cubic mu r^3 - (1 + mu) r + s = 0.
     For |s| = 1 the cubic factors as (r - s)(mu r^2 + s mu r - 1): r stays
     pinned at s up to mu = 1/2, where the cubic has its only double root,
-    and follows the quadratic factor's root after that.
+    and follows the quadratic factor's root after that.  libm=False takes
+    numpy's asin and sin, which may differ in the last bit.
     """
     # trigonometric middle root, written as 2/a sin(arcsin(c)/3) so it has no cancellation as mu -> 0
     mu1 = 1.0 + mu
     a = np.sqrt(3.0 * mu / mu1)
     c = np.maximum(-1.0, np.minimum(1.0, 1.5 * s * a / mu1))
-    r = 2.0 / a * qcore.libm(math.sin, qcore.libm(math.asin, c) / 3.0)
+    if libm:
+        r = 2.0 / a * qcore.libm(math.sin, qcore.libm(math.asin, c) / 3.0)
+    else:
+        r = 2.0 / a * np.sin(np.arcsin(c) / 3.0)
     if unit:
         r = np.where(np.abs(s) == 1.0, np.where(mu <= 0.5, s, s * (np.sqrt(1.0 + 4.0 / mu) - 1.0) / 2.0), r)
     return r
+
+
+def _excess(r: np.ndarray) -> np.ndarray:
+    """|r|^2 - 1 of each row, rounded as the bisection rounds it."""
+    q = r * r
+    return q[:, :1] + q[:, 1:2] + q[:, 2:] - 1.0
+
+
+def _mle_start(t: np.ndarray, unit: bool, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(depth, lo, hi) per row: a bracket the bisection of [0, 3/2] on _excess(_axis_roots(t, mu)) reaches at depth.
+
+    Newton steps on |r(mu)|^2 = 1 from mu = |t| - 1, with r' = (r - r^3) / (3 mu r^2 - 1 - mu) from
+    the cubic, seed mu0.  The deepest dyadic cell [lo, hi] of [0, 3/2] that holds mu0 +- delta (delta
+    scaled by the slope at mu0) is checked in libm: h(lo) > m and h(hi) < -m for h = _excess, where m
+    is tol plus a bound on h's rounding error, which grows as |t_k| -> 1 (asin near its double root).
+    |r(mu)| falls monotonically, so every midpoint the bisection meets on its way to [lo, hi] sends it
+    the same way and none stops it.  A row that fails the check starts at depth 0.
+    """
+    m = tol + _MLE_MARGIN * (1.0 + np.sum(1.0 / np.sqrt(np.where(np.abs(t) < 1.0, 1.0 - t * t, np.inf)), axis=1))
+    with np.errstate(all="ignore"):  # a seed that runs off the bracket only fails the check
+        mu = np.sqrt(np.vecdot(t, t))[:, None] - 1.0
+        for _ in range(_NEWTON_STEPS):
+            q = _axis_roots(t, mu, unit, libm=False) ** 2
+            h, slope = q.sum(axis=1) - 1.0, 2.0 * np.sum(q * (1.0 - q) / (3.0 * mu * q - 1.0 - mu), axis=1)
+            mu = np.clip(mu - (h / slope)[:, None], np.finfo(float).tiny, 1.5)
+        delta = 2.0 * (m + np.abs(h)) / np.abs(slope)
+        ends = np.stack([mu[:, 0] - delta, mu[:, 0] + delta]) * (2.0**_MLE_DEPTH / 1.5)  # in deepest cells
+        inside = (ends[0] >= 1.0) & (ends[1] < 2.0**_MLE_DEPTH)
+    first, last = np.where(inside, np.floor(ends), [[0.0], [2.0**_MLE_DEPTH - 1]]).astype(np.int64)
+    depth = _MLE_DEPTH - np.frexp((first ^ last).astype(float))[1]  # the leading bits the two cells share
+    width = np.ldexp(1.5, -depth)
+    lo = (first >> (_MLE_DEPTH - depth)) * width
+    hi = lo + width
+    h = _excess(_axis_roots(np.concatenate([t, t]), np.concatenate([np.where(lo > 0.0, lo, hi), hi])[:, None], unit))
+    ok = (lo > 0.0) & (h[: len(t), 0] > m) & (h[len(t) :, 0] < -m)
+    return np.where(ok, depth, 0), np.where(ok, lo, 0.0)[:, None], np.where(ok, hi, 1.5)[:, None]
 
 
 def _mle(plus: np.ndarray, shots: int) -> tuple[np.ndarray, np.ndarray]:
@@ -298,24 +400,26 @@ def _mle(plus: np.ndarray, shots: int) -> tuple[np.ndarray, np.ndarray]:
     s = (2 * plus - shots) / shots
     steps = np.zeros(len(s), dtype=np.int64)
     rows = np.flatnonzero(np.vecdot(s, s) > 1.0)
-    t, lo, hi = s[rows], np.zeros((rows.size, 1)), np.full((rows.size, 1), 1.5)
+    if not rows.size:
+        return s, steps
+    t = s[rows]
     unit, tol = bool((np.abs(t) == 1.0).any()), 4.0 * np.finfo(float).eps
-    for step in range(1, MLE_MAX_STEPS + 1):
-        if not rows.size:
-            break
+    depth, lo, hi = _mle_start(t, unit, tol)
+    while rows.size:
+        if (depth >= MLE_MAX_STEPS).any():
+            stuck = plus[rows[np.argmax(depth)]]
+            raise RuntimeError(f"MLE multiplier search did not converge in {MLE_MAX_STEPS} steps: {stuck} of {shots}")
+        depth += 1
         mu = 0.5 * (lo + hi)
         r = _axis_roots(t, mu, unit)
-        q = r * r
-        h = q[:, :1] + q[:, 1:2] + q[:, 2:] - 1.0
+        h = _excess(r)
         out = h > 0.0
         lo, hi = np.where(out, mu, lo), np.where(out, hi, mu)
         done = ((np.abs(h) <= tol) | (hi - lo <= tol))[:, 0]
         if done.any():
             s[rows[done]] = r[done] / np.sqrt(h[done] + 1.0)
-            steps[rows[done]] = step
-            rows, t, lo, hi = rows[~done], t[~done], lo[~done], hi[~done]
-    if rows.size:
-        raise RuntimeError(f"MLE multiplier search did not converge in {MLE_MAX_STEPS} steps: {plus[rows[0]]} of {shots}")
+            steps[rows[done]] = depth[done]
+            rows, t, lo, hi, depth = rows[~done], t[~done], lo[~done], hi[~done], depth[~done]
     return s, steps
 
 
@@ -328,9 +432,14 @@ def reconstruct_mle(record: TomographyRecord) -> ReconstructionResult:
     mu = 2 lambda / N, r_k is the middle real root of
     mu r^3 - (1 + mu) r + s_k = 0 (trigonometric form), and |r(mu)| falls
     monotonically in mu on [0, 3/2], which brackets the multiplier.
-    Bisection on mu reaches |r| = 1 to rounding in at most 51 steps.
+    Bisection on mu reaches |r| = 1 to rounding in at most 51 steps.  The
+    bisection starts at the bracket it would reach after its first K steps,
+    K from a Newton seed and certified by two libm evaluations with a margin
+    over their rounding (see _mle_start); a record that fails the check
+    bisects from [0, 3/2].  Either way every iterate is the same.
 
-    `iterations` counts those root steps, 0 in the interior.  RuntimeError
+    `iterations` counts the root steps, the K skipped ones included, so it is
+    the step count of the bisection from scratch; 0 in the interior.  RuntimeError
     is raised if the root-find has not converged in MLE_MAX_STEPS; the
     result is never an unconverged or blended iterate.  The tests check it
     against Hradil's iterative R-rho-R estimator (PRA 55, R1561, 1997).

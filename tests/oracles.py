@@ -4,9 +4,9 @@ Everything here is computed directly from elementary formulas (binary
 entropy, explicit eigenvalues, index arithmetic) so it stays independent of
 the library code paths it is used to check.  The reference algorithms (the
 R-rho-R MLE, the eigenvalue-clipping linear inversion, the dense
-measurement map, the dense golden-section basis search, the scalar
-pure-parent basis rule, the per-record scalar sampler and MLE, and the
-per-point dense runner) are the slow ones the library replaced with closed
+measurement map, the dense golden-section basis search, the zoom search
+without its early exit, the scalar pure-parent basis rule, the per-record
+scalar sampler and MLE, and the per-point dense runner) are the slow ones the library replaced with closed
 forms or batched numpy; the basis search and the runner measure through the
 dense map here (4x4 projectors, partial traces), not through the library's
 Pauli-coordinate closed form.
@@ -274,6 +274,28 @@ def basis_search_oracle(rho: np.ndarray, grid_res: int, refine_iters: int) -> Se
         h_t *= 0.7
         h_p *= 0.7
     return SearchResult(grid_index, best["value"], trace)
+
+
+def zoom_search_oracle(rho: np.ndarray, grid_res: int, refine_iters: int):
+    """protocol._basis_search without its early exit: every one of the refine_iters zoom rounds is scored."""
+    coords = protocol._pauli_coordinates(rho)
+    thetas, phis = np.linspace(0.0, math.pi / 2.0, grid_res), (2.0 * math.pi / grid_res) * np.arange(grid_res)
+    i, j, value = protocol._lattice_argmax(thetas, phis, coords)
+    theta, phi = float(thetas[i]), float(phis[j])
+    trace = [((theta, phi), value)]
+    h_t, h_p = (math.pi / 2.0) / (grid_res - 1), 2.0 * math.pi / grid_res
+    offsets = np.linspace(-1.0, 1.0, protocol.ZOOM_POINTS)
+    shrink, edge = 2.0 / (protocol.ZOOM_POINTS - 1), (0, protocol.ZOOM_POINTS - 1)
+    for _ in range(refine_iters):
+        thetas, phis = theta + h_t * offsets, phi + h_p * offsets
+        i, j, v = protocol._lattice_argmax(thetas, phis, coords)
+        moved = v > value
+        if moved:
+            theta, phi, value = float(thetas[i]), float(phis[j]), v
+        h_t *= 1.0 if moved and i in edge else shrink
+        h_p *= 1.0 if moved and j in edge else shrink
+        trace.append(((theta, phi), value))
+    return MeasurementBasis.from_angles(theta, phi), value, trace
 
 
 def bloch_vector(ket) -> np.ndarray:

@@ -353,6 +353,28 @@ def test_zoom_follows_a_ridge_past_its_lattice():
         assert all(later[1] >= earlier[1] for earlier, later in zip(trace, trace[1:]))
 
 
+def test_zoom_early_exit_is_bit_identical_to_every_round():
+    # the search stops once its lattice rounds onto one point; all 30 rounds give the same basis, value and trace
+    rng = np.random.default_rng(48)
+    plus_x, plus_z = projector(qcore.KET_X_PLUS), projector(qcore.KET_H)
+    minus_x, minus_z = np.eye(2) - plus_x, np.eye(2) - plus_z
+    states = [random_density(rng, 4) for _ in range(70)]
+    states += [projector(random_pure_state(rng, 4)) for _ in range(70)]
+    states += [make_werner(float(p)) for p in rng.uniform(0.0, 1.0, 60)]
+    states += [
+        (np.kron(plus_z, plus_x) + np.kron(minus_z, minus_x)) / 2.0,  # best basis at theta = 0
+        (np.kron(plus_x, plus_x) + np.kron(minus_x, minus_x)) / 2.0,  # best basis at phi = 0
+    ]
+    ends = set()
+    for rho in states:
+        basis, value, trace = protocol._basis_search(rho, 16, 30)
+        want_basis, want_value, want_trace = oracles.zoom_search_oracle(rho, 16, 30)
+        assert (basis, value, trace) == (want_basis, want_value, want_trace)
+        assert len(trace) == 31
+        ends.update(name for name, angle in zip(("theta", "phi"), trace[-1][0]) if angle == 0.0)
+    assert ends == {"theta", "phi"}
+
+
 @st.composite
 def _mixed_states(draw):
     g = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32))).reshape(2, 4, 4)

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -130,6 +131,49 @@ def test_batched_sampler_matches_scalar_oracle_bit_for_bit():
             got[i] = k
     assert got == [oracles.binomial_draw_oracle(n, p, u) for n, p, u in triples]
     assert [binomial_draw(n, p, _FixedStream(u)) for n, p, u in triples[:200]] == got[:200]
+
+
+def _normal_branch_triples(rng, count):
+    """(n, p, u) above 1e4 shots: the uniforms at 2**-53 k, 1 - 2**-53 k and 1/2 +- 2**-53 k (k = 1..50) at
+    every n, then random triples, whose u come from a pool of 5,000 so the scalar oracle's halvings can be cached."""
+    ns = (10_001, 10**5, 10**6, 10**9, 2**53, *rng.integers(10_002, 10**7, 3).tolist())
+    k = np.arange(1, 51) * 2.0**-53
+    edges = np.concatenate([k, 1.0 - k, 0.5 + k, 0.5 - k, [0.5]])
+    triples = [(n, p, u) for n in ns for p, u in zip(rng.choice([0.5, 1e-15, 1 - 1e-15, 0.3], edges.size), edges)]
+    tail = 10 ** rng.uniform(-16, 0, 500)
+    pool = np.concatenate([rng.uniform(size=4_000), tail, 1 - tail[::-1]])
+    pool = np.maximum(np.floor(pool * 2.0**53), 1.0) * 2.0**-53  # uniforms as the streams make them
+    m = count - len(triples)
+    tiny = 10 ** rng.uniform(-15, 0, m)
+    p = np.choose(rng.integers(0, 3, m), [rng.uniform(size=m), tiny, 1 - tiny[::-1]])
+    return triples + list(zip(rng.choice(ns, m).tolist(), p.tolist(), rng.choice(pool, m).tolist()))
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_certified_normal_draws_match_the_scalar_halvings(monkeypatch, fallback):
+    # every draw above 1e4 shots is the oracle's 100 halvings bit for bit, certified or (margins at inf) bisected
+    monkeypatch.setattr(oracles, "normal_quantile", functools.cache(oracles.normal_quantile))
+    halved = []
+    bisect = tomography._bisect_quantiles
+    monkeypatch.setattr(tomography, "_bisect_quantiles", lambda u: (halved.extend(u.tolist()), bisect(u))[1])
+    if fallback:
+        monkeypatch.setattr(tomography, "_QUANTILE_MARGIN", math.inf)
+    triples = _normal_branch_triples(np.random.default_rng(72), 20_000 if fallback else 100_000)
+    by_n = {}
+    for i, (n, _, _) in enumerate(triples):
+        by_n.setdefault(n, []).append(i)
+    got = [0] * len(triples)
+    for n, idx in by_n.items():
+        p, u = (np.array([triples[i][c] for i in idx]) for c in (1, 2))
+        first = len(halved)
+        for i, k in zip(idx, tomography._binomial_draws(n, p, u).tolist()):
+            got[i] = k
+        if not fallback and n < 2**53:  # at 2**53 shots sigma is ~5e7, and z0's error moves the floor more often
+            # most draws that bisect have u within 1e-9 of 1, where Phi rounds in steps of 2**-53
+            assert sum(1.0 - v > 1e-9 for v in halved[first:]) <= 0.01 * len(idx)
+    assert got == [oracles.binomial_draw_oracle(n, p, u) for n, p, u in triples]
+    if fallback:
+        assert len(halved) == len(triples)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 257, 4_999, 9_999, 10_000])
@@ -318,7 +362,7 @@ def _assert_mle_at_least_oracle(record):
     return res
 
 
-def test_lockstep_mle_matches_scalar_estimator():
+def _assert_lockstep_mle_matches_scalar_estimator():
     records = _pipeline_records() + _mixed_records() + list(EDGE_RECORDS.values())
     by_shots = {}
     for rec in records:
@@ -332,6 +376,26 @@ def test_lockstep_mle_matches_scalar_estimator():
             assert n_steps == want_steps and (n_steps == 0 or 1 <= n_steps <= 51)
             boundary += n_steps > 0
     assert boundary >= 40
+
+
+def test_lockstep_mle_matches_scalar_estimator():
+    _assert_lockstep_mle_matches_scalar_estimator()
+
+
+def test_lockstep_mle_fallback_matches_scalar_estimator(monkeypatch):
+    # with the check margin at inf no jump is certified, and every row bisects from depth 0
+    monkeypatch.setattr(tomography, "_MLE_MARGIN", math.inf)
+    _assert_lockstep_mle_matches_scalar_estimator()
+
+
+def test_mle_jump_is_certified_on_every_pipeline_boundary_row():
+    s = np.array([rec.stokes() for rec in _pipeline_records()])
+    t = s[np.vecdot(s, s) > 1.0]
+    depth, lo, hi = tomography._mle_start(t, bool((np.abs(t) == 1.0).any()), 4.0 * np.finfo(float).eps)
+    assert len(t) >= 40 and (depth > 0).all() and np.median(depth) >= 30
+    assert (hi - lo == np.ldexp(1.5, -depth)[:, None]).all()
+    depth, _, _ = tomography._mle_start(t, False, math.inf)  # no margin is met: every row starts at depth 0
+    assert (depth == 0).all()
 
 
 def test_mle_at_least_rrr_oracle_on_pipeline_and_mixed_records():
