@@ -16,6 +16,7 @@ from .harness import (
     fixture_run_config,
     parse_grid,
     run_experiment,
+    spaced,
 )
 from .protocol import alice_measure, optimal_basis_pure
 from .tomography import (
@@ -51,7 +52,7 @@ def _resolve_params(kind, grid, points):
         raise click.UsageError("use either --grid or --points, not both")
     try:
         if points is not None:
-            return tuple(float(x) for x in points.split(","))
+            return spaced((float(x) for x in points.split(",")), f"--points {points!r}")
         return parse_grid(grid if grid is not None else _DEFAULT_GRIDS[kind])
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -60,9 +61,12 @@ def _resolve_params(kind, grid, points):
 def _write(text: str, out: str | None):
     if out is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}")
 
 
 def _run_family(kind, grid, points, mode, shots, seed, epsilon_prep, fmt, out):

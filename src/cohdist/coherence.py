@@ -23,22 +23,21 @@ class CoherenceReport:
 
 
 def rel_entropy_coherence(rho) -> CoherenceReport:
-    """Relative entropy of coherence of a state, in bits."""
+    """Relative entropy of coherence of a 2x2 or 4x4 density matrix, in bits."""
     rho = np.asarray(rho, dtype=complex)
-    s_state = qcore.von_neumann_entropy(rho)
-    s_dephased = qcore.shannon_entropy(np.diag(rho).real)
+    s_state = qcore.von_neumann_entropy(rho)  # validates rho
+    s_dephased = float(qcore.entropy_bits(np.diag(rho).real))
     return CoherenceReport(s_dephased - s_state, s_dephased, s_state)
 
 
 def qi_relative_entropy(rho_ab) -> float:
-    """S(dephase_B(rho)) - S(rho) for a two-qubit state, in bits.
+    """S(dephase_B(rho)) - S(rho) for a two-qubit state, in bits (qcore.qi_bound, as the runner's bound_qi).
 
     Zero exactly on quantum-incoherent states sum_i p_i sigma_i^A x |i><i|^B;
     upper-bounds the ensemble-averaged coherence any single-copy measure-and-
     broadcast protocol can leave on Bob's side.
     """
-    rho = qcore.ensure_density(rho_ab, dim=4)
-    return qcore.von_neumann_entropy(qcore.dephase(rho, scope="B")) - qcore.von_neumann_entropy(rho)
+    return float(qcore.qi_bound(*qcore.density_spectrum(rho_ab, dim=4)))
 
 
 def coa_closed_form(rho_b) -> float:
@@ -48,8 +47,7 @@ def coa_closed_form(rho_b) -> float:
     (many-copy) value, so for pure two-qubit parents it is the distillable
     coherence Bob ends up with under optimal assistance.
     """
-    rho = qcore.ensure_density(rho_b, dim=2)
-    return qcore.shannon_entropy(np.diag(rho).real)
+    return float(qcore.entropy_bits(np.diag(qcore.ensure_density(rho_b, dim=2)).real))
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,7 @@ import numpy as np
 
 from . import __version__, protocol, qcore, states
 from .fixtures import load_fixture
-# simulate_counts is not called here; it stays importable from the runner for the code that reads it there
-from .tomography import ESTIMATOR_ID, PRNG_ID, SEED_LIMIT, SHOTS_MAX, derive_stream, simulate_counts, tomograph
+from .tomography import ESTIMATOR_ID, PRNG_ID, SEED_LIMIT, SHOTS_MAX, derive_stream, tomograph
 
 GRID_SNAP = 1e-9
 GRID_MAX_POINTS = 1_000_000
@@ -122,9 +121,15 @@ def parse_grid(text: str) -> tuple[float, ...]:
     values = [start + i * step for i in range(count)]
     if abs(values[-1] - stop) <= GRID_SNAP:
         values[-1] = stop
+    return spaced(values, f"grid {text!r}")
+
+
+def spaced(values, label: str) -> tuple[float, ...]:
+    """values, sorted ascending, as a tuple; a ValueError naming label if two are GRID_SNAP or less apart."""
+    values = tuple(sorted(values))
     if any(b - a <= GRID_SNAP for a, b in zip(values, values[1:])):  # parameters GRID_SNAP apart are one point
-        raise ValueError(f"grid {text!r} has points at most {GRID_SNAP} apart")
-    return tuple(values)
+        raise ValueError(f"{label} has points at most {GRID_SNAP} apart")
+    return values
 
 
 def run_experiment(config: RunConfig) -> list[ExperimentRow]:
@@ -140,20 +145,18 @@ def run_experiment(config: RunConfig) -> list[ExperimentRow]:
 def _run_points(config: RunConfig, start: int) -> list[ExperimentRow]:
     kind, eps, params = KINDS[config.kind], config.epsilon_prep, config.params[start : start + RUN_CHUNK]
     made = np.stack([kind.factory(x) for x in params])
-    rho = made[:, :, None] * made[:, None, :].conj() if made.ndim == 2 else made
+    rho = qcore.projector(made) if made.ndim == 2 else made
     rho = (1.0 - eps) * rho + eps * np.eye(4, dtype=complex) / 4.0
-    herm, trace, spectra, ok = qcore.density_defects(rho)
+    _, _, spectra, ok = qcore.density_defects(rho)
     if not ok.all():
         i = int(np.argmin(ok))
-        report = qcore.ValidationReport(float(herm[i]), float(trace[i]), float(spectra[i, 0]), False)
+        report = qcore.validate_density(rho[i])
         raise qcore.InvalidStateError(f"invalid density matrix at parameter {params[i]}: {report}")
     a, b, t = protocol._pauli_coordinates(rho)
     outcomes = [(p[:, 0], r[:, 0]) for p, r in protocol._outcomes(kind.basis(made)[:, None, :], a, b, t)]
     before = protocol._qubit_coherence(b).tolist()
     after = sum(p * protocol._qubit_coherence(r) for p, r in outcomes).tolist()
-    bounds = [None] * len(params)
-    if kind.bound:
-        bounds = (qcore.entropy_bits(np.linalg.eigvalsh(rho * qcore.BOB_DIAGONAL)) - qcore.entropy_bits(spectra)).tolist()
+    bounds = qcore.qi_bound(rho, spectra).tolist() if kind.bound else [None] * len(params)
     before_sim, after_sim = before, after
     if config.mode == "sampled":  # records: Bob's marginal (t = 0) and the outcomes t = 1, 2 with p > 0
         target, point = np.nonzero([np.ones(len(params), bool)] + [p > 0.0 for p, _ in outcomes])

@@ -125,15 +125,14 @@ def alice_measure(rho_ab, basis: MeasurementBasis) -> OutcomeSet:
 
 
 def average_assisted_coherence(outcomes: OutcomeSet) -> float:
-    """Ensemble average sum_i p_i C_r(bob_state_i) in bits."""
+    """Ensemble average sum_i p_i C_r(bob_state_i) in bits, each C_r by _qubit_coherence of a valid qubit state."""
     probs = sum(o.prob for o in outcomes)
     if abs(probs - 1.0) > 1e-9:
         raise ValueError(f"outcome probabilities sum to {probs}, expected 1")
     total = 0.0
     for o in outcomes:
         if o.prob > 0.0:
-            c_r = qcore.shannon_entropy(np.diag(o.bob_state).real) - qcore.von_neumann_entropy(o.bob_state)
-            total += o.prob * c_r
+            total += o.prob * float(_qubit_coherence(qcore.bloch_vector(qcore.ensure_density(o.bob_state, dim=2))))
     return total
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the one tolerance policy of every density-matrix check (density_defects)
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
@@ -45,9 +46,9 @@ class ValidationReport:
 
 
 def projector(psi) -> np.ndarray:
-    """|psi><psi| for a state vector."""
+    """|psi><psi| for each state vector psi[..., :] of a stack."""
     psi = np.asarray(psi, dtype=complex)
-    return np.outer(psi, psi.conj())
+    return psi[..., :, None] * psi[..., None, :].conj()
 
 
 def ensure_state_vector(psi, dim: int | None = None) -> np.ndarray:
@@ -63,16 +64,16 @@ def ensure_state_vector(psi, dim: int | None = None) -> np.ndarray:
     return psi
 
 
-def density_defects(rho, tol: float = 1e-10):
+def density_defects(rho):
     """(hermiticity defect, trace defect, Hermitian-part spectrum, ok) of each matrix in a (..., d, d) stack."""
     herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
     # eigenvalues of the Hermitian part, so the check is defined for any input
     eigs = np.linalg.eigvalsh((rho + rho.conj().swapaxes(-1, -2)) / 2.0)
-    return herm, trace, eigs, (herm <= tol) & (trace <= tol) & (eigs[..., 0] >= -tol)
+    return herm, trace, eigs, (herm <= HERMITICITY_TOL) & (trace <= TRACE_TOL) & (eigs[..., 0] >= -EIGENVALUE_TOL)
 
 
-def validate_density(rho, tol: float = 1e-10) -> ValidationReport:
+def validate_density(rho) -> ValidationReport:
     """Measure hermiticity/trace/positivity defects of a candidate density matrix.
 
     Reporting only: never raises, even on malformed input.
@@ -80,21 +81,26 @@ def validate_density(rho, tol: float = 1e-10) -> ValidationReport:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
         return ValidationReport(np.inf, np.inf, -np.inf, False)
-    herm, trace, eigs, ok = density_defects(rho, tol)
+    herm, trace, eigs, ok = density_defects(rho)
     return ValidationReport(float(herm), float(trace), float(eigs[0]), bool(ok))
 
 
-def ensure_density(rho, dim: int | None = None, tol: float = 1e-10) -> np.ndarray:
-    """Return rho as a complex array, or raise InvalidStateError."""
+def density_spectrum(rho, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(rho as a complex array, the spectrum of its Hermitian part), or raise InvalidStateError."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
         raise InvalidStateError(f"expected a 2x2 or 4x4 density matrix, got shape {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise InvalidStateError(f"expected a {dim}x{dim} density matrix, got {rho.shape[0]}x{rho.shape[0]}")
-    report = validate_density(rho, tol=tol)
-    if not report.ok:
-        raise InvalidStateError(f"invalid density matrix: {report}")
-    return rho
+    _, _, eigs, ok = density_defects(rho)
+    if not ok:
+        raise InvalidStateError(f"invalid density matrix: {validate_density(rho)}")
+    return rho, eigs
+
+
+def ensure_density(rho, dim: int | None = None) -> np.ndarray:
+    """Return rho as a complex array, or raise InvalidStateError."""
+    return density_spectrum(rho, dim)[0]
 
 
 def libm(fn, *arrays) -> np.ndarray:
@@ -106,6 +112,11 @@ def libm(fn, *arrays) -> np.ndarray:
 def bloch_state(r) -> np.ndarray:
     """The qubit density matrix (I + r . sigma) / 2."""
     return (IDENTITY_2 + r[0] * PAULI_X + r[1] * PAULI_Y + r[2] * PAULI_Z) / 2.0
+
+
+def bloch_vector(rho) -> np.ndarray:
+    """The Bloch vector r of each qubit density matrix (I + r . sigma) / 2 of a (..., 2, 2) stack."""
+    return np.stack([2.0 * rho[..., 1, 0].real, 2.0 * rho[..., 1, 0].imag, (rho[..., 0, 0] - rho[..., 1, 1]).real], -1)
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -143,14 +154,6 @@ def dephase(rho, scope: str = "full") -> np.ndarray:
     raise ValueError(f"scope must be 'full' or 'B', got {scope!r}")
 
 
-def shannon_entropy(probs) -> float:
-    """Entropy in bits of a probability vector; entries in [-1e-10, 0) are clipped."""
-    p = np.asarray(probs, dtype=float)
-    if p.min() < -EIGENVALUE_TOL:
-        raise InvalidStateError(f"negative probability {p.min()} below tolerance")
-    return float(entropy_bits(p))
-
-
 def entropy_bits(p) -> np.ndarray:
     """Entropy in bits along the last axis of a stack of probability vectors or spectra, clipped to [0, 1]."""
     p = np.clip(p, 0.0, 1.0)
@@ -158,23 +161,13 @@ def entropy_bits(p) -> np.ndarray:
 
 
 def von_neumann_entropy(rho) -> float:
-    """S(rho) = -sum_i lam_i log2(lam_i) in bits.
+    """S(rho) = -sum_i lam_i log2(lam_i) in bits of a 2x2 or 4x4 density matrix (see ensure_density)."""
+    return float(entropy_bits(density_spectrum(rho)[1]))
 
-    Eigenvalues in [-1e-10, 0) are clipped to 0; anything below -1e-10 is an
-    invalid state and raises.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidStateError(f"expected a square matrix, got shape {rho.shape}")
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > 1e-8:
-        raise InvalidStateError(f"matrix is not Hermitian (defect {herm})")
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs[0] < -EIGENVALUE_TOL:
-        raise InvalidStateError(f"negative eigenvalue {eigs[0]} below tolerance")
-    if abs(eigs.sum() - 1.0) > 1e-8:
-        raise InvalidStateError(f"trace is {eigs.sum()}, expected 1")
-    return shannon_entropy(eigs)
+
+def qi_bound(rho, spectra) -> np.ndarray:
+    """S(dephase_B rho) - S(rho) in bits for each state of a validated (..., 4, 4) stack with the given spectra."""
+    return entropy_bits(np.linalg.eigvalsh(rho * BOB_DIAGONAL)) - entropy_bits(spectra)
 
 
 def negativity(rho) -> float:

@@ -308,8 +308,8 @@ def simulate_counts(rho, shots_per_basis: int, seed: int) -> TomographyRecord:
     rho = qcore.ensure_density(rho, dim=2)
     if not 1 <= shots_per_basis <= SHOTS_MAX:
         raise ValueError(f"shots_per_basis must be in [1, {SHOTS_MAX}], got {shots_per_basis}")
-    bloch = np.array([2.0 * rho[1, 0].real, 2.0 * rho[1, 0].imag, (rho[0, 0] - rho[1, 1]).real])
-    plus = _pauli_counts(bloch[None], shots_per_basis, np.array([seed & _MASK], dtype=np.uint64))[0].tolist()
+    stream = np.array([seed & _MASK], dtype=np.uint64)
+    plus = _pauli_counts(qcore.bloch_vector(rho)[None], shots_per_basis, stream)[0].tolist()
     counts = {b: (k, shots_per_basis - k) for b, k in zip(BASES, plus)}
     return TomographyRecord(shots_per_basis=shots_per_basis, seed=seed, counts=counts)
 

@@ -25,7 +25,6 @@ from cohdist.protocol import (
     MeasurementBasis,
     Outcome,
     OutcomeSet,
-    average_assisted_coherence,
     y_basis,
 )
 from cohdist.tomography import BASES, MLE_MAX_STEPS, ReconstructionResult, SplitMix64, TomographyRecord, derive_stream
@@ -211,9 +210,14 @@ def _measure(rho: np.ndarray, basis: MeasurementBasis) -> OutcomeSet:
     return OutcomeSet(tuple(outcomes))
 
 
+def dense_average(outcomes: OutcomeSet) -> float:
+    """sum_i p_i C_r(bob_state_i), each C_r by eigvalsh (rel_entropy_coherence), not by protocol._qubit_coherence."""
+    return sum((o.prob * rel_entropy_coherence(o.bob_state).c_r for o in outcomes if o.prob > 0.0), 0.0)
+
+
 def dense_assisted_coherence(rho: np.ndarray, theta: float, phi: float) -> float:
     """Average assisted coherence of the Alice basis at (theta, phi), via 4x4 projectors and eigvalsh."""
-    return average_assisted_coherence(_measure(rho, MeasurementBasis.from_angles(theta, phi)))
+    return dense_average(_measure(rho, MeasurementBasis.from_angles(theta, phi)))
 
 
 def _golden_max(f, lo: float, hi: float, steps: int = 16) -> float:
@@ -464,7 +468,7 @@ def dense_run_oracle(config) -> list[ExperimentRow]:
     by partial trace, measure Alice densely (_measure: 4x4 projectors,
     Bob states by partial trace) in optimal_basis_pure_oracle's basis (pure
     families) or the y basis (Werner), and score every state by eigvalsh
-    (rel_entropy_coherence, average_assisted_coherence, qi_relative_entropy).
+    (rel_entropy_coherence, dense_average, qi_relative_entropy).
     Sampled mode tomographs the dense Bob states on the same streams, one
     record at a time through the scalar sampler and MLE above
     (tomographed_estimate), and scores the estimates by eigvalsh too: index
@@ -480,7 +484,7 @@ def dense_run_oracle(config) -> list[ExperimentRow]:
         rho_ab = states.depolarize(rho_ab, config.epsilon_prep)
         rho_b = qcore.partial_trace(rho_ab, "B")
         outcomes = _measure(rho_ab, basis)
-        before, after = rel_entropy_coherence(rho_b).c_r, average_assisted_coherence(outcomes)
+        before, after = rel_entropy_coherence(rho_b).c_r, dense_average(outcomes)
         before_sim, after_sim = before, after
         if config.mode == "sampled":
             shots = config.shots_per_basis

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohdist import cli, harness, protocol, qcore
+from cohdist import cli, coherence, harness, protocol, qcore, states
 from cohdist.fixtures import load_fixture
 from cohdist.harness import (
     ExperimentRow,
@@ -368,6 +368,21 @@ def test_cli_bad_grid_is_usage_error():
     assert result.exit_code == 2
 
 
+def test_cli_points_closer_than_grid_snap_are_usage_error():
+    for points in ("10,10", "22.5,0,22.5000000001"):
+        result = CliRunner().invoke(cli.main, ["pure1", "--points", points])
+        assert result.exit_code == 2, points
+        assert "apart" in result.output
+    assert CliRunner().invoke(cli.main, ["pure1", "--points", "22.5,0,22.500000002"]).exit_code == 0
+
+
+@pytest.mark.parametrize("args", [["werner", "--points", "0.5"], ["fixtures", "--table", "3"]])
+def test_cli_unwritable_out_is_usage_error(tmp_path, args):
+    result = CliRunner().invoke(cli.main, args + ["--out", str(tmp_path / "missing" / "x.csv")])
+    assert result.exit_code == 2
+    assert "cannot write --out" in result.output
+
+
 def test_cli_fixtures_exit_codes_follow_tolerance():
     # table 3 sits within 0.08 of theory; a tight tolerance flips the exit code
     result = CliRunner().invoke(cli.main, ["fixtures", "--table", "3", "--tolerance", "0.08"])
@@ -499,6 +514,15 @@ def test_invalid_factory_state_names_parameter_and_exits_2(monkeypatch):
     assert result.exit_code == 2
     assert "parameter 0.5" in result.output
     harness.run_experiment(RunConfig(kind="werner", params=(0.25, 0.75)))
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+def test_bound_qi_is_qi_relative_entropy_bit_for_bit(epsilon):
+    rows = harness.run_experiment(RunConfig(kind="werner", params=parse_grid("0:1:0.001"), epsilon_prep=epsilon))
+    assert len(rows) == 1001
+    for row in rows:
+        rho = states.depolarize(states.make_werner(row.param), epsilon)
+        assert row.bound_qi == coherence.qi_relative_entropy(rho), row.param
 
 
 def test_harness_imports_nothing_from_coherence():

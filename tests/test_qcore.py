@@ -141,6 +141,30 @@ def test_entropy_rejects_negative_eigenvalue():
         von_neumann_entropy(np.diag([1.01, -0.01]).astype(complex))
 
 
+def test_entropy_follows_the_density_tolerance_policy():
+    # the same checks as ensure_density: hermiticity to HERMITICITY_TOL, 2x2 or 4x4 only
+    skew = I2 / 2 + np.array([[0.0, 1e-9], [0.0, 0.0]])
+    assert validate_density(skew).hermiticity_defect == pytest.approx(1e-9)
+    for bad in (skew, np.eye(3, dtype=complex) / 3):
+        with pytest.raises(InvalidStateError):
+            von_neumann_entropy(bad)
+
+
+def test_bloch_vector_inverts_bloch_state():
+    rng = np.random.default_rng(15)
+    rhos = np.stack([random_density(rng, 2) for _ in range(20)])
+    r = qcore.bloch_vector(rhos)
+    assert r.shape == (20, 3)
+    assert np.allclose(np.stack([qcore.bloch_state(v) for v in r]), rhos, atol=1e-15)
+    assert np.array_equal(qcore.bloch_vector(rhos[3]), r[3])
+
+
+def test_projector_broadcasts_over_a_stack():
+    rng = np.random.default_rng(16)
+    psis = np.stack([random_pure_state(rng, 4) for _ in range(5)])
+    assert np.array_equal(projector(psis), np.stack([np.outer(p, p.conj()) for p in psis]))
+
+
 def test_dephasing_never_decreases_entropy():
     rng = np.random.default_rng(14)
     for _ in range(1000):
