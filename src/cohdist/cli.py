@@ -1,7 +1,9 @@
 """Command-line interface: theory-curve regeneration, the sampled tomography
 pipeline, fixture scoring, and a tomography demo."""
 
+import errno
 import json
+import os
 import sys
 
 import click
@@ -58,6 +60,22 @@ def _resolve_params(kind, grid, points):
         raise click.UsageError(str(exc))
 
 
+def _check_out(out: str | None):
+    """A usage error, before any work, if open(out, "w") would fail; creates and truncates nothing."""
+    if out is None:
+        return
+    parent = os.path.dirname(os.path.abspath(out))
+    if not os.path.isdir(parent):
+        err = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif os.path.isdir(out):
+        err = errno.EISDIR
+    elif not os.access(out if os.path.exists(out) else parent, os.W_OK):
+        err = errno.EACCES
+    else:
+        return
+    raise click.UsageError(f"cannot write --out {out!r}: {os.strerror(err)}")
+
+
 def _write(text: str, out: str | None):
     if out is None:
         click.echo(text, nl=False)
@@ -70,6 +88,7 @@ def _write(text: str, out: str | None):
 
 
 def _run_family(kind, grid, points, mode, shots, seed, epsilon_prep, fmt, out):
+    _check_out(out)
     params = _resolve_params(kind, grid, points)
     try:
         config = RunConfig(
@@ -128,6 +147,7 @@ def fixtures(table, tolerance, fmt, out):
     table_id = int(table)
     if not 0.0 <= tolerance < float("inf"):  # also false for nan
         raise click.UsageError(f"tolerance must be finite and nonnegative, got {tolerance}")
+    _check_out(out)
     config = fixture_run_config(table_id, fmt=fmt, out=out)
     report = compare_fixtures(table_id, run_experiment(config))
     _write(report.to_csv() if fmt == "csv" else report.to_json(), out)
@@ -149,6 +169,7 @@ def fixtures(table, tolerance, fmt, out):
 @click.option("--out", default=None, help="Output path (default: stdout).")
 def tomo_demo(family, theta, shots, seed, fmt, out):
     """Tomograph Bob's conditional states for one pure-family setting."""
+    _check_out(out)
     try:
         psi = states.make_pure(int(family), theta)
     except ValueError as exc:

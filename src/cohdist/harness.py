@@ -9,10 +9,11 @@ rows report the single-copy post-assistance value C_d(rho_1^B) together with
 the quantum-incoherent upper bound, since whether that bound is attainable
 for mixed states is unresolved and the harness must not claim it is.
 
-One runner serves every kind through the KINDS table: it validates a stack
-of grid states once and scores it in Pauli coordinates in one numpy pass
-(protocol._outcomes); sampled mode tomographs the same Bloch vectors, every
-record of the pass in one tomography.tomograph call.
+One runner serves every kind through the KINDS table: it builds a stack of
+grid states in one factory call, validates it once and scores it in Pauli
+coordinates in one numpy pass (protocol._outcomes); sampled mode tomographs
+the same Bloch vectors, every record of the pass in one tomography.tomograph
+call.
 """
 
 import json
@@ -51,7 +52,7 @@ class ExperimentRow:
 
 
 class Kind(NamedTuple):
-    factory: Callable[[float], np.ndarray]  # grid parameter -> a pure parent's ket, or a 4x4 density matrix
+    factory: Callable[[np.ndarray], np.ndarray]  # N grid parameters -> N pure parents' kets, or N 4x4 density matrices
     basis: Callable[[np.ndarray], np.ndarray]  # stack of factory outputs -> Alice's Bloch vectors
     bound: bool  # rows carry the quantum-incoherent bound
     header: str
@@ -98,7 +99,7 @@ class RunConfig:
             raise ValueError(f"epsilon_prep must be in [0, 1], got {self.epsilon_prep}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
-        object.__setattr__(self, "params", tuple(sorted(float(p) for p in self.params)))
+        object.__setattr__(self, "params", tuple(sorted(float(p) + 0.0 for p in self.params)))  # + 0.0: -0.0 is 0.0
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -144,7 +145,7 @@ def run_experiment(config: RunConfig) -> list[ExperimentRow]:
 
 def _run_points(config: RunConfig, start: int) -> list[ExperimentRow]:
     kind, eps, params = KINDS[config.kind], config.epsilon_prep, config.params[start : start + RUN_CHUNK]
-    made = np.stack([kind.factory(x) for x in params])
+    made = kind.factory(params)
     rho = qcore.projector(made) if made.ndim == 2 else made
     rho = (1.0 - eps) * rho + eps * np.eye(4, dtype=complex) / 4.0
     _, _, spectra, ok = qcore.density_defects(rho)

@@ -376,11 +376,40 @@ def test_cli_points_closer_than_grid_snap_are_usage_error():
     assert CliRunner().invoke(cli.main, ["pure1", "--points", "22.5,0,22.500000002"]).exit_code == 0
 
 
-@pytest.mark.parametrize("args", [["werner", "--points", "0.5"], ["fixtures", "--table", "3"]])
-def test_cli_unwritable_out_is_usage_error(tmp_path, args):
-    result = CliRunner().invoke(cli.main, args + ["--out", str(tmp_path / "missing" / "x.csv")])
-    assert result.exit_code == 2
-    assert "cannot write --out" in result.output
+@pytest.mark.parametrize(
+    "args",
+    [["werner", "--points", "0.5"], ["fixtures", "--table", "3"], ["werner", "--grid", "0:1:0.00001"], ["tomo-demo"]],
+)
+def test_cli_unwritable_out_is_usage_error(tmp_path, monkeypatch, args):
+    def no_work(*_):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "run_experiment", no_work)
+    monkeypatch.setattr(cli, "simulate_counts", no_work)
+    (tmp_path / "file").write_text("keep")
+    for out in (tmp_path / "missing" / "x.csv", tmp_path, tmp_path / "file" / "x.csv"):
+        result = CliRunner().invoke(cli.main, args + ["--out", str(out)])
+        assert result.exit_code == 2, out
+        assert f"cannot write --out {str(out)!r}: " in result.output
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "keep"
+
+
+def test_out_check_creates_and_truncates_nothing(tmp_path):
+    existing, new = tmp_path / "rows.csv", tmp_path / "new.csv"
+    existing.write_text("keep")
+    cli._check_out(str(existing))
+    cli._check_out(str(new))
+    assert existing.read_text() == "keep"
+    assert not new.exists()
+
+
+def test_negative_zero_parameter_reads_as_zero():
+    params = RunConfig(kind="family2", params=(10.0, -0.0)).params
+    assert params == (0.0, 10.0) and math.copysign(1.0, params[0]) == 1.0
+    negative = CliRunner().invoke(cli.main, ["pure2", "--points=-0.0"])
+    assert negative.exit_code == 0
+    assert negative.output == CliRunner().invoke(cli.main, ["pure2", "--points", "0"]).output
 
 
 def test_cli_fixtures_exit_codes_follow_tolerance():
@@ -504,8 +533,10 @@ def test_chunked_run_equals_one_pass(monkeypatch):
 
 
 def test_invalid_factory_state_names_parameter_and_exits_2(monkeypatch):
-    def factory(p):  # trace 1 and Hermitian, but with eigenvalue -0.1 at p = 0.5
-        return np.diag([0.5, 0.3, 0.3, -0.1]).astype(complex) if p == 0.5 else harness.states.make_werner(p)
+    def factory(params):  # a chunk's Werner stack, but trace 1 and Hermitian with eigenvalue -0.1 at p = 0.5
+        rho = harness.states.make_werner(params)
+        rho[np.asarray(params) == 0.5] = np.diag([0.5, 0.3, 0.3, -0.1])
+        return rho
 
     monkeypatch.setitem(harness.KINDS, "werner", harness.KINDS["werner"]._replace(factory=factory))
     with pytest.raises(qcore.InvalidStateError, match="parameter 0.5"):

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from cohdist import qcore
+from cohdist import cli, qcore
 from cohdist.coherence import rel_entropy_coherence
 from cohdist.states import (
     depolarize,
@@ -44,6 +45,52 @@ def test_family2_amplitudes_on_grid():
         t2 = math.radians(2 * theta)
         c, s = math.cos(t2), math.sin(t2)
         assert np.allclose(family2(theta), np.array([c, c, s, -s]) / math.sqrt(2), atol=1e-15)
+
+
+_RNG = np.random.default_rng(71)
+STACK_THETAS = np.concatenate([[0.0, 22.5, 45.0], _RNG.uniform(0.0, 45.0, 500)])
+STACK_PS = np.concatenate([[0.0, 1.0 / 3.0, 1.0], _RNG.uniform(0.0, 1.0, 500)])
+
+
+def test_single_states_round_as_scalar_formulas():
+    for theta in STACK_THETAS.tolist():
+        t2 = math.radians(2.0 * theta)
+        c, s = math.cos(t2), math.sin(t2)
+        assert np.array_equal(family1(theta).view(float), np.array([c, 0, 0, s], dtype=complex).view(float))
+        want = np.array([c, c, s, -s], dtype=complex) / math.sqrt(2.0)
+        assert np.array_equal(family2(theta).view(float), want.view(float))
+    for p in STACK_PS.tolist():
+        want = p * qcore.projector(singlet()) + (1.0 - p) * np.eye(4, dtype=complex) / 4.0
+        assert np.array_equal(make_werner(p).view(float), want.view(float))
+
+
+def test_stacks_equal_single_states():
+    for factory, grid in ((family1, STACK_THETAS), (family2, STACK_THETAS), (make_werner, STACK_PS)):
+        stack = factory(grid)
+        singles = np.stack([factory(x) for x in grid.tolist()])
+        assert stack.shape == singles.shape == (len(grid),) + factory(0.0).shape
+        assert np.array_equal(stack.view(float), singles.view(float)), factory.__name__
+
+
+def _error(factory, arg) -> str:
+    with pytest.raises(ValueError) as info:
+        factory(arg)
+    return str(info.value)
+
+
+def test_stack_error_names_first_bad_parameter():
+    nan, inf = float("nan"), float("inf")
+    bad = {family1: (nan, inf, -1.0, 46.0), family2: (nan, inf, -1.0, 46.0), make_werner: (nan, inf, -1.0, 1.5)}
+    for factory, values in bad.items():
+        for i, first in enumerate(values):
+            sequence = [0.0, first, 0.25] + list(values[:i] + values[i + 1:])
+            message = _error(factory, sequence)
+            assert message == _error(factory, first), (factory.__name__, sequence)
+            assert message.endswith(f"got {first}")
+    for args in (["pure1", "--points", "0,nan"], ["pure2", "--points", "10,46"], ["werner", "--points", "0.5,1.5"]):
+        result = CliRunner().invoke(cli.main, args)
+        assert result.exit_code == 2, args
+        assert "must be in" in result.output
 
 
 def test_make_pure_dispatch_and_errors():
