@@ -9,7 +9,7 @@ harness that regenerates theory curves and scores the bundled experimental
 reference tables.
 """
 
-__version__ = "0.1.1"
+__version__ = "0.2.0"
 
 from .coherence import (
     CoaResult,

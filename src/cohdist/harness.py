@@ -164,10 +164,8 @@ def _run_points(config: RunConfig, start: int) -> list[ExperimentRow]:
         blochs = np.stack([b] + [r for _, r in outcomes])[target, point]
         streams = derive_stream(config.seed, (start + point).astype(np.uint64), target.astype(np.uint64))
         est, _ = tomograph(blochs, config.shots_per_basis, streams)
-        # r_z as read off the estimate's matrix (I + r.sigma) / 2, whose diagonal rounds
-        est[:, 2] = (1.0 + est[:, 2]) / 2.0 - (1.0 - est[:, 2]) / 2.0
         c_r = np.zeros((3, len(params)))
-        c_r[target, point] = protocol._qubit_coherence(est, libm=True)
+        c_r[target, point] = protocol._qubit_coherence(est)
         before_sim, after_sim = c_r[0].tolist(), (outcomes[0][0] * c_r[1] + outcomes[1][0] * c_r[2]).tolist()
     return [
         ExperimentRow(param, before[i], before_sim[i], after[i], after_sim[i], after_sim[i] - before_sim[i], bounds[i])

@@ -26,7 +26,6 @@ the dense search this replaced; the value and the |n_z| accuracy do not.
 import math
 import numbers
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -212,19 +211,16 @@ def _pauli_coordinates(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return r[..., 1:, 0], r[..., 0, 1:], r[..., 1:, 1:]
 
 
-def _qubit_entropy(u, log2=np.log2):
+def _qubit_entropy(u):
     """Entropy in bits of the spectrum ((1 + u) / 2, (1 - u) / 2), elementwise; |u| is clipped to 1."""
     u = np.minimum(np.abs(u), 1.0)
     hi, lo = (1.0 + u) / 2.0, (1.0 - u) / 2.0
-    return -(hi * log2(hi) + lo * log2(np.where(lo > 0.0, lo, 1.0)))
+    return -(hi * np.log2(hi) + lo * np.log2(np.where(lo > 0.0, lo, 1.0)))
 
 
-def _qubit_coherence(r, libm: bool = False):
-    """C_r of the qubit with Bloch vector r[..., :], elementwise; libm=True rounds as math.log2 and math.hypot do."""
-    if not libm:
-        return _qubit_entropy(r[..., 2]) - _qubit_entropy(np.linalg.norm(r, axis=-1))
-    log2 = partial(qcore.libm, math.log2)
-    return _qubit_entropy(r[..., 2], log2) - _qubit_entropy(qcore.libm(math.hypot, r[..., 0], r[..., 1], r[..., 2]), log2)
+def _qubit_coherence(r):
+    """C_r of the qubit with Bloch vector r[..., :], elementwise."""
+    return _qubit_entropy(r[..., 2]) - _qubit_entropy(np.linalg.norm(r, axis=-1))
 
 
 def _outcomes(n: np.ndarray, a, b, t) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -3,18 +3,20 @@ reconstruction by linear inversion and by closed-form maximum likelihood.
 
 Every stage works on a stack of records: `tomograph` takes all of a curve's
 Bloch vectors in one call, and simulate_counts, binomial_draw and
-reconstruct_mle wrap the same kernels for one record.  Their transcendental
-calls go through libm (qcore.libm), so a stack rounds as one record does.
+reconstruct_mle wrap the same kernels for one record.  The sampler's
+transcendental calls go through libm (qcore.libm, in _phi), so its counts
+for a stack are those of one record.
 
 Maximum likelihood
 ------------------
 The Pauli likelihood separates by axis, so the qubit MLE is closed-form (see
-reconstruct_mle); the records on the Bloch-sphere boundary bisect their
-multipliers in lockstep.  Newton steps seed each multiplier, and a record
-starts its bisection at the deepest bracket that two libm evaluations certify
-the bisection from [0, 3/2] reaches (see _mle_start), so every iterate and
-the step count are those of the bisection from scratch.  ESTIMATOR_ID names
-it in harness output metadata.
+reconstruct_mle) up to one multiplier per record on the Bloch-sphere
+boundary.  Those records solve for it in lockstep with a Newton iteration
+kept inside a bisection bracket, in numpy's arcsin and sin.  ESTIMATOR_ID
+names it in harness output metadata.  It replaced mle-closed-v1, a certified
+bisection, with the same counts; the estimates moved in the last bits.  They
+are bit-stable from run to run on one numpy build, but not across builds, and
+numpy's SIMD trig may round a stack and a single record differently.
 
 Reproducibility contract
 ------------------------
@@ -53,7 +55,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import qcore
 
 PRNG_ID = "splitmix64"
-ESTIMATOR_ID = "mle-closed-v1"
+ESTIMATOR_ID = "mle-newton-v2"
 BASES = ("X", "Y", "Z")
 SHOTS_MAX = 2**53  # counts and n p stay exact in float64
 SEED_LIMIT = 2**64  # seeds are integers in [0, SEED_LIMIT)
@@ -63,7 +65,7 @@ _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _INVERSION_MAX_SHOTS = 10_000
 _TAIL_BELOW, _TAIL_ABOVE = 800.0, 40.0  # Bernstein exponents of the inversion window (see the module docstring)
 _WINDOW_FLOATS = 2**14  # window elements per numpy pass, so the sampler's temporaries stay small
-# step cap for the MLE multiplier bisection, which needs at most 51 steps
+# step cap for the MLE multiplier search; bisection alone needs at most 51 steps
 MLE_MAX_STEPS = 100
 _ACKLAM = (  # numerators and denominators of _inverse_normal's central and tail regions
     [-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
@@ -75,9 +77,7 @@ _ACKLAM = (  # numerators and denominators of _inverse_normal's central and tail
     [7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996, 3.754408661907416, 1.0],
 )
 _QUANTILE_MARGIN = 2.0**-46  # times (1 + z^2) u: at least twice _phi's rounding error near Phi(z) = u
-_MLE_MARGIN = 2.0**-44  # times 1 + sum 1/sqrt(1 - s_k^2): ~4x the rounding error of two _excess values
-_MLE_DEPTH = 44  # deepest jump of the multiplier bisection; its brackets are exact floats
-_NEWTON_STEPS = 4  # Newton steps that seed the jump
+_NEWTON_GAIN = 0.5  # a Newton step on the MLE multiplier must shrink |h| this much while |h| > 1e-8, or the row bisects
 
 
 def mix64(x):
@@ -336,63 +336,22 @@ def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     return ReconstructionResult(state=state, method="linear", iterations=0, converged=True)
 
 
-def _axis_roots(s: np.ndarray, mu: np.ndarray, unit: bool, libm: bool = True) -> np.ndarray:
+def _axis_roots(s: np.ndarray, mu: np.ndarray, unit: bool) -> np.ndarray:
     """Bloch components r(mu) of the boundary MLE, elementwise; unit says whether any |s| is 1.
 
     For |s| < 1, r is the root in (-1, 1) of (1+s)/(1+r) - (1-s)/(1-r) = 2 mu r,
     which is the middle real root of the cubic mu r^3 - (1 + mu) r + s = 0.
     For |s| = 1 the cubic factors as (r - s)(mu r^2 + s mu r - 1): r stays
     pinned at s up to mu = 1/2, where the cubic has its only double root,
-    and follows the quadratic factor's root after that.  libm=False takes
-    numpy's asin and sin, which may differ in the last bit.
+    and follows the quadratic factor's root after that.
     """
     # trigonometric middle root, written as 2/a sin(arcsin(c)/3) so it has no cancellation as mu -> 0
     mu1 = 1.0 + mu
     a = np.sqrt(3.0 * mu / mu1)
-    c = np.maximum(-1.0, np.minimum(1.0, 1.5 * s * a / mu1))
-    if libm:
-        r = 2.0 / a * qcore.libm(math.sin, qcore.libm(math.asin, c) / 3.0)
-    else:
-        r = 2.0 / a * np.sin(np.arcsin(c) / 3.0)
+    r = 2.0 / a * np.sin(np.arcsin(np.maximum(-1.0, np.minimum(1.0, 1.5 * s * a / mu1))) / 3.0)
     if unit:
-        r = np.where(np.abs(s) == 1.0, np.where(mu <= 0.5, s, s * (np.sqrt(1.0 + 4.0 / mu) - 1.0) / 2.0), r)
+        r = np.where(np.abs(s) == 1.0, np.where(mu <= 0.5, s, s * (np.sqrt(1.0 + 4.0 / np.maximum(mu, 0.5)) - 1.0) / 2.0), r)
     return r
-
-
-def _excess(r: np.ndarray) -> np.ndarray:
-    """|r|^2 - 1 of each row, rounded as the bisection rounds it."""
-    q = r * r
-    return q[:, :1] + q[:, 1:2] + q[:, 2:] - 1.0
-
-
-def _mle_start(t: np.ndarray, unit: bool, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(depth, lo, hi) per row: a bracket the bisection of [0, 3/2] on _excess(_axis_roots(t, mu)) reaches at depth.
-
-    Newton steps on |r(mu)|^2 = 1 from mu = |t| - 1, with r' = (r - r^3) / (3 mu r^2 - 1 - mu) from
-    the cubic, seed mu0.  The deepest dyadic cell [lo, hi] of [0, 3/2] that holds mu0 +- delta (delta
-    scaled by the slope at mu0) is checked in libm: h(lo) > m and h(hi) < -m for h = _excess, where m
-    is tol plus a bound on h's rounding error, which grows as |t_k| -> 1 (asin near its double root).
-    |r(mu)| falls monotonically, so every midpoint the bisection meets on its way to [lo, hi] sends it
-    the same way and none stops it.  A row that fails the check starts at depth 0.
-    """
-    m = tol + _MLE_MARGIN * (1.0 + np.sum(1.0 / np.sqrt(np.where(np.abs(t) < 1.0, 1.0 - t * t, np.inf)), axis=1))
-    with np.errstate(all="ignore"):  # a seed that runs off the bracket only fails the check
-        mu = np.sqrt(np.vecdot(t, t))[:, None] - 1.0
-        for _ in range(_NEWTON_STEPS):
-            q = _axis_roots(t, mu, unit, libm=False) ** 2
-            h, slope = q.sum(axis=1) - 1.0, 2.0 * np.sum(q * (1.0 - q) / (3.0 * mu * q - 1.0 - mu), axis=1)
-            mu = np.clip(mu - (h / slope)[:, None], np.finfo(float).tiny, 1.5)
-        delta = 2.0 * (m + np.abs(h)) / np.abs(slope)
-        ends = np.stack([mu[:, 0] - delta, mu[:, 0] + delta]) * (2.0**_MLE_DEPTH / 1.5)  # in deepest cells
-        inside = (ends[0] >= 1.0) & (ends[1] < 2.0**_MLE_DEPTH)
-    first, last = np.where(inside, np.floor(ends), [[0.0], [2.0**_MLE_DEPTH - 1]]).astype(np.int64)
-    depth = _MLE_DEPTH - np.frexp((first ^ last).astype(float))[1]  # the leading bits the two cells share
-    width = np.ldexp(1.5, -depth)
-    lo = (first >> (_MLE_DEPTH - depth)) * width
-    hi = lo + width
-    h = _excess(_axis_roots(np.concatenate([t, t]), np.concatenate([np.where(lo > 0.0, lo, hi), hi])[:, None], unit))
-    ok = (lo > 0.0) & (h[: len(t), 0] > m) & (h[len(t) :, 0] < -m)
-    return np.where(ok, depth, 0), np.where(ok, lo, 0.0)[:, None], np.where(ok, hi, 1.5)[:, None]
 
 
 def _mle(plus: np.ndarray, shots: int) -> tuple[np.ndarray, np.ndarray]:
@@ -403,24 +362,32 @@ def _mle(plus: np.ndarray, shots: int) -> tuple[np.ndarray, np.ndarray]:
     if not rows.size:
         return s, steps
     t = s[rows]
-    unit, tol = bool((np.abs(t) == 1.0).any()), 4.0 * np.finfo(float).eps
-    depth, lo, hi = _mle_start(t, unit, tol)
-    while rows.size:
-        if (depth >= MLE_MAX_STEPS).any():
-            stuck = plus[rows[np.argmax(depth)]]
-            raise RuntimeError(f"MLE multiplier search did not converge in {MLE_MAX_STEPS} steps: {stuck} of {shots}")
-        depth += 1
-        mu = 0.5 * (lo + hi)
-        r = _axis_roots(t, mu, unit)
-        h = _excess(r)
-        out = h > 0.0
-        lo, hi = np.where(out, mu, lo), np.where(out, hi, mu)
-        done = ((np.abs(h) <= tol) | (hi - lo <= tol))[:, 0]
+    pinned = (np.abs(t) == 1.0).any(axis=1)
+    unit, tol = bool(pinned.any()), 4.0 * np.finfo(float).eps
+    # r(mu) ~ s / (1 + mu) gives |s| - 1, kept above 0 where sqrt rounds it to 0 (r(0) is 0/0);
+    # a unit axis stays pinned at s_k (so h > 0) up to mu = 1/2
+    mu = np.maximum(np.sqrt(np.vecdot(t, t)) - 1.0, np.finfo(float).tiny) + 0.5 * pinned
+    lo, hi, last = np.zeros_like(mu), np.full_like(mu, 1.5), np.full_like(mu, np.inf)
+    for step in range(1, MLE_MAX_STEPS + 1):
+        r = _axis_roots(t, mu[:, None], unit)
+        q = r * r
+        h = q.sum(axis=1) - 1.0
+        lo, hi = np.where(h > 0.0, mu, lo), np.where(h > 0.0, hi, mu)
+        a = np.abs(h)
+        with np.errstate(all="ignore"):  # a 0/0 slope at a unit axis's mu = 1/2 only sends the row to the midpoint
+            new = mu - h / (2.0 * np.sum(q * (1.0 - q) / (3.0 * mu[:, None] * q - 1.0 - mu[:, None]), axis=1))
+            newton = (lo < new) & (new < hi) & ((a <= 1e-8) | (a <= _NEWTON_GAIN * last))
+        new = np.where(newton, new, 0.5 * (lo + hi))
+        done = (a <= tol) | (np.abs(new - mu) <= tol)
         if done.any():
-            s[rows[done]] = r[done] / np.sqrt(h[done] + 1.0)
-            steps[rows[done]] = depth[done]
-            rows, t, lo, hi, depth = rows[~done], t[~done], lo[~done], hi[~done], depth[~done]
-    return s, steps
+            s[rows[done]] = r[done] / np.sqrt(h[done] + 1.0)[:, None]
+            steps[rows[done]] = step
+            keep = ~done
+            rows, t, lo, hi, new, a = rows[keep], t[keep], lo[keep], hi[keep], new[keep], a[keep]
+            if not rows.size:
+                return s, steps
+        mu, last = new, a
+    raise RuntimeError(f"MLE multiplier search did not converge in {MLE_MAX_STEPS} steps: {plus[rows[0]]} of {shots}")
 
 
 def reconstruct_mle(record: TomographyRecord) -> ReconstructionResult:
@@ -432,14 +399,13 @@ def reconstruct_mle(record: TomographyRecord) -> ReconstructionResult:
     mu = 2 lambda / N, r_k is the middle real root of
     mu r^3 - (1 + mu) r + s_k = 0 (trigonometric form), and |r(mu)| falls
     monotonically in mu on [0, 3/2], which brackets the multiplier.
-    Bisection on mu reaches |r| = 1 to rounding in at most 51 steps.  The
-    bisection starts at the bracket it would reach after its first K steps,
-    K from a Newton seed and certified by two libm evaluations with a margin
-    over their rounding (see _mle_start); a record that fails the check
-    bisects from [0, 3/2].  Either way every iterate is the same.
+    Newton steps on h(mu) = |r(mu)|^2 - 1, with r_k' = (r_k - r_k^3) / (3 mu r_k^2 - 1 - mu)
+    from the cubic, start at mu = |s| - 1 (above 0), plus 1/2 if some |s_k| = 1.  The sign of h
+    narrows the bracket; a step that leaves it, or that fails to shrink |h| by
+    _NEWTON_GAIN while |h| > 1e-8, takes the bracket's midpoint instead.  The solve
+    stops with r / |r| when |h| <= 4 eps or the step moves mu by at most 4 eps.
 
-    `iterations` counts the root steps, the K skipped ones included, so it is
-    the step count of the bisection from scratch; 0 in the interior.  RuntimeError
+    `iterations` counts the evaluations of r(mu), 0 in the interior.  RuntimeError
     is raised if the root-find has not converged in MLE_MAX_STEPS; the
     result is never an unconverged or blended iterate.  The tests check it
     against Hradil's iterative R-rho-R estimator (PRA 55, R1561, 1997).

@@ -6,10 +6,11 @@ the library code paths it is used to check.  The reference algorithms (the
 R-rho-R MLE, the eigenvalue-clipping linear inversion, the dense
 measurement map, the dense golden-section basis search, the zoom search
 without its early exit, the scalar pure-parent basis rule, the per-record
-scalar sampler and MLE, and the per-point dense runner) are the slow ones the library replaced with closed
-forms or batched numpy; the basis search and the runner measure through the
-dense map here (4x4 projectors, partial traces), not through the library's
-Pauli-coordinate closed form.
+scalar sampler, and the per-point dense runner) are the slow ones the
+library replaced with closed forms or batched numpy; the scalar MLE runs the
+library's guarded Newton solve one record at a time.  The basis search and
+the runner measure through the dense map here (4x4 projectors, partial
+traces), not through the library's Pauli-coordinate closed form.
 """
 
 import math
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from cohdist import harness, protocol, qcore, states
+from cohdist import harness, protocol, qcore, states, tomography
 from cohdist.coherence import qi_relative_entropy, rel_entropy_coherence
 from cohdist.harness import ExperimentRow
 from cohdist.protocol import (
@@ -344,7 +345,7 @@ def optimal_basis_pure_oracle(psi) -> MeasurementBasis:
     return MeasurementBasis(tuple(y_perp / norm))
 
 
-# --- the per-record scalar sampler and MLE that the batched tomography replaced ---
+# --- the per-record scalar sampler that the batched tomography replaced, and its MLE one record at a time ---
 
 def normal_quantile(u: float) -> float:
     """Bisection on Phi(z) = u: 100 halvings of [-40, 40], no early exit."""
@@ -418,29 +419,42 @@ def simulate_counts_oracle(rho: np.ndarray, shots: int, seed: int) -> Tomography
 
 
 def _axis_root(s: float, mu: float) -> float:
+    """tomography._axis_roots for one component, with numpy's arcsin and sin on a scalar."""
     if abs(s) == 1.0:
         return s if mu <= 0.5 else s * (math.sqrt(1.0 + 4.0 / mu) - 1.0) / 2.0
     a = math.sqrt(3.0 * mu / (1.0 + mu))
-    return 2.0 / a * math.sin(math.asin(max(-1.0, min(1.0, 1.5 * s * a / (1.0 + mu)))) / 3.0)
+    return 2.0 / a * float(np.sin(np.arcsin(max(-1.0, min(1.0, 1.5 * s * a / (1.0 + mu)))) / 3.0))
 
 
 def mle_oracle(record) -> tuple[np.ndarray, int]:
-    """(Bloch vector, root steps) of the closed-form MLE, one record at a time in scalar floats."""
+    """(Bloch vector, root steps) of the closed-form MLE, one record at a time in scalar floats.
+
+    The guarded Newton iteration of tomography._mle on |r(mu)|^2 = 1: from mu = |s| - 1, or the smallest
+    normal float if that rounds to 0 (+ 1/2 with a unit axis), take the Newton point mu - h / h' while it
+    stays inside the bracket [lo, hi] that h's sign keeps, and while it shrinks |h| by _NEWTON_GAIN
+    (or |h| <= 1e-8); else take the midpoint.
+    Stop when |h| <= 4 eps or the step moves mu by at most 4 eps.
+    """
     s = record.stokes()
-    steps = 0
-    if float(s @ s) > 1.0:
-        tol = 4.0 * np.finfo(float).eps
-        lo, hi, s = 0.0, 1.5, s.tolist()
-        while steps < MLE_MAX_STEPS:
-            steps += 1
-            mu = 0.5 * (lo + hi)
-            r = [_axis_root(sk, mu) for sk in s]
-            h = sum(rk * rk for rk in r) - 1.0
-            lo, hi = (mu, hi) if h > 0.0 else (lo, mu)
-            if abs(h) <= tol or hi - lo <= tol:
-                break
-        s = np.array(r) / math.sqrt(h + 1.0)
-    return s, steps
+    if float(s @ s) <= 1.0:
+        return s, 0
+    tol, s = 4.0 * np.finfo(float).eps, s.tolist()
+    mu = max(math.sqrt(sum(x * x for x in s)) - 1.0, float(np.finfo(float).tiny)) + (0.5 if 1.0 in map(abs, s) else 0.0)
+    lo, hi, last = 0.0, 1.5, math.inf
+    for steps in range(1, MLE_MAX_STEPS + 1):
+        r = [_axis_root(sk, mu) for sk in s]
+        h = sum(rk * rk for rk in r) - 1.0
+        lo, hi = (mu, hi) if h > 0.0 else (lo, mu)
+        try:  # a zero or 0/0 slope leaves the bracket, as numpy's inf and nan do
+            new = mu - h / (2.0 * sum(rk * rk * (1.0 - rk * rk) / (3.0 * mu * rk * rk - 1.0 - mu) for rk in r))
+        except ZeroDivisionError:
+            new = math.nan
+        if not (lo < new < hi and (abs(h) <= 1e-8 or abs(h) <= tomography._NEWTON_GAIN * last)):
+            new = 0.5 * (lo + hi)
+        if abs(h) <= tol or abs(new - mu) <= tol:
+            return np.array(r) / math.sqrt(h + 1.0), steps
+        mu, last = new, abs(h)
+    raise RuntimeError(f"MLE multiplier search did not converge in {MLE_MAX_STEPS} steps")
 
 
 def _qubit_entropy_at(u: float) -> float:
