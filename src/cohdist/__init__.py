@@ -9,7 +9,7 @@ harness that regenerates theory curves and scores the bundled experimental
 reference tables.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .coherence import (
     CoaResult,
@@ -58,8 +58,6 @@ from .harness import (
     RunConfig,
     compare_fixtures,
     parse_grid,
-    run_pure_experiment,
-    run_werner_experiment,
 )
 
 __all__ = [
@@ -102,8 +100,6 @@ __all__ = [
     "reconstruct_linear",
     "reconstruct_mle",
     "rel_entropy_coherence",
-    "run_pure_experiment",
-    "run_werner_experiment",
     "simulate_counts",
     "singlet",
     "tensor_product",

@@ -173,20 +173,6 @@ def _run_points(config: RunConfig, start: int) -> list[ExperimentRow]:
     ]
 
 
-def run_pure_experiment(config: RunConfig) -> list[ExperimentRow]:
-    """run_experiment for one of the pure families; any other kind is a ValueError."""
-    if config.kind not in ("family1", "family2"):
-        raise ValueError(f"run_pure_experiment needs family1 or family2, got {config.kind!r}")
-    return run_experiment(config)
-
-
-def run_werner_experiment(config: RunConfig) -> list[ExperimentRow]:
-    """run_experiment for the Werner family; any other kind is a ValueError."""
-    if config.kind != "werner":
-        raise ValueError(f"run_werner_experiment needs kind 'werner', got {config.kind!r}")
-    return run_experiment(config)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 

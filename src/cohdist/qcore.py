@@ -8,7 +8,6 @@ Conventions used throughout the package:
 * entropies are in bits (log base 2) and 0*log(0) = 0.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,12 +100,6 @@ def density_spectrum(rho, dim: int | None = None) -> tuple[np.ndarray, np.ndarra
 def ensure_density(rho, dim: int | None = None) -> np.ndarray:
     """Return rho as a complex array, or raise InvalidStateError."""
     return density_spectrum(rho, dim)[0]
-
-
-def libm(fn, *arrays) -> np.ndarray:
-    """fn of math elementwise over equal-shaped arrays: numpy's SIMD log2, asin and erfc can differ in the last bit."""
-    shape = arrays[0].shape
-    return np.fromiter(map(fn, *(a.ravel().tolist() for a in arrays)), float, math.prod(shape)).reshape(shape)
 
 
 def bloch_state(r) -> np.ndarray:

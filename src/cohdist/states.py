@@ -2,10 +2,12 @@
 
 family1, family2 and make_werner are stack-native: a scalar parameter gives
 one state, a (4,) ket or a (4, 4) density matrix, and a 1-d array of N
-parameters gives the (N, 4) or (N, 4, 4) stack from one numpy pass, with the
-bits of N single calls (cos and sin from libm, the angle rounded as
-math.radians(2.0 * t)). A parameter outside its range, nan and inf included,
-raises a ValueError naming the first such parameter.
+parameters gives the (N, 4) or (N, 4, 4) stack from one numpy pass (numpy's
+cos and sin, the angle rounded as math.radians(2.0 * t)). The bits are per
+numpy build, like the analytic path's; the tests check that a stack has the
+bits of N single calls and that cos and sin round as libm's. A parameter
+outside its range, nan and inf included, raises a ValueError naming the first
+such parameter.
 """
 
 import math
@@ -27,7 +29,7 @@ def _in_range(values, lo: float, hi: float, what: str) -> np.ndarray:
 def _cos_sin(theta_deg) -> tuple[np.ndarray, np.ndarray]:
     """(cos 2t, sin 2t) for each preparation angle t in [0, 45] degrees."""
     t2 = np.radians(2.0 * _in_range(theta_deg, 0.0, 45.0, "theta must be in [0, 45] degrees"))  # rounds as math.radians
-    return qcore.libm(math.cos, t2), qcore.libm(math.sin, t2)
+    return np.cos(t2), np.sin(t2)
 
 
 def family1(theta_deg) -> np.ndarray:

@@ -3,9 +3,7 @@ reconstruction by linear inversion and by closed-form maximum likelihood.
 
 Every stage works on a stack of records: `tomograph` takes all of a curve's
 Bloch vectors in one call, and simulate_counts, binomial_draw and
-reconstruct_mle wrap the same kernels for one record.  The sampler's
-transcendental calls go through libm (qcore.libm, in _phi), so its counts
-for a stack are those of one record.
+reconstruct_mle wrap the same kernels for one record.
 
 Maximum likelihood
 ------------------
@@ -25,20 +23,22 @@ stream element k is mix64(seed + (k+1) * 0x9E3779B97F4A7C15) where mix64 is
 the splitmix64 finalizer.  Uniform doubles are (u64 >> 11) * 2**-53.  Each
 Pauli basis uses its own stream derived as seed XOR mix64 of the basis index,
 and exactly one uniform is consumed per binomial draw, so identical
-(state, shots, seed) always give bit-identical counts.  Seeds are integers in
-[0, 2**64) and shots at most SHOTS_MAX.  The algorithm identifier PRNG_ID is
-recorded in harness output metadata.
+(state, shots, seed) give bit-identical counts on one numpy build.  Seeds are
+integers in [0, 2**64) and shots at most SHOTS_MAX.  The algorithm identifier
+PRNG_ID is recorded in harness output metadata.
 
 Axis k gives "+" with probability (1 + r_k) / 2 for the Bloch vector r.
 Binomial sampling uses exact CDF inversion (k = min{k : F(k) >= u}) for
 shots <= 10_000, with the pmf evaluated by the two-sided recurrence from the
 mode (Devroye, Non-Uniform Random Variate Generation, 1986, ch. X) and summed
 from 0, and the normal approximation with continuity correction
-k = floor(n p + z sigma + 1/2) above that, z from 100 halvings on Phi(z) = u.
-A draw takes that k from a closed-form z and a two-point check that the
-halvings end where the floor cannot change (see _normal_draws); a draw that
-fails the check runs the halvings.  Thresholds and methods are fixed so
-frozen golden counts stay valid, and the counts are the same bits either way.
+k = floor(n p + z sigma + 1/2) above that, z = Phi^-1(u) from a closed form
+and one Halley step in the lower tail (see _normal_draws).  This sampler,
+splitmix64-sampler-v2, moved splitmix64's counts only for uniforms within
+about 50 * 2**-53 of 1, where v1 inverted Phi rounded near 1.  Its exp, log
+and sqrt are numpy's, so counts are bit-stable run to run on one numpy build,
+not across builds.  Thresholds and methods are fixed so frozen golden counts
+stay valid.
 The inversion evaluates a window around the mode from Bernstein's tail bound:
 left of it every pmf term underflows to 0.0 (tail e^-800), right of it each
 term is under half an ulp of the running sum (tail e^-40), so the window's
@@ -54,7 +54,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import qcore
 
-PRNG_ID = "splitmix64"
+PRNG_ID = "splitmix64-sampler-v2"
 ESTIMATOR_ID = "mle-newton-v2"
 BASES = ("X", "Y", "Z")
 SHOTS_MAX = 2**53  # counts and n p stay exact in float64
@@ -76,7 +76,6 @@ _ACKLAM = (  # numerators and denominators of _inverse_normal's central and tail
      -2.549732539343734, 4.374664141464968, 2.938163982698783],
     [7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996, 3.754408661907416, 1.0],
 )
-_QUANTILE_MARGIN = 2.0**-46  # times (1 + z^2) u: at least twice _phi's rounding error near Phi(z) = u
 _NEWTON_GAIN = 0.5  # a Newton step on the MLE multiplier must shrink |h| this much while |h| > 1e-8, or the row bisects
 
 
@@ -184,63 +183,24 @@ def _window_cdf(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _normal_draws(n: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """floor(n p + z sigma + 1/2) in [0, n], z from 100 halvings of [-40, 40] on Phi(z) = u.
+    """floor(n p + z sigma + 1/2) in [0, n] with z = Phi^-1(u), from the lower tail v = min(u, 1 - u).
 
-    The draw needs z only as far as that floor does.  Each draw starts from the
-    closed-form z0 of _inverse_normal and checks two points a < z0 < b:
-    _phi(a) < u - m and _phi(b) >= u + m, where m is twice the rounding bound
-    of _phi (a few ulps from libm erfc, plus the rounding of its argument).
-    Every halving midpoint at or below a then moves lo and every one at or
-    above b moves hi, so the halvings end inside [a, b] (within 2**-80 when
-    they run out before lo and hi meet), and the floor at both ends agreeing
-    gives the draw.  A draw that fails either check takes the halvings.
+    1 - u is exact for u >= 1/2, and Phi(z) = erfc(-z / sqrt 2) / 2 has a small relative error for z <= 0:
+    one Halley step on Phi(z) = v from Acklam's z0 gives z to 2e-15 (2 ulps for |z| > 1); u > 1/2 takes -z.
     """
-
-    def floors(z, i=slice(None)):
-        return np.clip(np.floor(n * p[i] + z * np.sqrt(n * p[i] * (1.0 - p[i])) + 0.5), 0, n).astype(np.int64)
-
-    z = _inverse_normal(u)
-    margin = _QUANTILE_MARGIN * (1.0 + z * z) * u
-    half = 4e-9 * np.abs(z) + 4.0 * margin * math.sqrt(2.0 * math.pi) * np.exp(z * z / 2.0)
-    a, b = z - half, z + half
-    k = floors(a - 2.0**-80)
-    fall = np.flatnonzero((_phi(a) >= u - margin) | (_phi(b) < u + margin) | (floors(b + 2.0**-80) != k))
-    if fall.size:
-        k[fall] = floors(_bisect_quantiles(u[fall]), fall)
-    return k
+    v = np.minimum(u, 1.0 - u)
+    z = _inverse_normal(v)
+    phi = 0.5 * np.array([math.erfc(x) for x in (-z / math.sqrt(2.0)).tolist()])
+    t = (phi - v) * math.sqrt(2.0 * math.pi) * np.exp(z * z / 2.0)
+    z = np.copysign(z - t / (1.0 + z * t / 2.0), u - 0.5)
+    return np.clip(np.floor(n * p + z * np.sqrt(n * p * (1.0 - p)) + 0.5), 0, n).astype(np.int64)
 
 
-def _inverse_normal(u: np.ndarray) -> np.ndarray:
-    """Phi^-1(u) for 0 < u < 1 to a relative error below 1.15e-9 (P. J. Acklam's rational approximation)."""
+def _inverse_normal(v: np.ndarray) -> np.ndarray:
+    """Phi^-1(v) for 0 < v <= 1/2 to a relative error below 1.15e-9 (P. J. Acklam's rational approximation)."""
     a, b, c, d = _ACKLAM
-    q = u - 0.5
-    t = np.sqrt(-2.0 * np.log(np.minimum(u, 1.0 - u)))
-    central = q * np.polyval(a, q * q) / np.polyval(b, q * q)
-    return np.where(np.abs(q) <= 0.47575, central, np.copysign(np.polyval(c, t) / np.polyval(d, t), q))
-
-
-def _phi(z: np.ndarray) -> np.ndarray:
-    """The normal CDF as the halvings round it, through libm erfc."""
-    return 0.5 * qcore.libm(math.erfc, -z / math.sqrt(2.0))
-
-
-def _bisect_quantiles(u: np.ndarray) -> np.ndarray:
-    """z from 100 halvings of [-40, 40] on _phi(z) = u; a midpoint that rounds to an end stops its row."""
-    z, rows = np.empty_like(u), np.arange(u.size)
-    lo, hi = np.full_like(u, -40.0), np.full_like(u, 40.0)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        # a midpoint that rounds to an end leaves the bracket where it is for every later halving
-        moving = (mid != lo) & (mid != hi)
-        if not moving.all():
-            z[rows[~moving]] = mid[~moving]
-            rows, lo, hi, u, mid = rows[moving], lo[moving], hi[moving], u[moving], mid[moving]
-            if not rows.size:
-                break
-        below = _phi(mid) < u
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-    z[rows] = 0.5 * (lo + hi)
-    return z
+    q, t = v - 0.5, np.sqrt(-2.0 * np.log(v))
+    return np.where(v >= 0.02425, q * np.polyval(a, q * q) / np.polyval(b, q * q), np.polyval(c, t) / np.polyval(d, t))
 
 
 def _basis_uniforms(streams: np.ndarray) -> np.ndarray:

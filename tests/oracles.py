@@ -400,7 +400,7 @@ def binomial_draw_oracle(n: int, p: float, u: float) -> int:
         return n
     if n <= 10_000:
         return _binomial_inverse_cdf(u, n, p)
-    z = normal_quantile(u)
+    z = normal_quantile(u) if u <= 0.5 else -normal_quantile(1.0 - u)  # Phi rounds near 1, not near 0
     k = math.floor(n * p + z * math.sqrt(n * p * (1.0 - p)) + 0.5)
     return min(max(int(k), 0), n)
 

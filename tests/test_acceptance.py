@@ -12,7 +12,7 @@ from click.testing import CliRunner
 
 from cohdist import cli, qcore
 from cohdist.coherence import coa_closed_form, coa_numeric, qi_relative_entropy, rel_entropy_coherence
-from cohdist.harness import RunConfig, run_pure_experiment, run_werner_experiment
+from cohdist.harness import RunConfig, run_experiment
 from cohdist.fixtures import load_fixture
 from cohdist.protocol import MeasurementBasis, alice_measure, average_assisted_coherence, optimize_basis
 from cohdist.qcore import fidelity, negativity, partial_trace, projector
@@ -32,7 +32,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_1_family1_closed_form_curve():
-    rows = run_pure_experiment(RunConfig(kind="family1", params=THETA_GRID))
+    rows = run_experiment(RunConfig(kind="family1", params=THETA_GRID))
     worst = max(abs(r.cd_after_theory - oracles.family1_after(r.param)) for r in rows)
     bell = next(r for r in rows if r.param == 22.5)
     ok = worst <= 1e-9 and abs(bell.cd_after_theory - 1.0) <= 1e-9
@@ -40,7 +40,7 @@ def test_criterion_1_family1_closed_form_curve():
 
 
 def test_criterion_2_family2_consistency():
-    rows = run_pure_experiment(RunConfig(kind="family2", params=THETA_GRID))
+    rows = run_experiment(RunConfig(kind="family2", params=THETA_GRID))
     worst_before = max(abs(r.cd_before_theory - oracles.family2_before(r.param)) for r in rows)
     worst_after = max(abs(r.cd_after_theory - 1.0) for r in rows)
     ok = worst_before <= 1e-9 and worst_after <= 1e-9
@@ -49,7 +49,7 @@ def test_criterion_2_family2_consistency():
 
 def test_criterion_3_werner_closed_forms():
     params = tuple(sorted(set(WERNER_FIXTURE_PS) | {1.0}))
-    rows = run_werner_experiment(RunConfig(kind="werner", params=params))
+    rows = run_experiment(RunConfig(kind="werner", params=params))
     by_p = {r.param: r for r in rows}
     worst_after = max(abs(by_p[p].cd_after_theory - oracles.werner_after(p)) for p in WERNER_FIXTURE_PS)
     worst_bound = max(abs(by_p[p].bound_qi - oracles.werner_qi_bound(p)) for p in WERNER_FIXTURE_PS)
@@ -83,7 +83,7 @@ def test_criterion_5_entanglement_threshold():
     below = max(negativity(make_werner(p)) for p in np.linspace(0.0, 1.0 / 3.0, 40))
     above_ok = all(negativity(make_werner(p)) > 0.0 for p in (1.0 / 3.0 + 1e-6, 0.4, 0.7, 1.0))
     ps = (1e-3,) + tuple(np.linspace(0.01, 1.0, 25))
-    rows = run_werner_experiment(RunConfig(kind="werner", params=ps))
+    rows = run_experiment(RunConfig(kind="werner", params=ps))
     coherent_ok = all(r.cd_after_theory > 0.0 for r in rows)
     ok = below <= 1e-9 and above_ok and coherent_ok
     _report(
@@ -148,7 +148,7 @@ def test_criterion_8_mixing_monotonicity():
 
 def test_criterion_9_sampled_pipeline():
     cfg = RunConfig(kind="family1", params=(22.5,), mode="sampled", shots_per_basis=10**6, seed=42)
-    row = run_pure_experiment(cfg)[0]
+    row = run_experiment(cfg)[0]
     pipeline_ok = abs(row.cd_after_sim - 1.0) < 0.01
     rng = np.random.default_rng(424242)
     worst_fid = 1.0
@@ -156,7 +156,7 @@ def test_criterion_9_sampled_pipeline():
         rho = random_density(rng, 2)
         rec = simulate_counts(rho, 10**6, seed=derive_stream(99, k))
         worst_fid = min(worst_fid, fidelity(reconstruct_mle(rec).state, rho))
-    repeat_ok = run_pure_experiment(cfg)[0] == row
+    repeat_ok = run_experiment(cfg)[0] == row
     ok = pipeline_ok and worst_fid >= 0.999 and repeat_ok
     _report(
         "9",

@@ -21,8 +21,7 @@ from cohdist.harness import (
     parse_grid,
     parse_rows_csv,
     parse_rows_json,
-    run_pure_experiment,
-    run_werner_experiment,
+    run_experiment,
 )
 
 import oracles
@@ -32,9 +31,7 @@ THETA_GRID = tuple(2.5 * k for k in range(19))
 
 def _analytic(kind, params):
     cfg = RunConfig(kind=kind, params=tuple(params))
-    if kind == "werner":
-        return cfg, run_werner_experiment(cfg)
-    return cfg, run_pure_experiment(cfg)
+    return cfg, run_experiment(cfg)
 
 
 # --- grid parsing -------------------------------------------------------------
@@ -203,16 +200,16 @@ def test_werner_positive_for_tiny_p():
 
 def test_sampled_rows_are_deterministic():
     cfg = RunConfig(kind="family1", params=(10.0, 22.5), mode="sampled", shots_per_basis=2000, seed=7)
-    rows1 = run_pure_experiment(cfg)
-    rows2 = run_pure_experiment(cfg)
+    rows1 = run_experiment(cfg)
+    rows2 = run_experiment(cfg)
     assert rows1 == rows2
     for r in rows1:
         assert r.delta_sim == pytest.approx(r.cd_after_sim - r.cd_before_sim, abs=1e-12)
 
 
 def test_depolarized_preparation_lowers_after_value():
-    clean = run_pure_experiment(RunConfig(kind="family1", params=(22.5,)))[0]
-    noisy = run_pure_experiment(RunConfig(kind="family1", params=(22.5,), epsilon_prep=0.05))[0]
+    clean = run_experiment(RunConfig(kind="family1", params=(22.5,)))[0]
+    noisy = run_experiment(RunConfig(kind="family1", params=(22.5,), epsilon_prep=0.05))[0]
     assert noisy.cd_after_theory < clean.cd_after_theory
     assert noisy.cd_after_theory == pytest.approx(1.0 - oracles.h2(0.025), abs=1e-9)
 
@@ -242,7 +239,7 @@ def test_json_round_trip_is_exact():
     parsed_cfg, parsed_rows = parse_rows_json(text)
     assert parsed_rows == rows
     assert parsed_cfg["kind"] == "werner"
-    assert json.loads(text)["meta"]["prng"] == "splitmix64"
+    assert json.loads(text)["meta"]["prng"] == "splitmix64-sampler-v2"
     assert json.loads(text)["meta"]["estimator"] == "mle-newton-v2"
 
 
@@ -312,12 +309,12 @@ def test_compare_fixtures_zero_for_theory_equal_rows():
 
 
 def test_compare_fixtures_known_deviations():
-    report1 = compare_fixtures(1, run_pure_experiment(fixture_run_config(1)))
+    report1 = compare_fixtures(1, run_experiment(fixture_run_config(1)))
     dev10 = {r.param: r for r in report1.rows}[10.0].deviation[1]
     assert dev10 == pytest.approx(abs(0.553 - oracles.family1_after(10.0)), abs=1e-12)
     assert dev10 == pytest.approx(0.0324, abs=1e-3)
 
-    report3 = compare_fixtures(3, run_werner_experiment(fixture_run_config(3)))
+    report3 = compare_fixtures(3, run_experiment(fixture_run_config(3)))
     dev895 = {r.param: r for r in report3.rows}[0.895].deviation[1]
     assert dev895 == pytest.approx(abs(0.735 - oracles.werner_after(0.895)), abs=1e-12)
     assert dev895 == pytest.approx(0.0319, abs=1e-3)
@@ -331,7 +328,7 @@ def test_compare_fixtures_grid_mismatch():
 
 
 def test_deviation_report_serializes():
-    report = compare_fixtures(3, run_werner_experiment(fixture_run_config(3)))
+    report = compare_fixtures(3, run_experiment(fixture_run_config(3)))
     csv_text = report.to_csv()
     assert csv_text.splitlines()[0].startswith("param,")
     payload = json.loads(report.to_json())
