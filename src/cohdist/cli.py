@@ -11,6 +11,7 @@ import click
 from . import __version__, qcore, states
 from .coherence import rel_entropy_coherence
 from .harness import (
+    META,
     RunConfig,
     compare_fixtures,
     emit_csv,
@@ -21,9 +22,7 @@ from .harness import (
     spaced,
 )
 from .protocol import alice_measure, optimal_basis_pure
-from .tomography import (
-    ESTIMATOR_ID, PRNG_ID, SEED_LIMIT, SHOTS_MAX, derive_stream, reconstruct_linear, reconstruct_mle, simulate_counts
-)
+from .tomography import SEED_LIMIT, SHOTS_MAX, derive_stream, reconstruct_linear, reconstruct_mle, simulate_counts
 
 _DEFAULT_GRIDS = {"family1": "0:45:2.5", "family2": "0:45:2.5", "werner": "0.05:0.95:0.05"}
 _SHOTS, _SEED = click.IntRange(1, SHOTS_MAX), click.IntRange(0, SEED_LIMIT - 1)
@@ -199,7 +198,7 @@ def tomo_demo(family, theta, shots, seed, fmt, out):
             "config": {"family": int(family), "theta_deg": theta, "shots": shots, "seed": seed},
             "basis_bloch": list(basis.bloch),
             "outcomes": results,
-            "meta": {"prng": PRNG_ID, "estimator": ESTIMATOR_ID, "version": __version__},
+            "meta": META,
         }
         _write(json.dumps(payload, indent=2) + "\n", out)
     else:

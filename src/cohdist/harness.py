@@ -11,9 +11,9 @@ for mixed states is unresolved and the harness must not claim it is.
 
 One runner serves every kind through the KINDS table: it builds a stack of
 grid states in one factory call, validates it once and scores it in Pauli
-coordinates in one numpy pass (protocol._outcomes); sampled mode tomographs
-the same Bloch vectors, every record of the pass in one tomography.tomograph
-call.
+coordinates in one numpy pass (protocol._outcomes), with Alice measuring
+along y for every kind; sampled mode tomographs the same Bloch vectors, every
+record of the pass in one tomography.tomograph call.
 """
 
 import json
@@ -31,6 +31,7 @@ from .tomography import ESTIMATOR_ID, PRNG_ID, SEED_LIMIT, SHOTS_MAX, derive_str
 GRID_SNAP = 1e-9
 GRID_MAX_POINTS = 1_000_000
 RUN_CHUNK = 4096  # grid points per numpy pass, so a long grid's temporaries stay small
+META = {"prng": PRNG_ID, "estimator": ESTIMATOR_ID, "version": __version__}  # the "meta" of every run's JSON output
 
 PURE_CSV_HEADER = "theta_deg,cd_before_theory,cd_before_sim,cd_after_theory,cd_after_sim,delta_sim"
 WERNER_CSV_HEADER = "p,cd_before_theory,cd_after_theory,cd_after_sim,bound_qi,delta_sim"
@@ -53,22 +54,20 @@ class ExperimentRow:
 
 class Kind(NamedTuple):
     factory: Callable[[np.ndarray], np.ndarray]  # N grid parameters -> N pure parents' kets, or N 4x4 density matrices
-    basis: Callable[[np.ndarray], np.ndarray]  # stack of factory outputs -> Alice's Bloch vectors
-    bound: bool  # rows carry the quantum-incoherent bound
     header: str
-    columns: tuple[str, ...]  # ExperimentRow fields in CSV order
+    columns: tuple[str, ...]  # ExperimentRow fields in CSV order; rows carry bound_qi exactly when it is among them
 
 
 _PURE_COLUMNS = ("param", "cd_before_theory", "cd_before_sim", "cd_after_theory", "cd_after_sim", "delta_sim")
 _WERNER_COLUMNS = ("param", "cd_before_theory", "cd_after_theory", "cd_after_sim", "bound_qi", "delta_sim")
 KINDS = {
-    "family1": Kind(states.family1, protocol.optimal_blochs_pure, False, PURE_CSV_HEADER, _PURE_COLUMNS),
-    "family2": Kind(states.family2, protocol.optimal_blochs_pure, False, PURE_CSV_HEADER, _PURE_COLUMNS),
-    # Alice measures |y+->, |y--> at every p (the Werner value is phase independent)
-    "werner": Kind(
-        states.make_werner, lambda m: np.tile([0.0, 1.0, 0.0], (len(m), 1)), True, WERNER_CSV_HEADER, _WERNER_COLUMNS
-    ),
+    "family1": Kind(states.family1, PURE_CSV_HEADER, _PURE_COLUMNS),
+    "family2": Kind(states.family2, PURE_CSV_HEADER, _PURE_COLUMNS),
+    "werner": Kind(states.make_werner, WERNER_CSV_HEADER, _WERNER_COLUMNS),
 }
+# Alice measures |y+->, |y-> for every kind: for a pure family it is the ideal parent's optimal basis
+# (protocol.optimal_basis_pure) at every theta, and the Werner value does not depend on the phase
+ALICE_BLOCH = np.array([0.0, 1.0, 0.0])
 _COLUMNS_BY_HEADER = {kind.header: kind.columns for kind in KINDS.values()}
 _FIELDS = tuple(f.name for f in fields(ExperimentRow))
 
@@ -91,15 +90,18 @@ class RunConfig:
             raise ValueError(f"mode must be 'analytic' or 'sampled', got {self.mode!r}")
         if not self.params:
             raise ValueError("parameter grid is empty")
-        if self.mode == "sampled" and not 1 <= self.shots_per_basis <= SHOTS_MAX:
-            raise ValueError(f"shots_per_basis must be in [1, {SHOTS_MAX}] in sampled mode, got {self.shots_per_basis}")
-        if not 0 <= self.seed < SEED_LIMIT:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed}")
+        shots, seed = qcore.as_int("shots_per_basis", self.shots_per_basis), qcore.as_int("seed", self.seed)
+        if self.mode == "sampled" and not 1 <= shots <= SHOTS_MAX:
+            raise ValueError(f"shots_per_basis must be in [1, {SHOTS_MAX}] in sampled mode, got {shots}")
+        if not 0 <= seed < SEED_LIMIT:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
         if not 0.0 <= self.epsilon_prep <= 1.0:
             raise ValueError(f"epsilon_prep must be in [0, 1], got {self.epsilon_prep}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
         object.__setattr__(self, "params", tuple(sorted(float(p) + 0.0 for p in self.params)))  # + 0.0: -0.0 is 0.0
+        object.__setattr__(self, "shots_per_basis", shots)  # a numpy integer is stored as int
+        object.__setattr__(self, "seed", seed)
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -154,10 +156,10 @@ def _run_points(config: RunConfig, start: int) -> list[ExperimentRow]:
         report = qcore.validate_density(rho[i])
         raise qcore.InvalidStateError(f"invalid density matrix at parameter {params[i]}: {report}")
     a, b, t = protocol._pauli_coordinates(rho)
-    outcomes = [(p[:, 0], r[:, 0]) for p, r in protocol._outcomes(kind.basis(made)[:, None, :], a, b, t)]
+    outcomes = [(p[:, 0], r[:, 0]) for p, r in protocol._outcomes(ALICE_BLOCH[None], a, b, t)]
     before = protocol._qubit_coherence(b).tolist()
     after = sum(p * protocol._qubit_coherence(r) for p, r in outcomes).tolist()
-    bounds = qcore.qi_bound(rho, spectra).tolist() if kind.bound else [None] * len(params)
+    bounds = qcore.qi_bound(rho, spectra).tolist() if "bound_qi" in kind.columns else [None] * len(params)
     before_sim, after_sim = before, after
     if config.mode == "sampled":  # records: Bob's marginal (t = 0) and the outcomes t = 1, 2 with p > 0
         target, point = np.nonzero([np.ones(len(params), bool)] + [p > 0.0 for p, _ in outcomes])
@@ -188,11 +190,7 @@ def emit_csv(rows: list[ExperimentRow], kind: str) -> str:
 
 
 def emit_json(config: RunConfig, rows: list[ExperimentRow]) -> str:
-    payload = {
-        "config": asdict(config),
-        "rows": [asdict(r) for r in rows],
-        "meta": {"prng": PRNG_ID, "estimator": ESTIMATOR_ID, "version": __version__},
-    }
+    payload = {"config": asdict(config), "rows": [asdict(r) for r in rows], "meta": META}
     return json.dumps(payload, indent=2) + "\n"
 
 

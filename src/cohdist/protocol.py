@@ -15,8 +15,8 @@ p+- = (1 +- n.a) / 2 and leaves Bob with Bloch vectors
 r+- = (b +- T^t n) / (2 p+-); a qubit with Bloch vector r has
 C_r = h2((1 + r_z) / 2) - h2((1 + |r|) / 2).  That map (_outcomes) is the
 only one: alice_measure builds Bob's matrices from it, the harness scores a
-whole stack of states with it, one basis each, and the basis search scores
-the theta x phi grid and then each zoom lattice in one batched call apiece.
+whole stack of states with it along y, and the basis search scores the
+theta x phi grid and then each zoom lattice in one batched call apiece.
 
 On an exactly flat objective (the equator of a Werner state, a Bell state)
 the grid argmax is decided by rounding, so the returned phi may differ from
@@ -24,7 +24,6 @@ the dense search this replaced; the value and the |n_z| accuracy do not.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,20 +63,21 @@ class MeasurementBasis:
         st = math.sin(theta)
         return cls((st * math.cos(phi), st * math.sin(phi), math.cos(theta)))
 
-    @property
-    def angles(self) -> tuple[float, float]:
+    def _half_angles(self) -> tuple[float, float, complex]:
+        """(cos t/2, sin t/2, e^{i phi}) straight from the Bloch vector; the phase is 1 at the poles."""
         nx, ny, nz = self.bloch
-        return math.acos(min(max(nz, -1.0), 1.0)), math.atan2(ny, nx)
+        rho = math.hypot(nx, ny)
+        return math.sqrt((1.0 + nz) / 2.0), math.sqrt((1.0 - nz) / 2.0), complex(nx, ny) / rho if rho > 0.0 else 1.0
 
     @property
     def ket_plus(self) -> np.ndarray:
-        theta, phi = self.angles
-        return np.array([math.cos(theta / 2.0), math.sin(theta / 2.0) * np.exp(1j * phi)], dtype=complex)
+        c, s, phase = self._half_angles()
+        return np.array([c, s * phase], dtype=complex)
 
     @property
     def ket_minus(self) -> np.ndarray:
-        theta, phi = self.angles
-        return np.array([math.sin(theta / 2.0), -math.cos(theta / 2.0) * np.exp(1j * phi)], dtype=complex)
+        c, s, phase = self._half_angles()
+        return np.array([s, -c * phase], dtype=complex)
 
 
 def y_basis() -> MeasurementBasis:
@@ -135,49 +135,6 @@ def average_assisted_coherence(outcomes: OutcomeSet) -> float:
     return total
 
 
-def _canonical_direction(n: np.ndarray) -> np.ndarray:
-    # antipodal Bloch vectors describe the same basis; pick the representative
-    # with positive y, then positive x, then positive z
-    tol = 1e-12
-    x, y, z = n[..., 0], n[..., 1], n[..., 2]
-    flip = (y < -tol) | ((abs(y) <= tol) & ((x < -tol) | ((abs(x) <= tol) & (z < 0.0))))
-    return np.where(flip[..., None], -n, n)
-
-
-def _norm(v: np.ndarray) -> np.ndarray:
-    # np.linalg.norm along the last axis, through the same BLAS dot, so a stack and a single vector round alike
-    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
-
-
-def _pure_parent_directions(psis: np.ndarray) -> np.ndarray:
-    """optimal_basis_pure's Bloch direction for each unit vector psis[..., :], before the final normalization."""
-    alice = np.swapaxes(psis.reshape(*psis.shape[:-1], 2, 2), -1, -2)  # [..., k, :] = Alice's vector for Bob's |k>
-    norms = _norm(alice)
-    support = norms > 1e-9
-    a, b = np.moveaxis(alice / np.where(support, norms, 1.0)[..., None], -1, 0)
-    # Bloch vectors of the normalized Alice vectors, in numpy's scalar arithmetic (no fused multiply-add,
-    # |z| by hypot, x ** 2 by pow), so a stack rounds as the single-state rule always has
-    z = np.float_power(np.hypot(a.real, a.imag), 2.0) - np.float_power(np.hypot(b.real, b.imag), 2.0)
-    blochs = np.stack([2.0 * (a.real * b.real + a.imag * b.imag), 2.0 * (a.real * b.imag - a.imag * b.real), z], -1)
-    normal = np.cross(blochs[..., 0, :], blochs[..., 1, :])
-    normal_norm = _norm(normal)
-    spanned = support.all(axis=-1) & (normal_norm >= 1e-9)
-    normal = _canonical_direction(normal / np.where(spanned, normal_norm, 1.0)[..., None])
-    # degenerate: only one independent direction to be orthogonal to
-    n0 = np.where(support[..., :1], blochs[..., 0, :], blochs[..., 1, :])
-    y_perp = np.array([0.0, 1.0, 0.0]) - n0[..., 1:2] * n0
-    y_norm = _norm(y_perp)
-    on_y = y_norm < 1e-9  # n0 is +-y, prefer +x
-    y_perp = np.where(on_y[..., None], [1.0, 0.0, 0.0], y_perp / np.where(on_y, 1.0, y_norm)[..., None])
-    return np.where(spanned[..., None], normal, y_perp)
-
-
-def optimal_blochs_pure(psis) -> np.ndarray:
-    """optimal_basis_pure(psi).bloch, bit for bit, for each unit vector psi in a (..., 4) stack."""
-    n = _pure_parent_directions(np.asarray(psis, dtype=complex))
-    return n / _norm(n)[..., None] + 0.0  # as MeasurementBasis normalizes
-
-
 def optimal_basis_pure(psi_ab) -> MeasurementBasis:
     """Analytic optimal Alice basis for a pure two-qubit parent state.
 
@@ -185,20 +142,37 @@ def optimal_basis_pure(psi_ab) -> MeasurementBasis:
     the best von Neumann measurement is one that is unbiased against every
     (normalized, nonzero) Alice vector |Psi_k>, i.e. whose Bloch vector is
     orthogonal to theirs.  Both outcomes then leave Bob with coherence equal
-    to the entropy of his dephased marginal.
+    to the entropy of his dephased marginal.  Two independent Alice Bloch
+    vectors fix it as their normalized cross product; of its two signs (one
+    basis) the rule takes y > 0, then x > 0, then z >= 0.  For both of the
+    paper's pure families that is y at every theta, the basis the harness
+    measures along.
 
     When the Alice Bloch vectors are parallel or antiparallel the orthogonality
     constraint is a circle; the tie-break picks the unit vector orthogonal to
     the first Alice vector with maximal y component, preferring +x when the
-    Alice vector is +-y itself.  optimal_blochs_pure is the same rule on a
-    stack of states.
+    Alice vector is +-y itself.
     """
     psi = qcore.ensure_state_vector(psi_ab, dim=4)
-    return MeasurementBasis(tuple(_pure_parent_directions(psi)))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    blochs = []
+    for alice in psi.reshape(2, 2).T:  # Alice's vector for Bob's |H>, then |V>
+        norm = float(np.linalg.norm(alice))
+        if norm > 1e-9:
+            a, b = alice / norm
+            ab = np.conj(a) * b
+            blochs.append(np.array([2.0 * ab.real, 2.0 * ab.imag, abs(a) ** 2 - abs(b) ** 2]))
+    if len(blochs) == 2:
+        normal = np.cross(*blochs)
+        norm = float(np.linalg.norm(normal))
+        if norm >= 1e-9:
+            x, y, z = n = normal / norm
+            tol = 1e-12
+            flip = y < -tol or (abs(y) <= tol and (x < -tol or (abs(x) <= tol and z < 0.0)))
+            return MeasurementBasis(tuple(-n if flip else n))
+    n0 = blochs[0]
+    y_perp = np.array([0.0, 1.0, 0.0]) - n0[1] * n0
+    norm = float(np.linalg.norm(y_perp))
+    return MeasurementBasis(tuple(y_perp / norm) if norm >= 1e-9 else (1.0, 0.0, 0.0))
 
 
 def _pauli_coordinates(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -268,9 +242,9 @@ def _basis_search(rho: np.ndarray, grid_res: int, refine_iters: int):
     stops there.  Returns (basis, value, trace); trace holds
     ((theta, phi), value) of the running best after the grid and each round.
     """
-    if not _is_int(grid_res) or not 8 <= grid_res <= GRID_RES_MAX:
+    if not 8 <= qcore.as_int("grid_res", grid_res) <= GRID_RES_MAX:
         raise ValueError(f"grid_res must be an int in [8, {GRID_RES_MAX}], got {grid_res!r}")
-    if not _is_int(refine_iters) or refine_iters < 0:
+    if qcore.as_int("refine_iters", refine_iters) < 0:
         raise ValueError(f"refine_iters must be an int >= 0, got {refine_iters!r}")
     coords = _pauli_coordinates(rho)
     thetas, phis = np.linspace(0.0, math.pi / 2.0, grid_res), (2.0 * math.pi / grid_res) * np.arange(grid_res)

@@ -8,6 +8,7 @@ Conventions used throughout the package:
 * entropies are in bits (log base 2) and 0*log(0) = 0.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,13 @@ class ValidationReport:
     trace_defect: float
     min_eigenvalue: float
     ok: bool
+
+
+def as_int(name: str, value) -> int:
+    """value as a Python int if it is an integer (a numpy one too, not a bool); else a ValueError naming the field."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def projector(psi) -> np.ndarray:

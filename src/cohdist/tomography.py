@@ -118,6 +118,7 @@ def derive_stream(seed, *indices):
 
 def binomial_draw(n: int, p: float, stream: SplitMix64) -> int:
     """One Binomial(n, p) draw; consumes exactly one uniform from the stream."""
+    n = qcore.as_int("n", n)
     if not 0 <= n <= SHOTS_MAX:
         raise ValueError(f"n must be in [0, {SHOTS_MAX}], got {n}")
     return int(_binomial_draws(n, np.array([p], dtype=float), np.array([stream.next_float()]))[0])
@@ -266,6 +267,7 @@ def simulate_counts(rho, shots_per_basis: int, seed: int) -> TomographyRecord:
     derive_stream(seed, i); deterministic for fixed (rho, shots, seed).
     """
     rho = qcore.ensure_density(rho, dim=2)
+    shots_per_basis, seed = qcore.as_int("shots_per_basis", shots_per_basis), qcore.as_int("seed", seed)
     if not 1 <= shots_per_basis <= SHOTS_MAX:
         raise ValueError(f"shots_per_basis must be in [1, {SHOTS_MAX}], got {shots_per_basis}")
     stream = np.array([seed & _MASK], dtype=np.uint64)

@@ -318,7 +318,7 @@ def _canonical_direction(n: np.ndarray) -> np.ndarray:
 
 
 def optimal_basis_pure_oracle(psi) -> MeasurementBasis:
-    """The scalar pure-parent basis rule that optimal_basis_pure batched: a basis unbiased against Alice's vectors.
+    """The pure-parent basis rule of optimal_basis_pure, written apart: a basis unbiased against Alice's vectors.
 
     Alice's normalized vectors |Psi_k> for Bob's |k> (norm > 1e-9) give
     Bloch vectors; two independent ones give their canonical cross product,
@@ -517,7 +517,8 @@ def dense_run_oracle(config) -> list[ExperimentRow]:
 def per_record_sampled_oracle(config) -> list[ExperimentRow]:
     """The per-record sampled runner that run_experiment batched, on the runner's own Bloch vectors.
 
-    The analytic rows, then for each grid point g: Bob's marginal b on
+    Alice measures along y for every kind.  The analytic rows, then for
+    each grid point g: Bob's marginal b on
     stream (seed, g, 0) and each outcome t with p > 0 on (seed, g, t),
     one record at a time through _tomographed_cr's scalar sampler, MLE and
     scoring, weighted by the runner's outcome probabilities.
@@ -527,7 +528,7 @@ def per_record_sampled_oracle(config) -> list[ExperimentRow]:
     rho = made[:, :, None] * made[:, None, :].conj() if made.ndim == 2 else made
     rho = (1.0 - config.epsilon_prep) * rho + config.epsilon_prep * np.eye(4) / 4.0
     a, b, t = protocol._pauli_coordinates(rho)
-    outcomes = [(p[:, 0], r[:, 0]) for p, r in protocol._outcomes(kind.basis(made)[:, None, :], a, b, t)]
+    outcomes = [(p[:, 0], r[:, 0]) for p, r in protocol._outcomes(np.array([y_basis().bloch]), a, b, t)]
     rows = []
     for g, row in enumerate(harness.run_experiment(replace(config, mode="analytic"))):
         before = _tomographed_cr(qcore.bloch_state(b[g]), shots, derive_stream(config.seed, g, 0))

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import math
 from pathlib import Path
@@ -23,6 +24,7 @@ from cohdist.harness import (
     parse_rows_json,
     run_experiment,
 )
+from cohdist.tomography import SplitMix64, binomial_draw, simulate_counts
 
 import oracles
 
@@ -131,6 +133,30 @@ def test_shots_and_seeds_outside_their_exact_ranges_are_usage_errors():
     assert "[0, 2^64)" in runner.invoke(cli.main, ["werner", "--help"]).output
 
 
+@pytest.mark.parametrize("value", [1.5, 1e4, 100000.0, True, "7"])
+def test_integer_fields_reject_other_values_naming_the_field(value):
+    for field in ("shots_per_basis", "seed"):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(kind="werner", params=(0.5,), mode="sampled", **{field: value})
+    with pytest.raises(ValueError, match="shots_per_basis"):
+        simulate_counts(np.eye(2) / 2, value, seed=1)
+    with pytest.raises(ValueError, match="seed"):
+        simulate_counts(np.eye(2) / 2, 100, seed=value)
+    with pytest.raises(ValueError, match="n must"):
+        binomial_draw(value, 0.5, SplitMix64(1))
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.uint64, np.int32])
+def test_numpy_integer_fields_are_stored_as_int(integer):
+    cfg = RunConfig(kind="werner", params=(0.5,), mode="sampled", shots_per_basis=integer(1000), seed=integer(3))
+    assert type(cfg.shots_per_basis) is int and type(cfg.seed) is int
+    plain = RunConfig(kind="werner", params=(0.5,), mode="sampled", shots_per_basis=1000, seed=3)
+    assert emit_json(cfg, run_experiment(cfg)) == emit_json(plain, run_experiment(plain))
+    record = simulate_counts(np.eye(2) / 2, integer(1000), seed=integer(3))
+    assert record == simulate_counts(np.eye(2) / 2, 1000, seed=3) and type(record.seed) is int
+    assert binomial_draw(integer(1000), 0.3, SplitMix64(3)) == binomial_draw(1000, 0.3, SplitMix64(3))
+
+
 # --- analytic rows --------------------------------------------------------------
 
 def test_pure1_analytic_key_points():
@@ -228,7 +254,7 @@ def test_csv_emit_parse_emit_idempotent():
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(sorted(harness.KINDS)), st.lists(st.lists(st.floats(), min_size=7, max_size=7), max_size=6))
 def test_csv_emit_parse_emit_is_a_fixed_point(kind, cells):
-    rows = [ExperimentRow(*c[:6], bound_qi=c[6] if harness.KINDS[kind].bound else None) for c in cells]
+    rows = [ExperimentRow(*c[:6], bound_qi=c[6] if "bound_qi" in harness.KINDS[kind].columns else None) for c in cells]
     text = emit_csv(rows, kind)
     assert emit_csv(parse_rows_csv(text), kind) == text
 
@@ -560,3 +586,12 @@ def test_harness_imports_nothing_from_coherence():
             assert node.module != "coherence" and "coherence" not in [a.name for a in node.names]
         if isinstance(node, ast.Import):
             assert all("coherence" not in a.name for a in node.names)
+
+
+def test_traced_layers_name_functions_that_exist():
+    # perfbench/layers.py wraps cohdist.<module>.<fn> in traced runs only, so a name deleted here would fail only there
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "layers.py").read_text())
+    layers = next(ast.literal_eval(n.value) for n in tree.body if isinstance(n, ast.Assign) and ast.unparse(n.targets[0]) == "LAYERS")
+    assert layers
+    for module, fn in layers:
+        assert hasattr(importlib.import_module(f"cohdist.{module}"), fn), f"cohdist.{module}.{fn}"

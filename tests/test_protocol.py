@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import cohdist
 from cohdist import protocol, qcore
 from cohdist.coherence import coa_closed_form, qi_relative_entropy, rel_entropy_coherence
+from cohdist.harness import parse_grid
 from cohdist.protocol import (
     MeasurementBasis,
     alice_measure,
@@ -30,8 +31,9 @@ from sampling import random_bloch, random_density, random_pure_state
 
 def test_basis_kets_orthonormal_and_on_bloch_axis():
     rng = np.random.default_rng(31)
-    for _ in range(50):
-        basis = MeasurementBasis(random_bloch(rng))
+    poles = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0)]  # +-z: the phase is 1 there
+    for bloch in poles + [random_bloch(rng) for _ in range(50)]:
+        basis = MeasurementBasis(bloch)
         plus, minus = basis.ket_plus, basis.ket_minus
         assert abs(np.vdot(plus, plus) - 1) < 1e-12
         assert abs(np.vdot(minus, minus) - 1) < 1e-12
@@ -187,14 +189,18 @@ def test_average_werner_phase_flatness():
 
 # --- optimal_basis_pure ------------------------------------------------------
 
+# the harness measures every kind along y; for the pure families that is exactly the ideal parent's optimal basis
+_FAMILY_THETAS = (0.0, 2.5, 10.0, 15.0, 22.5, 30.0, 35.0, 42.5, 45.0) + parse_grid("0:45:0.01")
+
+
 def test_optimal_basis_family1_is_y():
-    for theta in (2.5, 15.0, 30.0, 42.5):
-        assert optimal_basis_pure(family1(theta)).bloch == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
+    for theta in _FAMILY_THETAS:
+        assert optimal_basis_pure(family1(theta)).bloch == (0.0, 1.0, 0.0), theta
 
 
 def test_optimal_basis_family2_is_y():
-    for theta in (0.0, 10.0, 22.5, 35.0, 45.0):
-        assert optimal_basis_pure(family2(theta)).bloch == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
+    for theta in _FAMILY_THETAS:
+        assert optimal_basis_pure(family2(theta)).bloch == (0.0, 1.0, 0.0), theta
 
 
 def test_optimal_basis_degenerate_product_state():
@@ -230,7 +236,7 @@ def test_optimal_basis_rejects_zero_vector():
         optimal_basis_pure(np.zeros(4))
 
 
-def test_batched_basis_rule_is_bit_identical_to_scalar_rule():
+def test_basis_rule_is_bit_identical_to_scalar_oracle():
     rng = np.random.default_rng(38)
     psis = [random_pure_state(rng, 4) for _ in range(400)]
     # product states: Alice's vectors are parallel, or Bob's |V> (or |H>) carries no amplitude
@@ -246,12 +252,8 @@ def test_batched_basis_rule_is_bit_identical_to_scalar_rule():
             psis.append(np.kron(plane(t1), qcore.KET_H) + np.kron(plane(t2), qcore.KET_V))
     psis = [psi / np.linalg.norm(psi) for psi in psis]
     psis += [family1(t) for t in (0.0, 22.5, 45.0)] + [family2(t) for t in (0.0, 45.0)]
-    batched = protocol.optimal_blochs_pure(np.array(psis))
-    assert batched.shape == (len(psis), 3)
-    for psi, row in zip(psis, batched.tolist()):
-        scalar = optimal_basis_pure(psi).bloch
-        assert tuple(row) == scalar
-        assert scalar == oracles.optimal_basis_pure_oracle(psi).bloch
+    for psi in psis:
+        assert optimal_basis_pure(psi).bloch == oracles.optimal_basis_pure_oracle(psi).bloch
     assert optimal_basis_pure(np.kron(qcore.KET_Y_MINUS, qcore.KET_H)).bloch == (1.0, 0.0, 0.0)
 
 
