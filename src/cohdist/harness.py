@@ -19,7 +19,7 @@ record of the pass in one tomography.tomograph call.
 import json
 import math
 import operator
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -41,8 +41,7 @@ DEVIATION_CSV_HEADER = (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
+class ExperimentRow(NamedTuple):
     param: float
     cd_before_theory: float
     cd_before_sim: float
@@ -69,7 +68,6 @@ KINDS = {
 # (protocol.optimal_basis_pure) at every theta, and the Werner value does not depend on the phase
 ALICE_BLOCH = np.array([0.0, 1.0, 0.0])
 _COLUMNS_BY_HEADER = {kind.header: kind.columns for kind in KINDS.values()}
-_FIELDS = tuple(f.name for f in fields(ExperimentRow))
 
 
 @dataclass(frozen=True)
@@ -169,10 +167,8 @@ def _run_points(config: RunConfig, start: int) -> list[ExperimentRow]:
         c_r = np.zeros((3, len(params)))
         c_r[target, point] = protocol._qubit_coherence(est)
         before_sim, after_sim = c_r[0].tolist(), (outcomes[0][0] * c_r[1] + outcomes[1][0] * c_r[2]).tolist()
-    return [
-        ExperimentRow(param, before[i], before_sim[i], after[i], after_sim[i], after_sim[i] - before_sim[i], bounds[i])
-        for i, param in enumerate(params)
-    ]
+    delta = map(operator.sub, after_sim, before_sim)
+    return list(map(ExperimentRow, params, before, before_sim, after, after_sim, delta, bounds))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +186,7 @@ def emit_csv(rows: list[ExperimentRow], kind: str) -> str:
 
 
 def emit_json(config: RunConfig, rows: list[ExperimentRow]) -> str:
-    payload = {"config": asdict(config), "rows": [asdict(r) for r in rows], "meta": META}
+    payload = {"config": asdict(config), "rows": [r._asdict() for r in rows], "meta": META}
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -202,7 +198,7 @@ def parse_rows_csv(text: str) -> list[ExperimentRow]:
     columns = _COLUMNS_BY_HEADER[header]
     derive = "cd_before_sim" not in columns
     cells_of = columns + ("cd_before_sim",) * derive  # a row's cells, then the derived one
-    pick = operator.itemgetter(*(cells_of.index(f) for f in _FIELDS if f in cells_of))
+    pick = operator.itemgetter(*(cells_of.index(f) for f in ExperimentRow._fields if f in cells_of))
     after, delta = columns.index("cd_after_sim"), columns.index("delta_sim")
     rows = []
     for ln in body:

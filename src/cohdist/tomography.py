@@ -11,10 +11,9 @@ The Pauli likelihood separates by axis, so the qubit MLE is closed-form (see
 reconstruct_mle) up to one multiplier per record on the Bloch-sphere
 boundary.  Those records solve for it in lockstep with a Newton iteration
 kept inside a bisection bracket, in numpy's arcsin and sin.  ESTIMATOR_ID
-names it in harness output metadata.  It replaced mle-closed-v1, a certified
-bisection, with the same counts; the estimates moved in the last bits.  They
-are bit-stable from run to run on one numpy build, but not across builds, and
-numpy's SIMD trig may round a stack and a single record differently.
+names it in harness output metadata.  The estimates are bit-stable from run
+to run on one numpy build, but not across builds, and numpy's SIMD trig may
+round a stack and a single record differently.
 
 Reproducibility contract
 ------------------------
@@ -33,16 +32,15 @@ shots <= 10_000, with the pmf evaluated by the two-sided recurrence from the
 mode (Devroye, Non-Uniform Random Variate Generation, 1986, ch. X) and summed
 from 0, and the normal approximation with continuity correction
 k = floor(n p + z sigma + 1/2) above that, z = Phi^-1(u) from a closed form
-and one Halley step in the lower tail (see _normal_draws).  This sampler,
-splitmix64-sampler-v2, moved splitmix64's counts only for uniforms within
-about 50 * 2**-53 of 1, where v1 inverted Phi rounded near 1.  Its exp, log
-and sqrt are numpy's, so counts are bit-stable run to run on one numpy build,
-not across builds.  Thresholds and methods are fixed so frozen golden counts
-stay valid.
+and one Halley step in the lower tail (see _normal_draws).  The sampler's
+exp, log and sqrt are numpy's, so counts are bit-stable run to run on one
+numpy build, not across builds.  Thresholds and methods are fixed so frozen
+golden counts stay valid.
 The inversion evaluates a window around the mode from Bernstein's tail bound:
 left of it every pmf term underflows to 0.0 (tail e^-800), right of it each
 term is under half an ulp of the running sum (tail e^-40), so the window's
-CDF is the full-support one bit for bit.
+CDF is the full-support one bit for bit.  The draws of one p share one CDF
+row and one search over their uniforms.
 """
 
 import json
@@ -50,7 +48,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import qcore
 
@@ -117,27 +114,30 @@ def derive_stream(seed, *indices):
 
 
 def binomial_draw(n: int, p: float, stream: SplitMix64) -> int:
-    """One Binomial(n, p) draw; consumes exactly one uniform from the stream."""
+    """One Binomial(n, p) draw, 0 <= p <= 1; consumes exactly one uniform from the stream."""
     n = qcore.as_int("n", n)
     if not 0 <= n <= SHOTS_MAX:
         raise ValueError(f"n must be in [0, {SHOTS_MAX}], got {n}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
     return int(_binomial_draws(n, np.array([p], dtype=float), np.array([stream.next_float()]))[0])
 
 
 def _binomial_draws(n: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Binomial(n, p[i]) by inversion of the uniform u[i], for 1-d p and u (see the module docstring)."""
-    u, p = np.maximum(u, 2.0**-53), np.clip(p, 0.0, 1.0)
+    u, p = np.maximum(u, 2.0**-53), np.clip(p, 0.0, 1.0)  # states pass validation to 1e-10, so p may sit just outside [0, 1]
     k = np.where(p == 1.0, n, 0)
     live = np.flatnonzero((p > 0.0) & (p < 1.0) & (n > 0))
     if n > _INVERSION_MAX_SHOTS:
         k[live] = _normal_draws(n, p[live], u[live])
         return k
-    ps, which = np.unique(p[live], return_inverse=True)  # draws with one p share its CDF
+    live = live[np.argsort(p[live], kind="stable")]  # sorted by p: the draws of one p are one run and share its CDF
+    ps, first = np.unique(p[live], return_index=True)
+    runs = np.split(live, first[1:])
     rows = max(1, _WINDOW_FLOATS // (sum(_window(n, np.array([0.5]))[1:]) + 1))  # about the widest window, p = 1/2's
     for i in range(0, ps.size, rows):
-        k0, cdf = _window_cdf(n, ps[i : i + rows])
-        mine = np.flatnonzero((which >= i) & (which < i + rows))
-        k[live[mine]] = [k0[j] + np.searchsorted(cdf[j], v) for j, v in zip(which[mine] - i, u[live[mine]].tolist())]
+        for k0, row, run in zip(*_window_cdf(n, ps[i : i + rows]), runs[i : i + rows]):
+            k[run] = k0 + np.searchsorted(row, u[run])
     return k
 
 
@@ -154,7 +154,7 @@ def _window(n: int, p: np.ndarray) -> tuple[np.ndarray, int, int]:
 def _window_cdf(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(k0, cdf): cdf[i, j] is the full-support F(k0[i] + j) of Binomial(n, p[i]), 0 < p < 1, bit for bit.
 
-    The block spans the rows' widest window; a row's terms outside its own are the full support's too.
+    Each row spans the block's widest window from its own mode; its terms past its own window are the full support's.
     """
     mode, wl, wr = _window(n, p)
     lg = math.lgamma
@@ -162,17 +162,12 @@ def _window_cdf(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         math.exp(lg(n + 1) - lg(m + 1) - lg(n - m + 1) + m * math.log(x) + (n - m) * math.log1p(-x))
         for m, x in zip(mode.tolist(), p.tolist())
     ]
-    # pmf(k -+ 1) / pmf(k) is down[hi - k] (1 - p) / p or up[k - lo] p / (1 - p) over the k the rows reach,
-    # 0 off the support; pmf runs as their products away from the mode
-    lo, hi = int(mode.min()), int(mode.max())
-    k = np.arange(max(lo - wl + 1, 0), hi + 1.0)
-    down = np.concatenate([(k / (n - k + 1.0))[::-1], np.zeros(wl)])
-    k = np.arange(lo, min(hi + wr - 1, n) + 1.0)
-    up = np.concatenate([(n - k) / (k + 1.0), np.zeros(wr)])
+    # the ratios pmf(k -+ 1) / pmf(k) outward from each row's own mode, 0 off the support; pmf is their products
     odds = np.divide(1.0 - p, p, out=np.zeros_like(p), where=mode > 0)  # no terms left of a mode at 0
-    below, above = sliding_window_view(down, wl)[hi - mode], sliding_window_view(up, wr)[mode - lo]
-    below *= odds[:, None]
-    above *= (p / (1.0 - p))[:, None]
+    k = mode[:, None] - np.arange(wl)
+    below = np.maximum(k, 0) / (n - k + 1.0) * odds[:, None]
+    k = mode[:, None] + np.arange(wr)
+    above = np.maximum(n - k, 0) / (k + 1.0) * (p / (1.0 - p))[:, None]
     cdf = np.empty((p.size, wl + 1 + wr))
     np.cumprod(below, axis=1, out=cdf[:, wl - 1 :: -1])
     np.cumprod(above, axis=1, out=cdf[:, wl + 1 :])
@@ -270,7 +265,9 @@ def simulate_counts(rho, shots_per_basis: int, seed: int) -> TomographyRecord:
     shots_per_basis, seed = qcore.as_int("shots_per_basis", shots_per_basis), qcore.as_int("seed", seed)
     if not 1 <= shots_per_basis <= SHOTS_MAX:
         raise ValueError(f"shots_per_basis must be in [1, {SHOTS_MAX}], got {shots_per_basis}")
-    stream = np.array([seed & _MASK], dtype=np.uint64)
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+    stream = np.array([seed], dtype=np.uint64)
     plus = _pauli_counts(qcore.bloch_vector(rho)[None], shots_per_basis, stream)[0].tolist()
     counts = {b: (k, shots_per_basis - k) for b, k in zip(BASES, plus)}
     return TomographyRecord(shots_per_basis=shots_per_basis, seed=seed, counts=counts)

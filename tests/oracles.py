@@ -537,5 +537,5 @@ def per_record_sampled_oracle(config) -> list[ExperimentRow]:
             for s, (p, r) in enumerate(outcomes, 1)
             if p[g] > 0.0
         )
-        rows.append(replace(row, cd_before_sim=before, cd_after_sim=after, delta_sim=after - before))
+        rows.append(row._replace(cd_before_sim=before, cd_after_sim=after, delta_sim=after - before))
     return rows

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohdist import cli, coherence, harness, protocol, qcore, states
+from cohdist import __version__, cli, coherence, harness, protocol, qcore, states
 from cohdist.fixtures import load_fixture
 from cohdist.harness import (
     ExperimentRow,
@@ -118,6 +118,8 @@ def test_shots_and_seeds_outside_their_exact_ranges_are_usage_errors():
     for seed in (-5, 2**64, 2**64 + 5):
         with pytest.raises(ValueError, match="seed"):
             RunConfig(kind="werner", params=(0.5,), seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            simulate_counts(np.eye(2) / 2, 100, seed=seed)
     with pytest.raises(ValueError, match="shots"):
         RunConfig(kind="werner", params=(0.5,), mode="sampled", shots_per_basis=shots_max + 1)
     RunConfig(kind="werner", params=(0.5,), mode="sampled", shots_per_basis=shots_max, seed=2**64 - 1)
@@ -267,6 +269,13 @@ def test_json_round_trip_is_exact():
     assert parsed_cfg["kind"] == "werner"
     assert json.loads(text)["meta"]["prng"] == "splitmix64-sampler-v2"
     assert json.loads(text)["meta"]["estimator"] == "mle-newton-v2"
+
+
+def test_package_version_matches_pyproject():
+    # meta.version is cohdist.__version__, and a version bump must change pyproject.toml with it
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["version"] == __version__ == harness.META["version"]
 
 
 def test_csv_rejects_unknown_header():

@@ -95,6 +95,9 @@ def test_binomial_inversion_stable_at_large_counts():
 def test_binomial_degenerate_probabilities():
     assert binomial_draw(100, 0.0, _FixedStream(0.7)) == 0
     assert binomial_draw(100, 1.0, _FixedStream(0.7)) == 100
+    for p in (math.nan, 1.5, -0.2, -1e-300, 1.0 + 2.0**-52):
+        with pytest.raises(ValueError, match="p must"):
+            binomial_draw(100, p, _FixedStream(0.7))
 
 
 def test_binomial_normal_path_quantiles():
@@ -106,7 +109,7 @@ def test_binomial_normal_path_quantiles():
 
 
 def _edge_triples():
-    """(n, p, u) over the sampler's edges, then skewed random triples, 10_050 in all."""
+    """(n, p, u) over the sampler's edges, skewed random triples, then shuffled blocks of shared p, ~11k in all."""
     triples = [(n, p, u) for n in (1, 2, 10_000, 10_001, 10**6) for p in (1e-12, 1e-6, 1 - 1e-6, 0.0, 1.0)
                for u in (2.0**-53, 1 - 2.0**-53)]
     rng = np.random.default_rng(71)
@@ -115,6 +118,11 @@ def _edge_triples():
         p = float(rng.choice([rng.uniform(), 10 ** rng.uniform(-14, 0), 1 - 10 ** rng.uniform(-14, 0), 0.5, 1e-12]))
         u = float(rng.choice([rng.uniform(), 10 ** rng.uniform(-16, 0), 1 - 10 ** rng.uniform(-16, 0), 2.0**-53, 0.5]))
         triples.append((n, p, u))
+    for n in (100, 10_000):  # ~40 p drawn 5 to 20 times each: the draws group by p, at 10_000 over several passes
+        ps = np.concatenate([rng.uniform(size=30), 10 ** rng.uniform(-14, 0, 5), 1 - 10 ** rng.uniform(-14, 0, 5)])
+        block = [(n, p, float(rng.uniform())) for p in ps.tolist() for _ in range(int(rng.integers(5, 21)))]
+        rng.shuffle(block)
+        triples += block
     return triples
 
 
