@@ -9,7 +9,7 @@ harness that regenerates theory curves and scores the bundled experimental
 reference tables.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .coherence import (
     CoaResult,

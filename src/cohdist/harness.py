@@ -18,6 +18,7 @@ record of the pass in one tomography.tomograph call.
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
@@ -93,13 +94,15 @@ class RunConfig:
             raise ValueError(f"shots_per_basis must be in [1, {SHOTS_MAX}] in sampled mode, got {shots}")
         if not 0 <= seed < SEED_LIMIT:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
-        if not 0.0 <= self.epsilon_prep <= 1.0:
-            raise ValueError(f"epsilon_prep must be in [0, 1], got {self.epsilon_prep}")
+        eps = self.epsilon_prep
+        if not isinstance(eps, numbers.Real) or isinstance(eps, bool) or not 0.0 <= eps <= 1.0:  # nan is out of range
+            raise ValueError(f"epsilon_prep must be a real number in [0, 1], got {eps!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
         object.__setattr__(self, "params", tuple(sorted(float(p) + 0.0 for p in self.params)))  # + 0.0: -0.0 is 0.0
         object.__setattr__(self, "shots_per_basis", shots)  # a numpy integer is stored as int
         object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "epsilon_prep", float(eps))  # a numpy float is stored as float, and 1 as 1.0
 
 
 def parse_grid(text: str) -> tuple[float, ...]:
@@ -186,7 +189,7 @@ def emit_csv(rows: list[ExperimentRow], kind: str) -> str:
 
 
 def emit_json(config: RunConfig, rows: list[ExperimentRow]) -> str:
-    payload = {"config": asdict(config), "rows": [r._asdict() for r in rows], "meta": META}
+    payload = {"config": vars(config), "rows": [r._asdict() for r in rows], "meta": META}  # vars: no deep copy of params
     return json.dumps(payload, indent=2) + "\n"
 
 

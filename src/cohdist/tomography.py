@@ -31,10 +31,10 @@ Binomial sampling uses exact CDF inversion (k = min{k : F(k) >= u}) for
 shots <= 10_000, with the pmf evaluated by the two-sided recurrence from the
 mode (Devroye, Non-Uniform Random Variate Generation, 1986, ch. X) and summed
 from 0, and the normal approximation with continuity correction
-k = floor(n p + z sigma + 1/2) above that, z = Phi^-1(u) from a closed form
-and one Halley step in the lower tail (see _normal_draws).  The sampler's
-exp, log and sqrt are numpy's, so counts are bit-stable run to run on one
-numpy build, not across builds.  Thresholds and methods are fixed so frozen
+k = floor(n p + z sigma + 1/2) above that, z = Phi^-1(u) from the standard
+library's statistics.NormalDist (see _normal_draws).  The sampler's exp, log
+and sqrt are numpy's and the C library's, so counts are bit-stable run to run
+on one build, not across builds.  Thresholds and methods are fixed so frozen
 golden counts stay valid.
 The inversion evaluates a window around the mode from Bernstein's tail bound:
 left of it every pmf term underflows to 0.0 (tail e^-800), right of it each
@@ -46,12 +46,13 @@ row and one search over their uniforms.
 import json
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 from . import qcore
 
-PRNG_ID = "splitmix64-sampler-v2"
+PRNG_ID = "splitmix64-sampler-v3"
 ESTIMATOR_ID = "mle-newton-v2"
 BASES = ("X", "Y", "Z")
 SHOTS_MAX = 2**53  # counts and n p stay exact in float64
@@ -64,15 +65,7 @@ _TAIL_BELOW, _TAIL_ABOVE = 800.0, 40.0  # Bernstein exponents of the inversion w
 _WINDOW_FLOATS = 2**14  # window elements per numpy pass, so the sampler's temporaries stay small
 # step cap for the MLE multiplier search; bisection alone needs at most 51 steps
 MLE_MAX_STEPS = 100
-_ACKLAM = (  # numerators and denominators of _inverse_normal's central and tail regions
-    [-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-     1.383577518672690e02, -3.066479806614716e01, 2.506628277459239],
-    [-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-     6.680131188771972e01, -1.328068155288572e01, 1.0],
-    [-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838,
-     -2.549732539343734, 4.374664141464968, 2.938163982698783],
-    [7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996, 3.754408661907416, 1.0],
-)
+_STANDARD_NORMAL = NormalDist()
 _NEWTON_GAIN = 0.5  # a Newton step on the MLE multiplier must shrink |h| this much while |h| > 1e-8, or the row bisects
 
 
@@ -179,24 +172,12 @@ def _window_cdf(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _normal_draws(n: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """floor(n p + z sigma + 1/2) in [0, n] with z = Phi^-1(u), from the lower tail v = min(u, 1 - u).
+    """floor(n p + z sigma + 1/2) in [0, n], z = Phi^-1(u) by NormalDist's AS241 (Wichura, Appl. Stat. 37, 477, 1988).
 
-    1 - u is exact for u >= 1/2, and Phi(z) = erfc(-z / sqrt 2) / 2 has a small relative error for z <= 0:
-    one Halley step on Phi(z) = v from Acklam's z0 gives z to 2e-15 (2 ulps for |z| > 1); u > 1/2 takes -z.
+    AS241 works from u - 1/2 and min(u, 1 - u), both exact for the stream's uniforms, so z(1 - u) = -z(u) exactly.
     """
-    v = np.minimum(u, 1.0 - u)
-    z = _inverse_normal(v)
-    phi = 0.5 * np.array([math.erfc(x) for x in (-z / math.sqrt(2.0)).tolist()])
-    t = (phi - v) * math.sqrt(2.0 * math.pi) * np.exp(z * z / 2.0)
-    z = np.copysign(z - t / (1.0 + z * t / 2.0), u - 0.5)
+    z = np.array(list(map(_STANDARD_NORMAL.inv_cdf, u.tolist())))
     return np.clip(np.floor(n * p + z * np.sqrt(n * p * (1.0 - p)) + 0.5), 0, n).astype(np.int64)
-
-
-def _inverse_normal(v: np.ndarray) -> np.ndarray:
-    """Phi^-1(v) for 0 < v <= 1/2 to a relative error below 1.15e-9 (P. J. Acklam's rational approximation)."""
-    a, b, c, d = _ACKLAM
-    q, t = v - 0.5, np.sqrt(-2.0 * np.log(v))
-    return np.where(v >= 0.02425, q * np.polyval(a, q * q) / np.polyval(b, q * q), np.polyval(c, t) / np.polyval(d, t))
 
 
 def _basis_uniforms(streams: np.ndarray) -> np.ndarray:
@@ -245,12 +226,12 @@ class TomographyRecord:
 
 
 def _check_record(record: TomographyRecord) -> None:
-    if record.shots_per_basis < 1:
+    if qcore.as_int("shots_per_basis", record.shots_per_basis) < 1:
         raise ValueError(f"shots_per_basis must be >= 1, got {record.shots_per_basis}")
     for b in BASES:
         if b not in record.counts:
             raise ValueError(f"record is missing basis {b}")
-        plus, minus = record.counts[b]
+        plus, minus = (qcore.as_int(f"counts[{b!r}]", c) for c in record.counts[b])
         if plus < 0 or minus < 0 or plus + minus != record.shots_per_basis:
             raise ValueError(f"counts for basis {b} do not sum to shots: {record.counts[b]}")
 

@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,9 @@ def test_run_config_validation():
         RunConfig(kind="werner", params=(0.5,), mode="sampled", shots_per_basis=0)
     with pytest.raises(ValueError):
         RunConfig(kind="werner", params=(0.5,), mode="exact")
+    for value in (True, np.bool_(False), "0.1", None, 1j, math.nan, -0.1, 1.5):
+        with pytest.raises(ValueError, match="epsilon_prep"):
+            RunConfig(kind="werner", params=(0.5,), epsilon_prep=value)
 
 
 def test_shots_and_seeds_outside_their_exact_ranges_are_usage_errors():
@@ -267,7 +271,7 @@ def test_json_round_trip_is_exact():
     parsed_cfg, parsed_rows = parse_rows_json(text)
     assert parsed_rows == rows
     assert parsed_cfg["kind"] == "werner"
-    assert json.loads(text)["meta"]["prng"] == "splitmix64-sampler-v2"
+    assert json.loads(text)["meta"]["prng"] == "splitmix64-sampler-v3"
     assert json.loads(text)["meta"]["estimator"] == "mle-newton-v2"
 
 
@@ -276,6 +280,22 @@ def test_package_version_matches_pyproject():
     tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
     pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
     assert pyproject["project"]["version"] == __version__ == harness.META["version"]
+
+
+@pytest.mark.parametrize(
+    "value", [1, np.int64(0), np.float32(0.05), np.float64(0.05)], ids=["int", "int64", "float32", "float64"]
+)
+def test_epsilon_prep_is_stored_as_float(value):
+    cfg = RunConfig(kind="family1", params=(22.5,), epsilon_prep=value)
+    assert type(cfg.epsilon_prep) is float and cfg.epsilon_prep == float(value)
+    text = emit_json(cfg, run_experiment(cfg))
+    assert f'"epsilon_prep": {float(value)!r},' in text
+
+
+def test_readme_meta_example_is_the_output_meta():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r'"meta": (\{[^}]*\})', readme).group(1)
+    assert " ".join(example.split()) == json.dumps(harness.META)
 
 
 def test_csv_rejects_unknown_header():

@@ -54,7 +54,7 @@ def test_splitmix64_floats_in_unit_interval():
     s = SplitMix64(987654321)
     vals = [s.next_float() for _ in range(1000)]
     assert all(0.0 <= v < 1.0 for v in vals)
-    assert PRNG_ID == "splitmix64-sampler-v2"
+    assert PRNG_ID == "splitmix64-sampler-v3"
 
 
 def test_derive_stream_is_stable_and_distinct():
@@ -511,6 +511,26 @@ def test_mle_consistency_with_growing_shots():
 def test_mle_rejects_malformed_record():
     with pytest.raises(ValueError):
         reconstruct_mle(_record_from_counts(100, (50, 51), (50, 50), (50, 50)))
+
+
+@pytest.mark.parametrize(
+    "shots, counts, field",
+    [(10, (2.5, 7.5), "counts"), (True, (True, False), "shots_per_basis"), (1, (True, False), "counts"),
+     (10, ("5", 5), "counts"), (10.0, (5, 5), "shots_per_basis")],
+    ids=["half-counts", "bool-shots", "bool-counts", "str-count", "float-shots"],
+)
+def test_records_with_non_integer_shots_or_counts_are_rejected_naming_the_field(shots, counts, field):
+    record = _record_from_counts(shots, counts, counts, counts)
+    for reconstruct in (reconstruct_linear, reconstruct_mle):
+        with pytest.raises(ValueError, match=field):
+            reconstruct(record)
+
+
+def test_records_take_numpy_integer_shots_and_counts():
+    plain = _record_from_counts(10, (10, 0), (10, 0), (4, 6))
+    numpy_ints = _record_from_counts(np.int64(10), *[tuple(map(np.int32, c)) for c in ((10, 0), (10, 0), (4, 6))])
+    for reconstruct in (reconstruct_linear, reconstruct_mle):
+        assert np.array_equal(reconstruct(numpy_ints).state, reconstruct(plain).state)
 
 
 # --- R-rho-R reference estimator (tests/oracles.py) ------------------------------
