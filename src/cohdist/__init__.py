@@ -9,7 +9,7 @@ harness that regenerates theory curves and scores the bundled experimental
 reference tables.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .coherence import (
     CoaResult,
@@ -27,7 +27,6 @@ from .qcore import (
     negativity,
     partial_trace,
     projector,
-    tensor_product,
     validate_density,
     von_neumann_entropy,
 )
@@ -39,9 +38,8 @@ from .protocol import (
     average_assisted_coherence,
     optimal_basis_pure,
     optimize_basis,
-    y_basis,
 )
-from .states import depolarize, family1, family2, make_pure, make_werner, maximally_coherent, singlet
+from .states import depolarize, family1, family2, make_pure, make_werner, singlet
 from .tomography import (
     PRNG_ID,
     ReconstructionResult,
@@ -89,7 +87,6 @@ __all__ = [
     "fidelity",
     "make_pure",
     "make_werner",
-    "maximally_coherent",
     "negativity",
     "optimal_basis_pure",
     "optimize_basis",
@@ -102,8 +99,6 @@ __all__ = [
     "rel_entropy_coherence",
     "simulate_counts",
     "singlet",
-    "tensor_product",
     "validate_density",
     "von_neumann_entropy",
-    "y_basis",
 ]

@@ -7,10 +7,11 @@ import os
 import sys
 
 import click
+import numpy as np
 
-from . import __version__, qcore, states
-from .coherence import rel_entropy_coherence
+from . import __version__, protocol, qcore, states, tomography
 from .harness import (
+    ALICE_BLOCH,
     META,
     RunConfig,
     compare_fixtures,
@@ -21,8 +22,7 @@ from .harness import (
     run_experiment,
     spaced,
 )
-from .protocol import alice_measure, optimal_basis_pure
-from .tomography import SEED_LIMIT, SHOTS_MAX, derive_stream, reconstruct_linear, reconstruct_mle, simulate_counts
+from .tomography import BASES, SEED_LIMIT, SHOTS_MAX, TomographyRecord, derive_stream
 
 _DEFAULT_GRIDS = {"family1": "0:45:2.5", "family2": "0:45:2.5", "werner": "0.05:0.95:0.05"}
 _SHOTS, _SEED = click.IntRange(1, SHOTS_MAX), click.IntRange(0, SEED_LIMIT - 1)
@@ -167,36 +167,40 @@ def fixtures(table, tolerance, fmt, out):
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json", show_default=True)
 @click.option("--out", default=None, help="Output path (default: stdout).")
 def tomo_demo(family, theta, shots, seed, fmt, out):
-    """Tomograph Bob's conditional states for one pure-family setting."""
+    """Tomograph Bob's conditional states for one pure-family setting: the records t = 1, 2 of
+    `pure1|pure2 --points THETA --mode sampled`, whose cd_after_sim is the sum of prob * cr_mle."""
     _check_out(out)
     try:
         psi = states.make_pure(int(family), theta)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    basis = optimal_basis_pure(psi)
-    outcomes = alice_measure(qcore.projector(psi), basis)
+    outcomes = protocol._outcomes(ALICE_BLOCH[None], *protocol._pauli_coordinates(qcore.projector(psi)))
+    probs, bob = [float(p[0]) for p, _ in outcomes], np.stack([r[0] for _, r in outcomes])  # both families give p = 1/2 along y
+    streams = derive_stream(seed, 0, np.arange(1, 3, dtype=np.uint64))
+    plus = tomography._pauli_counts(bob, shots, streams)
+    lin, (mle, steps) = tomography._linear(plus, shots), tomography._mle(plus, shots)
+    cr_true, cr_mle = protocol._qubit_coherence(bob).tolist(), protocol._qubit_coherence(mle).tolist()
     results = []
-    for t, outcome in enumerate(outcomes, start=1):
-        record = simulate_counts(outcome.bob_state, shots, derive_stream(seed, 0, t))
-        lin = reconstruct_linear(record)
-        mle = reconstruct_mle(record)
+    for i, label in enumerate("+-"):
+        record = TomographyRecord(shots, int(streams[i]), {b: (k, shots - k) for b, k in zip(BASES, plus[i].tolist())})
+        true_state = qcore.bloch_state(bob[i])
         results.append(
             {
-                "label": outcome.label,
-                "prob": outcome.prob,
+                "label": label,
+                "prob": probs[i],
                 "record": json.loads(record.to_json()),
-                "fidelity_linear": qcore.fidelity(lin.state, outcome.bob_state),
-                "fidelity_mle": qcore.fidelity(mle.state, outcome.bob_state),
-                "cr_true": rel_entropy_coherence(outcome.bob_state).c_r,
-                "cr_mle": rel_entropy_coherence(mle.state).c_r,
-                "mle_iterations": mle.iterations,
-                "mle_converged": mle.converged,
+                "fidelity_linear": qcore.fidelity(qcore.bloch_state(lin[i]), true_state),
+                "fidelity_mle": qcore.fidelity(qcore.bloch_state(mle[i]), true_state),
+                "cr_true": cr_true[i],
+                "cr_mle": cr_mle[i],
+                "mle_iterations": int(steps[i]),
+                "mle_converged": True,  # _mle raises rather than return an unconverged estimate
             }
         )
     if fmt == "json":
         payload = {
             "config": {"family": int(family), "theta_deg": theta, "shots": shots, "seed": seed},
-            "basis_bloch": list(basis.bloch),
+            "basis_bloch": ALICE_BLOCH.tolist(),
             "outcomes": results,
             "meta": META,
         }

@@ -89,6 +89,9 @@ class RunConfig:
             raise ValueError(f"mode must be 'analytic' or 'sampled', got {self.mode!r}")
         if not self.params:
             raise ValueError("parameter grid is empty")
+        bad = sorted(t.__name__ for t in set(map(type, self.params)) if not issubclass(t, numbers.Real) or issubclass(t, bool))
+        if bad:  # one check per type, not per point; nan and inf pass here and reach the factory's range check
+            raise ValueError(f"params must be real numbers, got {', '.join(bad)}")
         shots, seed = qcore.as_int("shots_per_basis", self.shots_per_basis), qcore.as_int("seed", self.seed)
         if self.mode == "sampled" and not 1 <= shots <= SHOTS_MAX:
             raise ValueError(f"shots_per_basis must be in [1, {SHOTS_MAX}] in sampled mode, got {shots}")

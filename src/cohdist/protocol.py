@@ -80,11 +80,6 @@ class MeasurementBasis:
         return np.array([s, -c * phase], dtype=complex)
 
 
-def y_basis() -> MeasurementBasis:
-    """The |y+->, |y-> basis, Bloch vector (0, 1, 0)."""
-    return MeasurementBasis((0.0, 1.0, 0.0))
-
-
 @dataclass(frozen=True)
 class Outcome:
     label: str

@@ -120,13 +120,6 @@ def bloch_vector(rho) -> np.ndarray:
     return np.stack([2.0 * rho[..., 1, 0].real, 2.0 * rho[..., 1, 0].imag, (rho[..., 0, 0] - rho[..., 1, 1]).real], -1)
 
 
-def tensor_product(a, b) -> np.ndarray:
-    """Kronecker product of two qubit density matrices, Alice as the slow index."""
-    a = ensure_density(a, dim=2)
-    b = ensure_density(b, dim=2)
-    return np.kron(a, b)
-
-
 def partial_trace(rho, keep: str) -> np.ndarray:
     """Reduced density matrix of subsystem `keep` ("A" or "B") of a two-qubit state."""
     rho = ensure_density(rho, dim=4)

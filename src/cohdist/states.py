@@ -71,13 +71,6 @@ def make_werner(p) -> np.ndarray:
     return p * _SINGLET_PROJECTOR + (1.0 - p) * _QUARTER_IDENTITY
 
 
-def maximally_coherent(d: int) -> np.ndarray:
-    """Uniform-amplitude state sqrt(1/d) sum_i |i>, d in {2, 4}."""
-    if d not in (2, 4):
-        raise ValueError(f"d must be 2 or 4, got {d}")
-    return np.full(d, 1.0 / math.sqrt(d), dtype=complex)
-
-
 def depolarize(rho, epsilon: float) -> np.ndarray:
     """Mix a state with the maximally mixed one: (1-eps) rho + eps I/d.
 

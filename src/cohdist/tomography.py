@@ -2,8 +2,8 @@
 reconstruction by linear inversion and by closed-form maximum likelihood.
 
 Every stage works on a stack of records: `tomograph` takes all of a curve's
-Bloch vectors in one call, and simulate_counts, binomial_draw and
-reconstruct_mle wrap the same kernels for one record.
+Bloch vectors in one call, and simulate_counts, binomial_draw,
+reconstruct_linear and reconstruct_mle wrap the same kernels for one record.
 
 Maximum likelihood
 ------------------
@@ -45,6 +45,7 @@ row and one search over their uniforms.
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -95,12 +96,12 @@ class SplitMix64:
 
 
 def derive_stream(seed, *indices):
-    """Stable sub-stream seed: seed XOR a mix of the task indices; ints, or uint64 arrays that broadcast.
+    """Stable sub-stream seed: seed XOR a mix of the task indices; integers (numpy ones too), or uint64 arrays that broadcast.
 
     Used to give every (grid point, tomography target, Pauli basis) its own
     independent stream without coupling draw counts across tasks.
     """
-    h = seed & _MASK
+    h, *indices = (int(x) & _MASK if isinstance(x, numbers.Integral) else x for x in (seed, *indices))  # no numpy scalar math
     for slot, idx in enumerate(indices):
         h = h ^ mix64((((slot + 1) * _GOLDEN_GAMMA) & _MASK) + idx & _MASK)
     return h
@@ -215,8 +216,8 @@ class TomographyRecord:
     @classmethod
     def from_json(cls, text: str) -> "TomographyRecord":
         obj = json.loads(text)
-        counts = {b: (int(obj["counts"][b][0]), int(obj["counts"][b][1])) for b in BASES}
-        return cls(shots_per_basis=int(obj["shots"]), seed=int(obj["seed"]), counts=counts)
+        counts = {b: tuple(qcore.as_int(f"counts[{b!r}]", c) for c in obj["counts"][b]) for b in BASES}
+        return cls(shots_per_basis=qcore.as_int("shots", obj["shots"]), seed=qcore.as_int("seed", obj["seed"]), counts=counts)
 
     def stokes(self) -> np.ndarray:
         """Estimated Pauli expectation values (n_plus - n_minus) / shots."""
@@ -263,6 +264,12 @@ class ReconstructionResult:
     blended: bool = False
 
 
+def _linear(plus: np.ndarray, shots: int) -> np.ndarray:
+    """Bloch vectors s / max(1, |s|) of the linear estimate for "+" counts plus[i] on X, Y, Z (see reconstruct_linear)."""
+    s = (2 * plus - shots) / shots
+    return s / np.maximum(1.0, np.sqrt(np.vecdot(s, s)))[..., None]
+
+
 def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     """Linear-inversion estimate with physical projection.
 
@@ -271,9 +278,8 @@ def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     renormalizes the trace, which sends |s| > 1 onto the pure state along s.
     """
     _check_record(record)
-    s = record.stokes()
-    state = qcore.bloch_state(s / max(1.0, float(np.linalg.norm(s))))
-    return ReconstructionResult(state=state, method="linear", iterations=0, converged=True)
+    bloch = _linear(np.array([[record.counts[b][0] for b in BASES]]), record.shots_per_basis)[0]
+    return ReconstructionResult(state=qcore.bloch_state(bloch), method="linear", iterations=0, converged=True)
 
 
 def _axis_roots(s: np.ndarray, mu: np.ndarray, unit: bool) -> np.ndarray:

@@ -26,7 +26,6 @@ from cohdist.protocol import (
     MeasurementBasis,
     Outcome,
     OutcomeSet,
-    y_basis,
 )
 from cohdist.tomography import BASES, MLE_MAX_STEPS, ReconstructionResult, SplitMix64, TomographyRecord, derive_stream
 
@@ -75,17 +74,6 @@ def werner_qi_bound(p: float) -> float:
 
 def werner_negativity(p: float) -> float:
     return max(0.0, (3.0 * p - 1.0) / 4.0)
-
-
-def kron_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Brute-force index formula: out[(i,k),(j,l)] = a[i,j] * b[k,l]."""
-    out = np.zeros((4, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    out[2 * i + k, 2 * j + l] = a[i, j] * b[k, l]
-    return out
 
 
 def bloch_rho(nx: float, ny: float, nz: float) -> np.ndarray:
@@ -491,7 +479,7 @@ def dense_run_oracle(config) -> list[ExperimentRow]:
     rows = []
     for g, param in enumerate(config.params):
         if config.kind == "werner":
-            rho_ab, basis = states.make_werner(param), y_basis()
+            rho_ab, basis = states.make_werner(param), MeasurementBasis((0.0, 1.0, 0.0))
         else:
             psi = states.make_pure(1 if config.kind == "family1" else 2, param)
             rho_ab, basis = qcore.projector(psi), optimal_basis_pure_oracle(psi)
@@ -528,7 +516,7 @@ def per_record_sampled_oracle(config) -> list[ExperimentRow]:
     rho = made[:, :, None] * made[:, None, :].conj() if made.ndim == 2 else made
     rho = (1.0 - config.epsilon_prep) * rho + config.epsilon_prep * np.eye(4) / 4.0
     a, b, t = protocol._pauli_coordinates(rho)
-    outcomes = [(p[:, 0], r[:, 0]) for p, r in protocol._outcomes(np.array([y_basis().bloch]), a, b, t)]
+    outcomes = [(p[:, 0], r[:, 0]) for p, r in protocol._outcomes(np.array([[0.0, 1.0, 0.0]]), a, b, t)]
     rows = []
     for g, row in enumerate(harness.run_experiment(replace(config, mode="analytic"))):
         before = _tomographed_cr(qcore.bloch_state(b[g]), shots, derive_stream(config.seed, g, 0))

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import itertools
 import json
 import math
 import re
@@ -25,7 +26,7 @@ from cohdist.harness import (
     parse_rows_json,
     run_experiment,
 )
-from cohdist.tomography import SplitMix64, binomial_draw, simulate_counts
+from cohdist.tomography import SplitMix64, TomographyRecord, binomial_draw, derive_stream, simulate_counts
 
 import oracles
 
@@ -115,6 +116,14 @@ def test_run_config_validation():
     for value in (True, np.bool_(False), "0.1", None, 1j, math.nan, -0.1, 1.5):
         with pytest.raises(ValueError, match="epsilon_prep"):
             RunConfig(kind="werner", params=(0.5,), epsilon_prep=value)
+    for value in ("0.5", True, np.bool_(True), 1j, None):
+        with pytest.raises(ValueError, match="params"):
+            RunConfig(kind="werner", params=(0.5, value))
+    params = RunConfig(kind="werner", params=(np.float32(0.25), np.float64(0.5), np.int64(1))).params
+    assert params == (0.25, 0.5, 1.0) and all(type(p) is float for p in params)
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="p must be in"):
+            run_experiment(RunConfig(kind="werner", params=(0.5, value)))
 
 
 def test_shots_and_seeds_outside_their_exact_ranges_are_usage_errors():
@@ -437,7 +446,7 @@ def test_cli_unwritable_out_is_usage_error(tmp_path, monkeypatch, args):
         raise AssertionError("work started before --out was checked")
 
     monkeypatch.setattr(cli, "run_experiment", no_work)
-    monkeypatch.setattr(cli, "simulate_counts", no_work)
+    monkeypatch.setattr(protocol, "_pauli_coordinates", no_work)  # tomo-demo's first kernel
     (tmp_path / "file").write_text("keep")
     for out in (tmp_path / "missing" / "x.csv", tmp_path, tmp_path / "file" / "x.csv"):
         result = CliRunner().invoke(cli.main, args + ["--out", str(out)])
@@ -511,6 +520,20 @@ def test_cli_tomo_demo_json():
         assert o["fidelity_mle"] > 0.99
     result = CliRunner().invoke(cli.main, ["tomo-demo", "--theta", "90"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("family", [1, 2])
+def test_tomo_demo_prints_the_runners_point_zero(family):
+    # shots on both sampler paths; 17.3 is off the default grid
+    for theta, shots, seed in itertools.product((0.0, 17.3, 45.0), (2000, 100_001), (0, 2**64 - 1)):
+        args = ["--family", str(family), "--theta", repr(theta), "--shots", str(shots), "--seed", str(seed)]
+        outcomes = json.loads(CliRunner().invoke(cli.main, ["tomo-demo", *args]).output)["outcomes"]
+        row = run_experiment(RunConfig(f"family{family}", (theta,), mode="sampled", shots_per_basis=shots, seed=seed))[0]
+        assert sum(o["prob"] * o["cr_mle"] for o in outcomes) == row.cd_after_sim, args
+        truth = protocol.alice_measure(qcore.projector(states.make_pure(family, theta)), protocol.MeasurementBasis((0, 1, 0)))
+        for t, (o, bob) in enumerate(zip(outcomes, truth), start=1):
+            want = simulate_counts(bob.bob_state, shots, derive_stream(seed, 0, t))
+            assert TomographyRecord.from_json(json.dumps(o["record"])) == want, args
 
 
 # --- the batched runner against the per-point dense runner (tests/oracles.py) -----

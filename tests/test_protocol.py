@@ -18,13 +18,14 @@ from cohdist.protocol import (
     average_assisted_coherence,
     optimal_basis_pure,
     optimize_basis,
-    y_basis,
 )
 from cohdist.qcore import partial_trace, projector
 from cohdist.states import family1, family2, make_werner, singlet
 
 import oracles
 from sampling import random_bloch, random_density, random_pure_state
+
+Y_BASIS = MeasurementBasis((0.0, 1.0, 0.0))
 
 
 # --- MeasurementBasis --------------------------------------------------------
@@ -43,7 +44,7 @@ def test_basis_kets_orthonormal_and_on_bloch_axis():
 
 
 def test_y_basis_kets():
-    basis = y_basis()
+    basis = Y_BASIS
     assert np.allclose(basis.ket_plus, qcore.KET_Y_PLUS, atol=1e-12)
     # ket_minus may differ from |y-> by a global phase only
     overlap = abs(np.vdot(basis.ket_minus, qcore.KET_Y_MINUS))
@@ -60,7 +61,7 @@ def test_basis_rejects_non_unit_vector():
 def test_measure_family1_in_y_basis():
     for theta in (5.0, 15.0, 22.5, 40.0):
         t2 = math.radians(2 * theta)
-        outcomes = alice_measure(projector(family1(theta)), y_basis())
+        outcomes = alice_measure(projector(family1(theta)), Y_BASIS)
         assert outcomes.probs == pytest.approx((0.5, 0.5), abs=1e-12)
         collapsed = {
             "+": np.array([math.cos(t2), -1j * math.sin(t2)]),
@@ -72,7 +73,7 @@ def test_measure_family1_in_y_basis():
 
 def test_measure_werner_in_y_basis():
     for p in (0.25, 0.5, 0.9):
-        outcomes = alice_measure(make_werner(p), y_basis())
+        outcomes = alice_measure(make_werner(p), Y_BASIS)
         assert outcomes.probs == pytest.approx((0.5, 0.5), abs=1e-12)
         collapsed = {
             "+": p * projector(qcore.KET_Y_MINUS) + (1 - p) * np.eye(2) / 2,
@@ -144,12 +145,12 @@ def test_alice_measure_matches_dense_map():
 # --- average_assisted_coherence ----------------------------------------------
 
 def test_average_singlet_y_basis_is_unit():
-    outcomes = alice_measure(projector(singlet()), y_basis())
+    outcomes = alice_measure(projector(singlet()), Y_BASIS)
     assert average_assisted_coherence(outcomes) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_average_werner_half():
-    outcomes = alice_measure(make_werner(0.5), y_basis())
+    outcomes = alice_measure(make_werner(0.5), Y_BASIS)
     assert average_assisted_coherence(outcomes) == pytest.approx(oracles.werner_after(0.5), abs=1e-12)
     assert average_assisted_coherence(outcomes) == pytest.approx(0.18872187554086717, abs=1e-9)
 

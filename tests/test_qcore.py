@@ -9,7 +9,6 @@ from cohdist.qcore import (
     negativity,
     partial_trace,
     projector,
-    tensor_product,
     validate_density,
     von_neumann_entropy,
 )
@@ -20,29 +19,6 @@ from sampling import random_density, random_pure_state
 
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
-
-
-# --- tensor_product ---------------------------------------------------------
-
-def test_tensor_identity_case():
-    assert np.allclose(tensor_product(I2 / 2, I2 / 2), I4 / 4)
-
-
-def test_tensor_basis_projectors():
-    hv = np.zeros((4, 4), dtype=complex)
-    hv[1, 1] = 1.0  # |HV><HV| with Alice as the slow index
-    assert np.allclose(tensor_product(projector(qcore.KET_H), projector(qcore.KET_V)), hv)
-
-
-def test_tensor_matches_index_formula():
-    a = oracles.bloch_rho(1.0, 0.0, 0.0)
-    b = oracles.bloch_rho(0.0, 0.0, 1.0)
-    assert np.max(np.abs(tensor_product(a, b) - oracles.kron_oracle(a, b))) < 1e-15
-
-
-def test_tensor_rejects_wrong_dim():
-    with pytest.raises(InvalidStateError):
-        tensor_product(I4 / 4, I2 / 2)
 
 
 # --- partial_trace ----------------------------------------------------------
@@ -61,7 +37,7 @@ def test_partial_trace_recovers_tensor_factors():
     for _ in range(20):
         a = random_density(rng, 2)
         b = random_density(rng, 2)
-        ab = tensor_product(a, b)
+        ab = np.kron(a, b)
         assert np.max(np.abs(partial_trace(ab, "A") - a)) <= 1e-12
         assert np.max(np.abs(partial_trace(ab, "B") - b)) <= 1e-12
 
@@ -86,7 +62,7 @@ def test_dephase_b_of_singlet():
 
 
 def test_dephase_b_keeps_alice_coherences():
-    rho = tensor_product(projector(qcore.KET_X_PLUS), projector(qcore.KET_H))
+    rho = np.kron(projector(qcore.KET_X_PLUS), projector(qcore.KET_H))
     out = dephase(rho, scope="B")
     assert abs(out[0, 2] - 0.5) < 1e-12  # <HH| . |VH> coherence survives
 
@@ -212,7 +188,7 @@ def test_negativity_boundary():
 def test_negativity_product_states():
     rng = np.random.default_rng(15)
     for _ in range(20):
-        ab = tensor_product(random_density(rng, 2), random_density(rng, 2))
+        ab = np.kron(random_density(rng, 2), random_density(rng, 2))
         assert negativity(ab) <= 1e-12
 
 

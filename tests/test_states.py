@@ -12,7 +12,6 @@ from cohdist.states import (
     family2,
     make_pure,
     make_werner,
-    maximally_coherent,
     singlet,
 )
 
@@ -157,13 +156,10 @@ def test_family2_bob_marginal_structure_and_coherence():
 
 
 def test_maximally_coherent():
-    assert np.allclose(maximally_coherent(2), qcore.KET_X_PLUS)
-    assert np.allclose(maximally_coherent(4), np.full(4, 0.5))
-    assert rel_entropy_coherence(qcore.projector(maximally_coherent(2))).c_r == pytest.approx(1.0, abs=1e-12)
-    assert rel_entropy_coherence(qcore.projector(maximally_coherent(4))).c_r == pytest.approx(2.0, abs=1e-12)
-    assert np.allclose(qcore.dephase(qcore.projector(maximally_coherent(2))), np.eye(2) / 2)
-    with pytest.raises(ValueError):
-        maximally_coherent(3)
+    # the uniform superpositions of 2 and 4 levels carry log2(d) bits, and |+><+| dephases to I/2
+    assert rel_entropy_coherence(qcore.projector(qcore.KET_X_PLUS)).c_r == pytest.approx(1.0, abs=1e-12)
+    assert rel_entropy_coherence(qcore.projector(np.full(4, 0.5))).c_r == pytest.approx(2.0, abs=1e-12)
+    assert np.allclose(qcore.dephase(qcore.projector(qcore.KET_X_PLUS)), np.eye(2) / 2)
 
 
 def test_depolarize():

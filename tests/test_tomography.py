@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohdist import qcore, tomography
-from cohdist.protocol import alice_measure, optimal_basis_pure, y_basis
+from cohdist.protocol import MeasurementBasis, alice_measure, optimal_basis_pure
 from cohdist.qcore import fidelity, partial_trace, projector, validate_density
 from cohdist.states import family1, make_pure
 from cohdist.tomography import (
@@ -62,6 +62,12 @@ def test_derive_stream_is_stable_and_distinct():
     seen = {derive_stream(42, i, j) for i in range(10) for j in range(10)}
     assert len(seen) == 100
     assert derive_stream(42, 1, 2) != derive_stream(42, 2, 1)
+
+
+@pytest.mark.parametrize("index", [np.uint64(3), np.int64(3), np.uint32(3)])
+def test_derive_stream_reads_numpy_integer_scalars_as_ints(index):
+    assert derive_stream(7, index) == derive_stream(7, 3) and type(derive_stream(7, index)) is int
+    assert derive_stream(index, 7) == derive_stream(3, 7)
 
 
 @pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
@@ -243,6 +249,20 @@ def test_record_json_round_trip():
     assert set(obj) == {"seed", "shots", "counts"}
     assert set(obj["counts"]) == {"X", "Y", "Z"}
     assert TomographyRecord.from_json(text) == rec
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("shots", 10.7), ("seed", 5.0), ("seed", "5"), ("counts", [2.5, 8.5]), ("counts", ["7", 3]), ("counts", [7, None])],
+)
+def test_record_json_rejects_non_integers(field, value):
+    obj = {"seed": 5, "shots": 10, "counts": {"X": [7, 3], "Y": [5, 5], "Z": [10, 0]}}
+    if field == "counts":
+        obj["counts"]["Y"] = value
+    else:
+        obj[field] = value
+    with pytest.raises(ValueError, match=field):
+        TomographyRecord.from_json(json.dumps(obj))
 
 
 # --- reconstruct_linear ----------------------------------------------------------
@@ -477,7 +497,7 @@ def test_mle_pure_state_limit():
 
 def test_mle_family1_conditional_state():
     # Bob's post-measurement state for the first family at theta = 10 degrees
-    outcomes = alice_measure(projector(family1(10.0)), y_basis())
+    outcomes = alice_measure(projector(family1(10.0)), MeasurementBasis((0.0, 1.0, 0.0)))
     truth = outcomes.outcomes[0].bob_state
     rec = simulate_counts(truth, 10**6, seed=derive_stream(42, 10, 1))
     res = reconstruct_mle(rec)
