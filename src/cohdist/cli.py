@@ -12,9 +12,9 @@ import numpy as np
 from . import __version__, protocol, qcore, states, tomography
 from .harness import (
     ALICE_BLOCH,
-    META,
     RunConfig,
     compare_fixtures,
+    dump_json,
     emit_csv,
     emit_json,
     fixture_run_config,
@@ -90,16 +90,7 @@ def _run_family(kind, grid, points, mode, shots, seed, epsilon_prep, fmt, out):
     _check_out(out)
     params = _resolve_params(kind, grid, points)
     try:
-        config = RunConfig(
-            kind=kind,
-            params=params,
-            mode=mode,
-            shots_per_basis=shots,
-            seed=seed,
-            epsilon_prep=epsilon_prep,
-            fmt=fmt,
-            out=out,
-        )
+        config = RunConfig(kind, params, mode, shots_per_basis=shots, seed=seed, epsilon_prep=epsilon_prep)
         rows = run_experiment(config)
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -147,7 +138,7 @@ def fixtures(table, tolerance, fmt, out):
     if not 0.0 <= tolerance < float("inf"):  # also false for nan
         raise click.UsageError(f"tolerance must be finite and nonnegative, got {tolerance}")
     _check_out(out)
-    config = fixture_run_config(table_id, fmt=fmt, out=out)
+    config = fixture_run_config(table_id)
     report = compare_fixtures(table_id, run_experiment(config))
     _write(report.to_csv() if fmt == "csv" else report.to_json(), out)
     ok = report.max_deviation <= tolerance
@@ -168,10 +159,12 @@ def fixtures(table, tolerance, fmt, out):
 @click.option("--out", default=None, help="Output path (default: stdout).")
 def tomo_demo(family, theta, shots, seed, fmt, out):
     """Tomograph Bob's conditional states for one pure-family setting: the records t = 1, 2 of
-    `pure1|pure2 --points THETA --mode sampled`, whose cd_after_sim is the sum of prob * cr_mle."""
+    `pure1|pure2 --points THETA --mode sampled`, whose cd_after_sim is the sum of prob * cr_mle.
+    Its JSON config is that run's RunConfig."""
     _check_out(out)
     try:
-        psi = states.make_pure(int(family), theta)
+        config = RunConfig(f"family{family}", (theta,), mode="sampled", shots_per_basis=shots, seed=seed)
+        psi = states.make_pure(int(family), config.params[0])  # -0.0 reads as 0.0, as in the run
     except ValueError as exc:
         raise click.UsageError(str(exc))
     outcomes = protocol._outcomes(ALICE_BLOCH[None], *protocol._pauli_coordinates(qcore.projector(psi)))
@@ -198,13 +191,7 @@ def tomo_demo(family, theta, shots, seed, fmt, out):
             }
         )
     if fmt == "json":
-        payload = {
-            "config": {"family": int(family), "theta_deg": theta, "shots": shots, "seed": seed},
-            "basis_bloch": ALICE_BLOCH.tolist(),
-            "outcomes": results,
-            "meta": META,
-        }
-        _write(json.dumps(payload, indent=2) + "\n", out)
+        _write(dump_json(config=vars(config), basis_bloch=ALICE_BLOCH.tolist(), outcomes=results), out)
     else:
         lines = ["outcome,prob,fidelity_linear,fidelity_mle,cr_true,cr_mle,mle_iterations,mle_converged"]
         for r in results:

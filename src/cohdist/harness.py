@@ -32,7 +32,7 @@ from .tomography import ESTIMATOR_ID, PRNG_ID, SEED_LIMIT, SHOTS_MAX, derive_str
 GRID_SNAP = 1e-9
 GRID_MAX_POINTS = 1_000_000
 RUN_CHUNK = 4096  # grid points per numpy pass, so a long grid's temporaries stay small
-META = {"prng": PRNG_ID, "estimator": ESTIMATOR_ID, "version": __version__}  # the "meta" of every run's JSON output
+META = {"prng": PRNG_ID, "estimator": ESTIMATOR_ID, "version": __version__}  # the "meta" of every JSON output (dump_json)
 
 PURE_CSV_HEADER = "theta_deg,cd_before_theory,cd_before_sim,cd_after_theory,cd_after_sim,delta_sim"
 WERNER_CSV_HEADER = "p,cd_before_theory,cd_after_theory,cd_after_sim,bound_qi,delta_sim"
@@ -79,8 +79,6 @@ class RunConfig:
     shots_per_basis: int = 100_000
     seed: int = 42
     epsilon_prep: float = 0.0
-    fmt: str = "csv"
-    out: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -100,8 +98,6 @@ class RunConfig:
         eps = self.epsilon_prep
         if not isinstance(eps, numbers.Real) or isinstance(eps, bool) or not 0.0 <= eps <= 1.0:  # nan is out of range
             raise ValueError(f"epsilon_prep must be a real number in [0, 1], got {eps!r}")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"format must be 'csv' or 'json', got {self.fmt!r}")
         object.__setattr__(self, "params", tuple(sorted(float(p) + 0.0 for p in self.params)))  # + 0.0: -0.0 is 0.0
         object.__setattr__(self, "shots_per_basis", shots)  # a numpy integer is stored as int
         object.__setattr__(self, "seed", seed)
@@ -191,9 +187,13 @@ def emit_csv(rows: list[ExperimentRow], kind: str) -> str:
     return "\n".join([spec.header] + [line.format(*cells(r)) for r in rows]) + "\n"
 
 
+def dump_json(**fields) -> str:
+    """The JSON of every cohdist output: fields in order, then "meta"."""
+    return json.dumps({**fields, "meta": META}, indent=2) + "\n"
+
+
 def emit_json(config: RunConfig, rows: list[ExperimentRow]) -> str:
-    payload = {"config": vars(config), "rows": [r._asdict() for r in rows], "meta": META}  # vars: no deep copy of params
-    return json.dumps(payload, indent=2) + "\n"
+    return dump_json(config=vars(config), rows=[r._asdict() for r in rows])  # vars: no deep copy of params
 
 
 def parse_rows_csv(text: str) -> list[ExperimentRow]:
@@ -249,14 +249,12 @@ class DeviationReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        payload = {
-            "table_id": self.table_id,
-            "max_deviation": self.max_deviation,
-            "mean_deviation": self.mean_deviation,
-            "rows": [asdict(r) for r in self.rows],
-            "meta": {"prng": PRNG_ID, "version": __version__},
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return dump_json(
+            table_id=self.table_id,
+            max_deviation=self.max_deviation,
+            mean_deviation=self.mean_deviation,
+            rows=[asdict(r) for r in self.rows],
+        )
 
 
 def compare_fixtures(table_id: int, rows: list[ExperimentRow]) -> DeviationReport:
@@ -290,8 +288,8 @@ def compare_fixtures(table_id: int, rows: list[ExperimentRow]) -> DeviationRepor
     )
 
 
-def fixture_run_config(table_id: int, **overrides) -> RunConfig:
+def fixture_run_config(table_id: int) -> RunConfig:
     """Analytic RunConfig matching a fixture table's family and grid."""
     kind = {1: "family1", 2: "family2", 3: "werner"}[table_id]
     params = load_fixture(table_id).params
-    return RunConfig(kind=kind, params=params, **overrides)
+    return RunConfig(kind=kind, params=params)

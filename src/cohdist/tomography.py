@@ -219,12 +219,6 @@ class TomographyRecord:
         counts = {b: tuple(qcore.as_int(f"counts[{b!r}]", c) for c in obj["counts"][b]) for b in BASES}
         return cls(shots_per_basis=qcore.as_int("shots", obj["shots"]), seed=qcore.as_int("seed", obj["seed"]), counts=counts)
 
-    def stokes(self) -> np.ndarray:
-        """Estimated Pauli expectation values (n_plus - n_minus) / shots."""
-        return np.array(
-            [(self.counts[b][0] - self.counts[b][1]) / self.shots_per_basis for b in BASES]
-        )
-
 
 def _check_record(record: TomographyRecord) -> None:
     if qcore.as_int("shots_per_basis", record.shots_per_basis) < 1:
@@ -240,8 +234,10 @@ def _check_record(record: TomographyRecord) -> None:
 def simulate_counts(rho, shots_per_basis: int, seed: int) -> TomographyRecord:
     """Draw shot-noisy Pauli-basis counts for a qubit state.
 
-    count_plus for basis i is Binomial(shots, (1 + r_i) / 2), r the Bloch vector, from the stream
-    derive_stream(seed, i); deterministic for fixed (rho, shots, seed).
+    count_plus for basis i is Binomial(shots, (1 + r_i) / 2), r = qcore.bloch_vector(rho), from the stream
+    derive_stream(seed, i); deterministic for fixed (rho, shots, seed). For rho = bloch_state(r) the counts
+    are the runner's for r only when bloch_vector(bloch_state(r)) == r: r_z can differ in the last bit,
+    which at 2^53 shots can move a count by 1.
     """
     rho = qcore.ensure_density(rho, dim=2)
     shots_per_basis, seed = qcore.as_int("shots_per_basis", shots_per_basis), qcore.as_int("seed", seed)

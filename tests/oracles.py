@@ -101,6 +101,12 @@ def record_counts(record) -> np.ndarray:
     return np.array([record.counts[b][which] for b in "XYZ" for which in (0, 1)], dtype=float)
 
 
+def stokes(record) -> np.ndarray:
+    """The record's Pauli expectation estimates s = (2 count_plus - shots) / shots."""
+    n = record.shots_per_basis
+    return np.array([(2 * record.counts[b][0] - n) / n for b in BASES])
+
+
 def loglik(record, rho: np.ndarray) -> float:
     """sum_j n_j log tr(P_j rho) over the observed outcomes (n_j > 0)."""
     counts = record_counts(record)
@@ -172,7 +178,7 @@ def mle_rrr_oracle(record, max_iters: int = 500, tol: float = 1e-10) -> RRRResul
 
 def linear_clip_oracle(record) -> ReconstructionResult:
     """Linear inversion by eigenvalue clipping: a negative eigenvalue of (I + s . sigma)/2 goes to 0, then renormalize."""
-    cand = qcore.bloch_state(record.stokes())
+    cand = qcore.bloch_state(stokes(record))
     w, v = np.linalg.eigh(cand)
     if w[0] < 0.0:
         w = np.clip(w, 0.0, None)
@@ -423,7 +429,7 @@ def mle_oracle(record) -> tuple[np.ndarray, int]:
     (or |h| <= 1e-8); else take the midpoint.
     Stop when |h| <= 4 eps or the step moves mu by at most 4 eps.
     """
-    s = record.stokes()
+    s = stokes(record)
     if float(s @ s) <= 1.0:
         return s, 0
     tol, s = 4.0 * np.finfo(float).eps, s.tolist()

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib
 import itertools
 import json
@@ -298,13 +299,28 @@ def test_epsilon_prep_is_stored_as_float(value):
     cfg = RunConfig(kind="family1", params=(22.5,), epsilon_prep=value)
     assert type(cfg.epsilon_prep) is float and cfg.epsilon_prep == float(value)
     text = emit_json(cfg, run_experiment(cfg))
-    assert f'"epsilon_prep": {float(value)!r},' in text
+    assert f'"epsilon_prep": {float(value)!r}\n' in text  # the last config key
 
 
 def test_readme_meta_example_is_the_output_meta():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = re.search(r'"meta": (\{[^}]*\})', readme).group(1)
     assert " ".join(example.split()) == json.dumps(harness.META)
+
+
+def test_readme_config_example_has_the_run_config_fields():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = json.loads(re.search(r'"config": (\{[^}]*\})', readme).group(1))
+    assert list(example) == [f.name for f in dataclasses.fields(RunConfig)]
+    RunConfig(**example)
+
+
+def test_every_json_output_carries_the_one_meta(tmp_path):
+    out = tmp_path / "out.json"
+    for args in (["werner", "--points", "0.5"], ["fixtures", "--table", "3"], ["tomo-demo", "--shots", "2000"]):
+        result = CliRunner().invoke(cli.main, [*args, "--format", "json", "--out", str(out)])
+        assert result.exit_code == 0, args
+        assert json.loads(out.read_text())["meta"] == harness.META, args
 
 
 def test_csv_rejects_unknown_header():
@@ -508,6 +524,43 @@ def test_cli_sampled_run_to_file(tmp_path):
     assert result.exit_code == 0
     rows = parse_rows_csv(out.read_text())
     assert rows[0].cd_after_sim == pytest.approx(1.0, abs=0.05)
+
+
+def test_one_run_writes_one_set_of_bytes(tmp_path):
+    # --format and --out choose where a run is written, not what: stdout and every path get the same bytes
+    args = ["werner", "--points", "0.25,0.5", "--mode", "sampled", "--shots", "10001", "--epsilon-prep", "0.05",
+            "--format", "json"]
+    outputs = [CliRunner().invoke(cli.main, args).stdout_bytes]
+    for name in ("a.json", "b.json"):
+        assert CliRunner().invoke(cli.main, [*args, "--out", str(tmp_path / name)]).exit_code == 0
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("mode", ["analytic", "sampled"])
+@pytest.mark.parametrize("kind", sorted(harness.KINDS))
+def test_json_config_is_the_run(kind, mode):
+    params = (0.25, 0.5) if kind == "werner" else (0.0, 17.3)
+    command = {"family1": "pure1", "family2": "pure2", "werner": "werner"}[kind]
+    args = ["--points", ",".join(map(repr, params)), "--mode", mode, "--shots", "10001", "--seed", "7",
+            "--epsilon-prep", "0.05", "--format", "json"]
+    text = CliRunner().invoke(cli.main, [command, *args]).stdout
+    config = RunConfig(**json.loads(text)["config"])
+    assert config == RunConfig(kind, params, mode, shots_per_basis=10_001, seed=7, epsilon_prep=0.05)
+    assert emit_json(config, run_experiment(config)) == text
+
+
+@pytest.mark.parametrize("theta", [-0.0, 17.3])
+@pytest.mark.parametrize("family", [1, 2])
+def test_tomo_demo_config_is_its_run(family, theta):
+    args = ["--family", str(family), f"--theta={theta!r}", "--shots", "10001", "--seed", "3"]
+    payload = json.loads(CliRunner().invoke(cli.main, ["tomo-demo", *args]).stdout)
+    if theta == 0.0:
+        assert payload["config"]["params"] == [0.0] and math.copysign(1.0, payload["config"]["params"][0]) == 1.0
+    config = RunConfig(**payload["config"])
+    assert config == RunConfig(f"family{family}", (theta,), mode="sampled", shots_per_basis=10_001, seed=3)
+    row = run_experiment(config)[0]
+    assert sum(o["prob"] * o["cr_mle"] for o in payload["outcomes"]) == row.cd_after_sim
 
 
 def test_cli_tomo_demo_json():
