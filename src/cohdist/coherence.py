@@ -67,6 +67,6 @@ def coa_numeric(psi_ab, grid_res: int = 64, refine_iters: int = 30) -> CoaResult
     marginal.  Accepts pure parents only: decompositions of mixed Bob states
     are reached physically through a measurement on the purification.
     """
-    psi = qcore.ensure_state_vector(psi_ab, dim=4)
+    psi = qcore.ensure_state_vector(psi_ab)
     basis, value, trace = protocol._basis_search(qcore.projector(psi), grid_res, refine_iters)
     return CoaResult(value, basis, trace)

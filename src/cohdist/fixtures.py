@@ -3,7 +3,7 @@
 Three CSV resources hold per-parameter coherence values measured on real
 hardware: tables 1 and 2 cover the two pure families on the theta grid
 0:2.5:45 degrees, table 3 covers sixteen Werner mixing parameters.  The files
-are versioned and checksummed so accidental edits are caught at load time.
+are checksummed so accidental edits are caught at load time.
 """
 
 import csv
@@ -11,8 +11,6 @@ import hashlib
 import io
 from dataclasses import dataclass
 from importlib import resources
-
-FIXTURES_VERSION = "1"
 
 _CHECKSUMS = {
     1: "32851b8448fd984662dd725b01d5fe91b79622e33a32bf392a881c3bf6d5e011",

@@ -290,6 +290,5 @@ def compare_fixtures(table_id: int, rows: list[ExperimentRow]) -> DeviationRepor
 
 def fixture_run_config(table_id: int) -> RunConfig:
     """Analytic RunConfig matching a fixture table's family and grid."""
-    kind = {1: "family1", 2: "family2", 3: "werner"}[table_id]
-    params = load_fixture(table_id).params
-    return RunConfig(kind=kind, params=params)
+    params = load_fixture(table_id).params  # raises the ValueError for an unknown table_id
+    return RunConfig(kind={1: "family1", 2: "family2", 3: "werner"}[table_id], params=params)

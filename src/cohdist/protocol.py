@@ -40,10 +40,9 @@ _PAULI_PAIRS = np.einsum("mji,nlk->ikjlmn", _PAULIS, _PAULIS).reshape(16, 16)
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """Orthonormal single-qubit basis parametrized by a Bloch unit vector.
+    """A rank-1 projective qubit measurement, fixed by its Bloch unit vector n.
 
-    The "+" ket has Bloch vector +n and phase convention
-    cos(t/2)|H> + e^{i phi} sin(t/2)|V>; the "-" ket sits at -n.
+    Outcome +- projects onto (I +- n.sigma) / 2.
     """
 
     bloch: tuple[float, float, float]
@@ -53,7 +52,7 @@ class MeasurementBasis:
         if n.shape != (3,):
             raise ValueError(f"bloch vector must have 3 components, got {n.shape}")
         norm = float(np.linalg.norm(n))
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # a nan norm fails too
             raise ValueError(f"bloch vector must be unit length, got |n| = {norm}")
         object.__setattr__(self, "bloch", tuple(float(x / norm) + 0.0 for x in n))
 
@@ -62,22 +61,6 @@ class MeasurementBasis:
         """Basis with Bloch vector (sin t cos phi, sin t sin phi, cos t)."""
         st = math.sin(theta)
         return cls((st * math.cos(phi), st * math.sin(phi), math.cos(theta)))
-
-    def _half_angles(self) -> tuple[float, float, complex]:
-        """(cos t/2, sin t/2, e^{i phi}) straight from the Bloch vector; the phase is 1 at the poles."""
-        nx, ny, nz = self.bloch
-        rho = math.hypot(nx, ny)
-        return math.sqrt((1.0 + nz) / 2.0), math.sqrt((1.0 - nz) / 2.0), complex(nx, ny) / rho if rho > 0.0 else 1.0
-
-    @property
-    def ket_plus(self) -> np.ndarray:
-        c, s, phase = self._half_angles()
-        return np.array([c, s * phase], dtype=complex)
-
-    @property
-    def ket_minus(self) -> np.ndarray:
-        c, s, phase = self._half_angles()
-        return np.array([s, -c * phase], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -148,7 +131,7 @@ def optimal_basis_pure(psi_ab) -> MeasurementBasis:
     the first Alice vector with maximal y component, preferring +x when the
     Alice vector is +-y itself.
     """
-    psi = qcore.ensure_state_vector(psi_ab, dim=4)
+    psi = qcore.ensure_state_vector(psi_ab)
     blochs = []
     for alice in psi.reshape(2, 2).T:  # Alice's vector for Bob's |H>, then |V>
         norm = float(np.linalg.norm(alice))

@@ -58,15 +58,13 @@ def projector(psi) -> np.ndarray:
     return psi[..., :, None] * psi[..., None, :].conj()
 
 
-def ensure_state_vector(psi, dim: int | None = None) -> np.ndarray:
-    """Return psi as a complex array, or raise if it is not a unit vector."""
+def ensure_state_vector(psi) -> np.ndarray:
+    """Return psi as a complex array, or raise if it is not a unit two-qubit (4,) ket."""
     psi = np.asarray(psi, dtype=complex)
-    if psi.ndim != 1 or psi.shape[0] not in (2, 4):
-        raise InvalidStateError(f"expected a state vector of dim 2 or 4, got shape {psi.shape}")
-    if dim is not None and psi.shape[0] != dim:
-        raise InvalidStateError(f"expected a state vector of dim {dim}, got {psi.shape[0]}")
+    if psi.shape != (4,):
+        raise InvalidStateError(f"expected a two-qubit state vector of shape (4,), got shape {psi.shape}")
     norm_sq = float(np.vdot(psi, psi).real)
-    if abs(norm_sq - 1.0) > 1e-10:
+    if not abs(norm_sq - 1.0) <= 1e-10:  # a nan norm fails too
         raise InvalidStateError(f"state vector is not normalized: |psi|^2 = {norm_sq!r}")
     return psi
 
@@ -86,7 +84,7 @@ def validate_density(rho) -> ValidationReport:
     Reporting only: never raises, even on malformed input.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4) or not np.isfinite(rho).all():
         return ValidationReport(np.inf, np.inf, -np.inf, False)
     herm, trace, eigs, ok = density_defects(rho)
     return ValidationReport(float(herm), float(trace), float(eigs[0]), bool(ok))
@@ -99,6 +97,8 @@ def density_spectrum(rho, dim: int | None = None) -> tuple[np.ndarray, np.ndarra
         raise InvalidStateError(f"expected a 2x2 or 4x4 density matrix, got shape {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
         raise InvalidStateError(f"expected a {dim}x{dim} density matrix, got {rho.shape[0]}x{rho.shape[0]}")
+    if not np.isfinite(rho).all():
+        raise InvalidStateError("density matrix has non-finite entries")
     _, _, eigs, ok = density_defects(rho)
     if not ok:
         raise InvalidStateError(f"invalid density matrix: {validate_density(rho)}")

@@ -221,8 +221,8 @@ class TomographyRecord:
 
 
 def _check_record(record: TomographyRecord) -> None:
-    if qcore.as_int("shots_per_basis", record.shots_per_basis) < 1:
-        raise ValueError(f"shots_per_basis must be >= 1, got {record.shots_per_basis}")
+    if not 1 <= qcore.as_int("shots_per_basis", record.shots_per_basis) <= SHOTS_MAX:
+        raise ValueError(f"shots_per_basis must be in [1, {SHOTS_MAX}], got {record.shots_per_basis}")
     for b in BASES:
         if b not in record.counts:
             raise ValueError(f"record is missing basis {b}")

@@ -10,7 +10,9 @@ scalar sampler, and the per-point dense runner) are the slow ones the
 library replaced with closed forms or batched numpy; the scalar MLE runs the
 library's guarded Newton solve one record at a time.  The basis search and
 the runner measure through the dense map here (4x4 projectors, partial
-traces), not through the library's Pauli-coordinate closed form.
+traces), not through the library's Pauli-coordinate closed form; the map
+builds Alice's projectors (I +- n.sigma) / 2 from the basis' Bloch vector n
+with bloch_rho, so it takes nothing about the basis from the library.
 """
 
 import math
@@ -189,10 +191,14 @@ def linear_clip_oracle(record) -> ReconstructionResult:
 
 
 def _measure(rho: np.ndarray, basis: MeasurementBasis) -> OutcomeSet:
-    """The dense measurement map: p_i = tr[(P_i x I) rho], Bob's state Tr_A[(P_i x I) rho (P_i x I)] / p_i."""
+    """The dense measurement map: p_i = tr[(P_i x I) rho], Bob's state Tr_A[(P_i x I) rho (P_i x I)] / p_i.
+
+    P_+- = (I +- n.sigma) / 2 for the basis' Bloch vector n, written out by bloch_rho.
+    """
+    n = np.array(basis.bloch)
     outcomes = []
-    for label, ket in (("+", basis.ket_plus), ("-", basis.ket_minus)):
-        proj = np.kron(qcore.projector(ket), qcore.IDENTITY_2)
+    for label, sign in (("+", 1.0), ("-", -1.0)):
+        proj = np.kron(bloch_rho(*(sign * n)), np.eye(2))
         m = proj @ rho @ proj
         p = float(m.trace().real)
         if p < ZERO_PROB_TOL:
@@ -399,7 +405,12 @@ def binomial_draw_oracle(n: int, p: float, u: float) -> int:
     return min(max(int(k), 0), n)
 
 
-_PLUS_KETS = (qcore.KET_X_PLUS, qcore.KET_Y_PLUS, qcore.KET_H)
+# the '+' kets of the X, Y and Z bases, written out here rather than read from qcore
+_PLUS_KETS = (
+    np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0),
+    np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0),
+    np.array([1.0, 0.0], dtype=complex),
+)
 
 
 def simulate_counts_oracle(rho: np.ndarray, shots: int, seed: int) -> TomographyRecord:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import cohdist
 from cohdist import protocol, qcore
-from cohdist.coherence import coa_closed_form, qi_relative_entropy, rel_entropy_coherence
+from cohdist.coherence import coa_closed_form, coa_numeric, qi_relative_entropy, rel_entropy_coherence
 from cohdist.harness import parse_grid
 from cohdist.protocol import (
     MeasurementBasis,
@@ -30,30 +30,22 @@ Y_BASIS = MeasurementBasis((0.0, 1.0, 0.0))
 
 # --- MeasurementBasis --------------------------------------------------------
 
-def test_basis_kets_orthonormal_and_on_bloch_axis():
-    rng = np.random.default_rng(31)
-    poles = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.0, 1.0, 0.0), (0.0, -1.0, 0.0)]  # +-z: the phase is 1 there
-    for bloch in poles + [random_bloch(rng) for _ in range(50)]:
-        basis = MeasurementBasis(bloch)
-        plus, minus = basis.ket_plus, basis.ket_minus
-        assert abs(np.vdot(plus, plus) - 1) < 1e-12
-        assert abs(np.vdot(minus, minus) - 1) < 1e-12
-        assert abs(np.vdot(plus, minus)) < 1e-10
-        assert np.allclose(oracles.bloch_vector(plus), basis.bloch, atol=1e-10)
-        assert np.allclose(oracles.bloch_vector(minus), -np.array(basis.bloch), atol=1e-10)
-
-
-def test_y_basis_kets():
-    basis = Y_BASIS
-    assert np.allclose(basis.ket_plus, qcore.KET_Y_PLUS, atol=1e-12)
-    # ket_minus may differ from |y-> by a global phase only
-    overlap = abs(np.vdot(basis.ket_minus, qcore.KET_Y_MINUS))
-    assert overlap == pytest.approx(1.0, abs=1e-12)
-
-
 def test_basis_rejects_non_unit_vector():
     with pytest.raises(ValueError):
         MeasurementBasis((0.0, 0.0, 0.9))
+
+
+def test_non_finite_bloch_vectors_and_kets_are_rejected():
+    nan, inf = math.nan, math.inf
+    for bloch in ((nan, 0.0, 1.0), (nan, nan, nan), (inf, 0.0, 0.0), (0.0, -inf, 1.0)):
+        with pytest.raises(ValueError):
+            MeasurementBasis(bloch)
+    for bad in (nan, inf, complex(0.0, nan)):
+        psi = np.array([bad, 0.0, 0.0, 0.0], dtype=complex)
+        with pytest.raises(qcore.InvalidStateError):
+            coa_numeric(psi, grid_res=8, refine_iters=0)
+        with pytest.raises(qcore.InvalidStateError):
+            optimal_basis_pure(psi)
 
 
 # --- alice_measure -----------------------------------------------------------
@@ -219,8 +211,8 @@ def test_optimal_basis_mub_property():
             a_k = amps[:, k]
             norm = np.linalg.norm(a_k)
             if norm > 1e-6:
-                overlap = abs(np.vdot(basis.ket_plus, a_k / norm)) ** 2
-                assert overlap == pytest.approx(0.5, abs=1e-10)
+                # |<n+|a>|^2 = (1 + n.m) / 2, so an overlap of 1/2 is n orthogonal to a's Bloch vector m
+                assert abs(np.dot(basis.bloch, oracles.bloch_vector(a_k / norm))) <= 2e-10
 
 
 def test_optimal_basis_achieves_closed_form():

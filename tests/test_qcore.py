@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from cohdist import qcore
+from cohdist.coherence import qi_relative_entropy
+from cohdist.protocol import MeasurementBasis, alice_measure, optimize_basis
 from cohdist.qcore import (
     InvalidStateError,
     dephase,
@@ -173,6 +177,28 @@ def test_validate_negative_eigenvalue():
 def test_validate_never_raises():
     assert not validate_density(np.zeros((3, 3))).ok
     assert not validate_density(np.array([[1.0, 1.0], [0.0, 0.0]])).ok
+
+
+_NON_FINITE_ENTRY_POINTS = {
+    "ensure_density": qcore.ensure_density,
+    "optimize_basis": lambda rho: optimize_basis(rho, grid_res=8, refine_iters=0),
+    "alice_measure": lambda rho: alice_measure(rho, MeasurementBasis((0.0, 1.0, 0.0))),
+    "qi_relative_entropy": qi_relative_entropy,
+    "negativity": negativity,
+}
+
+
+@pytest.mark.parametrize("entry", ["validate_density", *_NON_FINITE_ENTRY_POINTS])
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_matrices_are_invalid_states(bad, dim, entry):
+    rho = np.eye(dim, dtype=complex) / dim
+    rho[0, dim - 1] = rho[dim - 1, 0] = bad
+    if entry == "validate_density":
+        assert not validate_density(rho).ok  # reporting only: it never raises
+    else:
+        with pytest.raises(InvalidStateError):
+            _NON_FINITE_ENTRY_POINTS[entry](rho)
 
 
 # --- negativity -------------------------------------------------------------

@@ -546,6 +546,14 @@ def test_records_with_non_integer_shots_or_counts_are_rejected_naming_the_field(
             reconstruct(record)
 
 
+@pytest.mark.parametrize("shots", [SHOTS_MAX + 1, 2**64, 2**70], ids=["2^53+1", "2^64", "2^70"])
+def test_records_beyond_shots_max_are_rejected_naming_the_field(shots):
+    record = _record_from_counts(shots, (shots, 0), (0, shots), (shots, 0))
+    for reconstruct in (reconstruct_linear, reconstruct_mle):
+        with pytest.raises(ValueError, match="shots_per_basis"):
+            reconstruct(record)
+
+
 def test_records_take_numpy_integer_shots_and_counts():
     plain = _record_from_counts(10, (10, 0), (10, 0), (4, 6))
     numpy_ints = _record_from_counts(np.int64(10), *[tuple(map(np.int32, c)) for c in ((10, 0), (10, 0), (4, 6))])
