@@ -167,8 +167,7 @@ def tomo_demo(family, theta, shots, seed, fmt, out):
         psi = states.make_pure(int(family), config.params[0])  # -0.0 reads as 0.0, as in the run
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    outcomes = protocol._outcomes(ALICE_BLOCH[None], *protocol._pauli_coordinates(qcore.projector(psi)))
-    probs, bob = [float(p[0]) for p, _ in outcomes], np.stack([r[0] for _, r in outcomes])  # both families give p = 1/2 along y
+    probs, bob = protocol._outcomes(ALICE_BLOCH, *protocol._pauli_coordinates(qcore.projector(psi)))  # p = 1/2 along y
     streams = derive_stream(seed, 0, np.arange(1, 3, dtype=np.uint64))
     plus = tomography._pauli_counts(bob, shots, streams)
     lin, (mle, steps) = tomography._linear(plus, shots), tomography._mle(plus, shots)
@@ -180,7 +179,7 @@ def tomo_demo(family, theta, shots, seed, fmt, out):
         results.append(
             {
                 "label": label,
-                "prob": probs[i],
+                "prob": float(probs[i]),
                 "record": json.loads(record.to_json()),
                 "fidelity_linear": qcore.fidelity(qcore.bloch_state(lin[i]), true_state),
                 "fidelity_mle": qcore.fidelity(qcore.bloch_state(mle[i]), true_state),

@@ -11,9 +11,9 @@ for mixed states is unresolved and the harness must not claim it is.
 
 One runner serves every kind through the KINDS table: it builds a stack of
 grid states in one factory call, validates it once and scores it in Pauli
-coordinates in one numpy pass (protocol._outcomes), with Alice measuring
-along y for every kind; sampled mode tomographs the same Bloch vectors, every
-record of the pass in one tomography.tomograph call.
+coordinates in one numpy pass (protocol._outcomes), Alice measuring along y;
+Bob's marginal and both outcomes are the records t = 0, 1, 2 of one (3, N)
+stack, and sampled mode tomographs those with p > 0 in one tomograph call.
 """
 
 import json
@@ -91,8 +91,8 @@ class RunConfig:
         if bad:  # one check per type, not per point; nan and inf pass here and reach the factory's range check
             raise ValueError(f"params must be real numbers, got {', '.join(bad)}")
         shots, seed = qcore.as_int("shots_per_basis", self.shots_per_basis), qcore.as_int("seed", self.seed)
-        if self.mode == "sampled" and not 1 <= shots <= SHOTS_MAX:
-            raise ValueError(f"shots_per_basis must be in [1, {SHOTS_MAX}] in sampled mode, got {shots}")
+        if not 1 <= shots <= SHOTS_MAX:
+            raise ValueError(f"shots_per_basis must be in [1, {SHOTS_MAX}], got {shots}")
         if not 0 <= seed < SEED_LIMIT:
             raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
         eps = self.epsilon_prep
@@ -156,19 +156,19 @@ def _run_points(config: RunConfig, start: int) -> list[ExperimentRow]:
         report = qcore.validate_density(rho[i])
         raise qcore.InvalidStateError(f"invalid density matrix at parameter {params[i]}: {report}")
     a, b, t = protocol._pauli_coordinates(rho)
-    outcomes = [(p[:, 0], r[:, 0]) for p, r in protocol._outcomes(ALICE_BLOCH[None], a, b, t)]
-    before = protocol._qubit_coherence(b).tolist()
-    after = sum(p * protocol._qubit_coherence(r) for p, r in outcomes).tolist()
+    p, r = protocol._outcomes(ALICE_BLOCH, a, b, t)
+    blochs = np.concatenate([b[None], r])  # the records: Bob's marginal (t = 0) and the outcomes t = 1, 2
+    c_true = protocol._qubit_coherence(blochs)
+    before, after = c_true[0].tolist(), sum(p * c_true[1:]).tolist()
     bounds = qcore.qi_bound(rho, spectra).tolist() if "bound_qi" in kind.columns else [None] * len(params)
     before_sim, after_sim = before, after
-    if config.mode == "sampled":  # records: Bob's marginal (t = 0) and the outcomes t = 1, 2 with p > 0
-        target, point = np.nonzero([np.ones(len(params), bool)] + [p > 0.0 for p, _ in outcomes])
-        blochs = np.stack([b] + [r for _, r in outcomes])[target, point]
+    if config.mode == "sampled":  # every record but the outcomes with p = 0
+        target, point = np.nonzero(np.concatenate([np.ones((1, len(params)), bool), p > 0.0]))
         streams = derive_stream(config.seed, (start + point).astype(np.uint64), target.astype(np.uint64))
-        est, _ = tomograph(blochs, config.shots_per_basis, streams)
+        est, _ = tomograph(blochs[target, point], config.shots_per_basis, streams)
         c_r = np.zeros((3, len(params)))
         c_r[target, point] = protocol._qubit_coherence(est)
-        before_sim, after_sim = c_r[0].tolist(), (outcomes[0][0] * c_r[1] + outcomes[1][0] * c_r[2]).tolist()
+        before_sim, after_sim = c_r[0].tolist(), sum(p * c_r[1:]).tolist()
     delta = map(operator.sub, after_sim, before_sim)
     return list(map(ExperimentRow, params, before, before_sim, after, after_sim, delta, bounds))
 

@@ -14,9 +14,11 @@ T.  Measuring Alice along the Bloch vector n gives outcome probabilities
 p+- = (1 +- n.a) / 2 and leaves Bob with Bloch vectors
 r+- = (b +- T^t n) / (2 p+-); a qubit with Bloch vector r has
 C_r = h2((1 + r_z) / 2) - h2((1 + |r|) / 2).  That map (_outcomes) is the
-only one: alice_measure builds Bob's matrices from it, the harness scores a
-whole stack of states with it along y, and the basis search scores the
-theta x phi grid and then each zoom lattice in one batched call apiece.
+only one.  It returns both outcomes stacked on a leading axis of 2, and the
+leading axes of n broadcast against the state's: alice_measure builds Bob's
+matrices from it, the harness scores a whole stack of states with it along
+y, and the basis search scores the theta x phi grid and then each zoom
+lattice in one batched call apiece.
 
 On an exactly flat objective (the equator of a Werner state, a Bell state)
 the grid argmax is decided by rounding, so the returned phi may differ from
@@ -92,13 +94,12 @@ def alice_measure(rho_ab, basis: MeasurementBasis) -> OutcomeSet:
     zero_prob flag set, so the outcome set shape is stable.
     """
     rho = qcore.ensure_density(rho_ab, dim=4)
-    outcomes = []
-    for label, (p, r) in zip("+-", _outcomes(np.array([basis.bloch]), *_pauli_coordinates(rho))):
-        if p[0] > 0.0:  # _outcomes sets p = 0 below ZERO_PROB_TOL
-            outcomes.append(Outcome(label, float(p[0]), qcore.bloch_state(r[0])))
-        else:
-            outcomes.append(Outcome(label, 0.0, qcore.IDENTITY_2 / 2.0, zero_prob=True))
-    return OutcomeSet(tuple(outcomes))
+    p, r = _outcomes(np.array(basis.bloch), *_pauli_coordinates(rho))
+    return OutcomeSet(tuple(
+        Outcome(label, p_k, qcore.bloch_state(r_k)) if p_k > 0.0  # _outcomes sets p = 0 below ZERO_PROB_TOL
+        else Outcome(label, 0.0, qcore.IDENTITY_2 / 2.0, zero_prob=True)
+        for label, p_k, r_k in zip("+-", p.tolist(), r)
+    ))
 
 
 def average_assisted_coherence(outcomes: OutcomeSet) -> float:
@@ -175,26 +176,26 @@ def _qubit_coherence(r):
     return _qubit_entropy(r[..., 2]) - _qubit_entropy(np.linalg.norm(r, axis=-1))
 
 
-def _outcomes(n: np.ndarray, a, b, t) -> list[tuple[np.ndarray, np.ndarray]]:
-    """[(p+, r+), (p-, r-)]: outcome probabilities and Bob's Bloch vectors for each Alice Bloch vector n[..., :].
+def _outcomes(n: np.ndarray, a, b, t) -> tuple[np.ndarray, np.ndarray]:
+    """(p, r): p[k, ...] and r[k, ..., :] are the probability of Alice's outcome k (0 for +, 1 for -) and Bob's Bloch vector.
 
-    n[..., m, :] is an Alice basis for the state (a, b, t)[...]: the
-    coordinates' leading axes broadcast against n's axes before its last
-    two.  Outcomes with p < ZERO_PROB_TOL get p = 0 and a meaningless r.
+    n[..., :] is Alice's Bloch vector for the state (a, b, t)[...]: n's
+    leading axes broadcast against the coordinates' leading axes.  Outcomes
+    with p < ZERO_PROB_TOL get p = 0 and a meaningless r.
     """
-    na, tn = (n @ a[..., None])[..., 0], n @ t
-    outcomes = []
-    for sign in (1.0, -1.0):
-        p = (1.0 + sign * na) / 2.0
-        kept = p >= ZERO_PROB_TOL
-        r = (b[..., None, :] + sign * tn) / (2.0 * np.where(kept, p, 1.0))[..., None]
-        outcomes.append((np.where(kept, p, 0.0), r))
-    return outcomes
+    row = n[..., None, :]  # n as a 1 x 3 matrix, so that only the leading axes broadcast
+    na, tn = (row @ a[..., None])[..., 0, 0], (row @ t)[..., 0, :]
+    sign = np.array([1.0, -1.0]).reshape(2, *[1] * na.ndim)
+    p = (1.0 + sign * na) / 2.0
+    kept = p >= ZERO_PROB_TOL
+    r = (b + sign[..., None] * tn) / (2.0 * np.where(kept, p, 1.0))[..., None]
+    return np.where(kept, p, 0.0), r
 
 
 def _assisted_coherence(n: np.ndarray, a, b, t) -> np.ndarray:
     """sum_+- p+- C_r(r+-) for each Alice Bloch vector n[..., :] (see _outcomes); zero-probability outcomes add 0."""
-    return sum(p * _qubit_coherence(r) for p, r in _outcomes(n, a, b, t))
+    p, r = _outcomes(n, a, b, t)
+    return sum(p * _qubit_coherence(r))
 
 
 def _lattice_argmax(thetas: np.ndarray, phis: np.ndarray, coords) -> tuple[int, int, float]:

@@ -216,17 +216,25 @@ class TomographyRecord:
     @classmethod
     def from_json(cls, text: str) -> "TomographyRecord":
         obj = json.loads(text)
-        counts = {b: tuple(qcore.as_int(f"counts[{b!r}]", c) for c in obj["counts"][b]) for b in BASES}
-        return cls(shots_per_basis=qcore.as_int("shots", obj["shots"]), seed=qcore.as_int("seed", obj["seed"]), counts=counts)
+        if not isinstance(obj, dict) or not isinstance(obj.get("counts"), dict):
+            raise ValueError(f"a record is a JSON object with a counts object, got {text!r}")
+        seed = qcore.as_int("seed", obj.get("seed"))
+        if not 0 <= seed < SEED_LIMIT:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+        return cls(qcore.as_int("shots", obj.get("shots")), seed, {b: _count_pair(b, obj["counts"].get(b)) for b in BASES})
+
+
+def _count_pair(basis: str, pair) -> tuple[int, int]:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError(f"counts[{basis!r}] must be a pair of counts, got {pair!r}")
+    return tuple(qcore.as_int(f"counts[{basis!r}]", c) for c in pair)
 
 
 def _check_record(record: TomographyRecord) -> None:
     if not 1 <= qcore.as_int("shots_per_basis", record.shots_per_basis) <= SHOTS_MAX:
         raise ValueError(f"shots_per_basis must be in [1, {SHOTS_MAX}], got {record.shots_per_basis}")
     for b in BASES:
-        if b not in record.counts:
-            raise ValueError(f"record is missing basis {b}")
-        plus, minus = (qcore.as_int(f"counts[{b!r}]", c) for c in record.counts[b])
+        plus, minus = _count_pair(b, record.counts.get(b))
         if plus < 0 or minus < 0 or plus + minus != record.shots_per_basis:
             raise ValueError(f"counts for basis {b} do not sum to shots: {record.counts[b]}")
 

@@ -533,7 +533,7 @@ def per_record_sampled_oracle(config) -> list[ExperimentRow]:
     rho = made[:, :, None] * made[:, None, :].conj() if made.ndim == 2 else made
     rho = (1.0 - config.epsilon_prep) * rho + config.epsilon_prep * np.eye(4) / 4.0
     a, b, t = protocol._pauli_coordinates(rho)
-    outcomes = [(p[:, 0], r[:, 0]) for p, r in protocol._outcomes(np.array([[0.0, 1.0, 0.0]]), a, b, t)]
+    outcomes = list(zip(*protocol._outcomes(np.array([0.0, 1.0, 0.0]), a, b, t)))
     rows = []
     for g, row in enumerate(harness.run_experiment(replace(config, mode="analytic"))):
         before = _tomographed_cr(qcore.bloch_state(b[g]), shots, derive_stream(config.seed, g, 0))

@@ -149,6 +149,15 @@ def test_shots_and_seeds_outside_their_exact_ranges_are_usage_errors():
     assert "[0, 2^64)" in runner.invoke(cli.main, ["werner", "--help"]).output
 
 
+def test_run_config_checks_shots_in_every_mode():
+    for mode in ("analytic", "sampled"):
+        for shots in (0, -5, harness.SHOTS_MAX + 1):
+            with pytest.raises(ValueError, match="shots_per_basis"):
+                RunConfig(kind="werner", params=(0.5,), mode=mode, shots_per_basis=shots)
+        for shots in (1, harness.SHOTS_MAX):
+            assert RunConfig(kind="werner", params=(0.5,), mode=mode, shots_per_basis=shots).shots_per_basis == shots
+
+
 @pytest.mark.parametrize("value", [1.5, 1e4, 100000.0, True, "7"])
 def test_integer_fields_reject_other_values_naming_the_field(value):
     for field in ("shots_per_basis", "seed"):

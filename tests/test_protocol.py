@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cohdist
-from cohdist import protocol, qcore
+from cohdist import harness, protocol, qcore
 from cohdist.coherence import coa_closed_form, coa_numeric, qi_relative_entropy, rel_entropy_coherence
 from cohdist.harness import parse_grid
 from cohdist.protocol import (
@@ -294,6 +294,33 @@ def _grid(grid_res: int):
     phis = (2.0 * math.pi / grid_res) * np.arange(grid_res)
     n = np.array([[MeasurementBasis.from_angles(t, p).bloch for p in phis] for t in thetas])
     return thetas, phis, n
+
+
+def test_outcomes_stack_both_signs_and_broadcast_bases_against_states():
+    rng = np.random.default_rng(50)
+    rhos = np.stack([random_density(rng, 4) for _ in range(40)] + [projector(random_pure_state(rng, 4)) for _ in range(20)])
+    y = harness.ALICE_BLOCH
+    p, r = protocol._outcomes(y, *protocol._pauli_coordinates(rhos))  # one basis for a stack of states
+    assert p.shape == (2, len(rhos)) and r.shape == (2, len(rhos), 3)
+    for g, rho in enumerate(rhos):
+        p_g, r_g = protocol._outcomes(y, *protocol._pauli_coordinates(rho))
+        assert p_g.shape == (2,) and r_g.shape == (2, 3)
+        assert np.array_equal(p[:, g], p_g) and np.array_equal(r[:, g], r_g)
+    assert (p[0] + p[1] == 1.0).all()
+    _, _, n = _grid(16)
+    product = np.kron(projector(qcore.KET_H), random_density(rng, 2))  # the pole n = +z drops outcome -
+    for rho in (rhos[0], rhos[-1], product):  # a stack of bases for one state
+        p, r = protocol._outcomes(n, *protocol._pauli_coordinates(rho))
+        assert p.shape == (2, 16, 16) and r.shape == (2, 16, 16, 3)
+        kept = (p > 0.0).all(axis=0)
+        assert (p[0] + p[1] == 1.0)[kept].all()
+    assert not kept[0].any() and kept[1:].all()
+    a, b, t = protocol._pauli_coordinates(rhos[:5, None, None])  # the same grid for each of a stack of states
+    p, r = protocol._outcomes(n, a, b, t)
+    assert p.shape == (2, 5, 16, 16) and r.shape == (2, 5, 16, 16, 3)
+    for s, rho in enumerate(rhos[:5]):
+        p_s, r_s = protocol._outcomes(n, *protocol._pauli_coordinates(rho))
+        assert np.array_equal(p[:, s], p_s) and np.array_equal(r[:, s], r_s)
 
 
 def test_closed_form_objective_matches_dense_path():

@@ -265,6 +265,37 @@ def test_record_json_rejects_non_integers(field, value):
         TomographyRecord.from_json(json.dumps(obj))
 
 
+_RECORD = {"seed": 5, "shots": 10, "counts": {"X": [7, 3], "Y": [5, 5], "Z": [10, 0]}}
+
+
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        ({**_RECORD, "counts": {"X": [7, 3], "Y": [5, 5]}}, "counts\\['Z'\\]"),
+        ({**_RECORD, "counts": {"X": [7, 3], "Y": [5, 5], "Z": 5}}, "counts\\['Z'\\]"),
+        ({**_RECORD, "counts": {"X": [7, 3], "Y": [5, 5], "Z": [5, 5, 0]}}, "counts\\['Z'\\]"),
+        ({"seed": 5, "counts": _RECORD["counts"]}, "shots"),
+        ({"shots": 10, "counts": _RECORD["counts"]}, "seed"),
+        ({**_RECORD, "seed": -5}, "seed"),
+        ({**_RECORD, "seed": 2**70}, "seed"),
+        ({**_RECORD, "counts": None}, "counts"),
+        ([_RECORD], "counts"),
+    ],
+)
+def test_record_json_rejects_malformed_fields_naming_them(obj, field):
+    with pytest.raises(ValueError, match=field):
+        TomographyRecord.from_json(json.dumps(obj))
+    assert TomographyRecord.from_json(json.dumps({**_RECORD, "seed": 2**64 - 1})).seed == 2**64 - 1
+
+
+def test_checks_name_the_basis_of_a_count_pair_of_the_wrong_length():
+    for z in ((5, 5, 0), (10,)):
+        record = TomographyRecord(shots_per_basis=10, seed=0, counts={"X": (7, 3), "Y": (5, 5), "Z": z})
+        for reconstruct in (reconstruct_linear, reconstruct_mle):
+            with pytest.raises(ValueError, match="counts\\['Z'\\]"):
+                reconstruct(record)
+
+
 # --- reconstruct_linear ----------------------------------------------------------
 
 def _record_from_counts(shots, x, y, z):

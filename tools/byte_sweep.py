@@ -1,0 +1,89 @@
+"""Byte-for-byte comparison of the CLI of two checkouts.
+
+    python3 tools/byte_sweep.py --parent DIR --change DIR
+
+For each checkout one subprocess puts that checkout's src/ first on sys.path and runs a fixed list of CLI
+invocations in process through click's CliRunner: every run command analytic and sampled (7, 10,001 and 1e6
+shots) at epsilon 0 and 0.05 in CSV and JSON, a 1,001-point JSON Werner grid, a 4,501-point sampled grid
+(more than one harness.RUN_CHUNK), every fixture table and tomo-demo in both formats, every --help page, five
+usage errors and --version.  Prints each invocation whose exit code, stdout or stderr differs between the
+two checkouts and exits 1 if any does.
+"""
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+
+def invocations() -> list[list[str]]:
+    runs = []
+    for command in ("pure1", "pure2", "werner"):
+        for eps in ("0", "0.05"):
+            for fmt in ("csv", "json"):
+                tail = ["--epsilon-prep", eps, "--format", fmt]
+                runs.append([command, *tail])
+                runs += [[command, "--mode", "sampled", "--shots", shots, *tail] for shots in ("7", "10001", "1000000")]
+    runs.append(["werner", "--grid", "0:1:0.001", "--format", "json"])
+    runs.append(["werner", "--grid", "0:0.9:0.0002", "--mode", "sampled", "--shots", "1000"])
+    for fmt in ("csv", "json"):
+        runs += [["fixtures", "--table", table, "--format", fmt] for table in ("1", "2", "3")]
+        runs += [["tomo-demo", "--family", family, "--format", fmt] for family in ("1", "2")]
+    runs += [[*command, "--help"] for command in ([], ["pure1"], ["pure2"], ["werner"], ["fixtures"], ["tomo-demo"])]
+    runs += [
+        ["pure1", "--grid", "0:45"],
+        ["werner", "--grid", "0:1:0.1", "--points", "0.5"],
+        ["pure2", "--shots", "0"],
+        ["werner", "--points", "0.5", "--epsilon-prep", "2"],
+        ["fixtures", "--table", "4"],
+    ]
+    runs.append(["--version"])
+    return runs
+
+
+def emit(src: str) -> None:
+    """Print, as one JSON list, [args, exit code, exception, stdout, stderr] of every invocation with src first on sys.path."""
+    sys.path.insert(0, src)
+    from click.testing import CliRunner
+
+    from cohdist import cli
+
+    results = []
+    for args in invocations():
+        result = CliRunner().invoke(cli.main, args)
+        error = None if result.exception is None or isinstance(result.exception, SystemExit) else repr(result.exception)
+        results.append([args, result.exit_code, error, result.stdout, result.stderr])
+    json.dump(results, sys.stdout)
+
+
+def sweep(checkout: Path) -> list:
+    cmd = [sys.executable, __file__, "--emit", str(checkout.resolve() / "src")]
+    return json.loads(subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path)
+    parser.add_argument("--change", type=Path)
+    parser.add_argument("--emit", help=argparse.SUPPRESS)  # the subprocess: run the invocations against this src/
+    args = parser.parse_args(argv)
+    if args.emit:
+        emit(args.emit)
+        return 0
+    if args.parent is None or args.change is None:
+        parser.error("--parent and --change are required")
+    parent, change = sweep(args.parent), sweep(args.change)
+    fields = ("exit code", "exception", "stdout", "stderr")
+    differ = 0
+    for old, new in zip(parent, change, strict=True):
+        changed = [name for name, a, b in zip(fields, old[1:], new[1:]) if a != b]
+        if changed:
+            differ += 1
+            print(f"differs ({', '.join(changed)}): cohdist {' '.join(old[0])}")
+    print(f"{len(parent)} invocations, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
