@@ -9,7 +9,7 @@ harness that regenerates theory curves and scores the bundled experimental
 reference tables.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .coherence import (
     CoaResult,

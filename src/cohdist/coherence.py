@@ -55,18 +55,17 @@ class CoaResult:
     value: float
     argmax_basis: protocol.MeasurementBasis
     optimizer_trace: list
+    converged: bool
 
 
 def coa_numeric(psi_ab, grid_res: int = 64, refine_iters: int = 30) -> CoaResult:
     """Maximize the ensemble-averaged post-measurement coherence numerically.
 
-    Runs the protocol's basis search (a Bloch-hemisphere grid, then zoom
-    rounds of a local lattice) on |psi><psi|; optimizer_trace holds the
-    running best ((theta, phi), value) after the grid and after each round.
-    Independent of, and checkable against, coa_closed_form on Bob's
-    marginal.  Accepts pure parents only: decompositions of mixed Bob states
-    are reached physically through a measurement on the purification.
-    """
+    Runs the protocol's basis search on |psi><psi| (a Bloch-hemisphere grid, then up to refine_iters Newton
+    steps on the sphere).  optimizer_trace holds ((theta, phi), value) after the grid and each step;
+    converged says whether the tangent gradient at argmax_basis met protocol.NEWTON_GTOL (a search cut at
+    refine_iters steps returns False, never raises).  Checkable against coa_closed_form on Bob's marginal.
+    Pure parents only: decompositions of mixed Bob states are reached through a measurement on the purification."""
     psi = qcore.ensure_state_vector(psi_ab)
-    basis, value, trace = protocol._basis_search(qcore.projector(psi), grid_res, refine_iters)
-    return CoaResult(value, basis, trace)
+    (basis, converged), value, trace = protocol._basis_search(qcore.projector(psi), grid_res, refine_iters)
+    return CoaResult(value, basis, trace, converged)

@@ -1,28 +1,20 @@
 """Single-copy assisted-distillation protocol.
 
-Alice performs a projective measurement on her qubit and broadcasts the
-outcome; Bob only relabels his photons into per-outcome ensembles, which is a
-free (incoherent) operation.  The module provides the measurement map, the
-ensemble-averaged distillable coherence it induces on Bob, the analytic
-optimal basis for pure parents, and a numerical basis optimizer for anything
-else.  Only rank-1 projective measurements are considered.
+Alice measures her qubit projectively (rank-1 only) and broadcasts the outcome; Bob only relabels
+his photons into per-outcome ensembles, a free (incoherent) operation.  The module provides the
+measurement map, the ensemble-averaged distillable coherence it induces on Bob, the analytic optimal
+basis for pure parents, and a numerical basis search for any state.
 
 Measurement and search work in Pauli (Fano / Horodecki) coordinates,
-rho_AB = (I x I + a.sigma x I + I x b.sigma + sum_ij T_ij sigma_i x sigma_j) / 4,
-with Alice's Bloch vector a, Bob's Bloch vector b and the correlation matrix
-T.  Measuring Alice along the Bloch vector n gives outcome probabilities
-p+- = (1 +- n.a) / 2 and leaves Bob with Bloch vectors
-r+- = (b +- T^t n) / (2 p+-); a qubit with Bloch vector r has
-C_r = h2((1 + r_z) / 2) - h2((1 + |r|) / 2).  That map (_outcomes) is the
-only one.  It returns both outcomes stacked on a leading axis of 2, and the
-leading axes of n broadcast against the state's: alice_measure builds Bob's
-matrices from it, the harness scores a whole stack of states with it along
-y, and the basis search scores the theta x phi grid and then each zoom
-lattice in one batched call apiece.
-
-On an exactly flat objective (the equator of a Werner state, a Bell state)
-the grid argmax is decided by rounding, so the returned phi may differ from
-the dense search this replaced; the value and the |n_z| accuracy do not.
+rho_AB = (I x I + a.sigma x I + I x b.sigma + sum_ij T_ij sigma_i x sigma_j) / 4, with Alice's Bloch
+vector a, Bob's b and the correlation matrix T.  Measuring Alice along the Bloch vector n gives
+outcome probabilities p+- = (1 +- n.a) / 2 and leaves Bob with Bloch vectors r+- = (b +- T^t n) /
+(2 p+-); a qubit with Bloch vector r has C_r = h2((1 + r_z) / 2) - h2((1 + |r|) / 2).  That map
+(_outcomes) is the only one.  It stacks both outcomes on a leading axis of 2, and n's leading axes
+broadcast against the state's: alice_measure builds Bob's matrices from it, the harness scores a
+stack of states with it along y, and the basis search scores its theta x phi grid in one call and
+each Newton step's five points in another.  On an exactly flat objective (a Werner state's equator,
+a Bell state) rounding picks the grid argmax.
 """
 
 import math
@@ -34,7 +26,8 @@ from . import qcore
 
 ZERO_PROB_TOL = 1e-12
 GRID_RES_MAX = 1024  # the batched grid holds GRID_RES_MAX^2 Bloch vectors
-ZOOM_POINTS = 17  # lattice points per axis in each zoom round of the basis search
+NEWTON_H = 1e-5  # central-difference offset of the basis search's tangent Hessian
+NEWTON_GTOL, NEWTON_XTOL = 1e-7, 1e-9  # converged once |tangent gradient| <= GTOL; a step under XTOL ends the search
 _PAULIS = np.stack([qcore.IDENTITY_2, qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z])
 # (rho.ravel() @ _PAULI_PAIRS)[4m + n] = tr[rho (s_m x s_n)]
 _PAULI_PAIRS = np.einsum("mji,nlk->ikjlmn", _PAULIS, _PAULIS).reshape(16, 16)
@@ -42,10 +35,7 @@ _PAULI_PAIRS = np.einsum("mji,nlk->ikjlmn", _PAULIS, _PAULIS).reshape(16, 16)
 
 @dataclass(frozen=True)
 class MeasurementBasis:
-    """A rank-1 projective qubit measurement, fixed by its Bloch unit vector n.
-
-    Outcome +- projects onto (I +- n.sigma) / 2.
-    """
+    """A rank-1 projective qubit measurement, fixed by its Bloch unit vector n: outcome +- projects onto (I +- n.sigma) / 2."""
 
     bloch: tuple[float, float, float]
 
@@ -88,11 +78,9 @@ class OutcomeSet:
 def alice_measure(rho_ab, basis: MeasurementBasis) -> OutcomeSet:
     """Measure Alice's qubit projectively and collapse Bob accordingly.
 
-    p_i = tr[(P_i x I) rho] and Bob's states Tr_A[(P_i x I) rho (P_i x I)] / p_i
-    come from the state's Pauli coordinates (see _outcomes).  A
-    zero-probability outcome is kept with prob 0, Bob state I/2 and the
-    zero_prob flag set, so the outcome set shape is stable.
-    """
+    p_i = tr[(P_i x I) rho] and Bob's states Tr_A[(P_i x I) rho (P_i x I)] / p_i come from the state's
+    Pauli coordinates (see _outcomes).  A zero-probability outcome is kept with prob 0, Bob state I/2
+    and the zero_prob flag set, so the outcome set shape is stable."""
     rho = qcore.ensure_density(rho_ab, dim=4)
     p, r = _outcomes(np.array(basis.bloch), *_pauli_coordinates(rho))
     return OutcomeSet(tuple(
@@ -107,30 +95,21 @@ def average_assisted_coherence(outcomes: OutcomeSet) -> float:
     probs = sum(o.prob for o in outcomes)
     if abs(probs - 1.0) > 1e-9:
         raise ValueError(f"outcome probabilities sum to {probs}, expected 1")
-    total = 0.0
-    for o in outcomes:
-        if o.prob > 0.0:
-            total += o.prob * float(_qubit_coherence(qcore.bloch_vector(qcore.ensure_density(o.bob_state, dim=2))))
-    return total
+    return sum((o.prob * float(_qubit_coherence(qcore.bloch_vector(qcore.ensure_density(o.bob_state, dim=2))))
+                for o in outcomes if o.prob > 0.0), 0.0)
 
 
 def optimal_basis_pure(psi_ab) -> MeasurementBasis:
     """Analytic optimal Alice basis for a pure two-qubit parent state.
 
-    Expanding |psi> = sum_k a_k |Psi_k>_A |k>_B over Bob's reference basis,
-    the best von Neumann measurement is one that is unbiased against every
-    (normalized, nonzero) Alice vector |Psi_k>, i.e. whose Bloch vector is
-    orthogonal to theirs.  Both outcomes then leave Bob with coherence equal
-    to the entropy of his dephased marginal.  Two independent Alice Bloch
-    vectors fix it as their normalized cross product; of its two signs (one
-    basis) the rule takes y > 0, then x > 0, then z >= 0.  For both of the
-    paper's pure families that is y at every theta, the basis the harness
-    measures along.
-
-    When the Alice Bloch vectors are parallel or antiparallel the orthogonality
-    constraint is a circle; the tie-break picks the unit vector orthogonal to
-    the first Alice vector with maximal y component, preferring +x when the
-    Alice vector is +-y itself.
+    Expanding |psi> = sum_k a_k |Psi_k>_A |k>_B over Bob's reference basis, the best von Neumann
+    measurement is unbiased against every (normalized, nonzero) Alice vector |Psi_k>, i.e. its Bloch
+    vector is orthogonal to theirs; both outcomes then leave Bob with coherence equal to the entropy
+    of his dephased marginal.  Two independent Alice Bloch vectors fix it as their normalized cross
+    product, signed so that y > 0, then x > 0, then z >= 0: y at every theta for both of the paper's
+    pure families, the basis the harness measures along.  When the Alice Bloch vectors are
+    (anti)parallel the constraint is a circle; the tie-break picks the unit vector orthogonal to the
+    first one with maximal y component, preferring +x when that vector is +-y itself.
     """
     psi = qcore.ensure_state_vector(psi_ab)
     blochs = []
@@ -155,10 +134,7 @@ def optimal_basis_pure(psi_ab) -> MeasurementBasis:
 
 
 def _pauli_coordinates(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, T) of each state in a (..., 4, 4) stack.
-
-    a_i = tr[rho (s_i x I)], b_j = tr[rho (I x s_j)], T_ij = tr[rho (s_i x s_j)].
-    """
+    """(a, b, T) of each state in a (..., 4, 4) stack: a_i = tr[rho (s_i x I)], b_j = tr[rho (I x s_j)], T_ij = tr[rho (s_i x s_j)]."""
     lead = rho.shape[:-2]
     r = (rho.reshape(*lead, 16) @ _PAULI_PAIRS).real.reshape(*lead, 4, 4)
     return r[..., 1:, 0], r[..., 0, 1:], r[..., 1:, 1:]
@@ -179,12 +155,15 @@ def _qubit_coherence(r):
 def _outcomes(n: np.ndarray, a, b, t) -> tuple[np.ndarray, np.ndarray]:
     """(p, r): p[k, ...] and r[k, ..., :] are the probability of Alice's outcome k (0 for +, 1 for -) and Bob's Bloch vector.
 
-    n[..., :] is Alice's Bloch vector for the state (a, b, t)[...]: n's
-    leading axes broadcast against the coordinates' leading axes.  Outcomes
-    with p < ZERO_PROB_TOL get p = 0 and a meaningless r.
-    """
-    row = n[..., None, :]  # n as a 1 x 3 matrix, so that only the leading axes broadcast
-    na, tn = (row @ a[..., None])[..., 0, 0], (row @ t)[..., 0, :]
+    n[..., :] is Alice's Bloch vector for the state (a, b, t)[...]; n's leading axes broadcast against
+    the coordinates'.  Where the states do not vary along n's last leading axis (one state, a grid of n),
+    n.a and T^t n are one M x 3 matrix product per state, else one 1 x 3 product per basis, so a stack of
+    states gets each state's own bits.  Outcomes with p < ZERO_PROB_TOL get p = 0 and a meaningless r."""
+    if n.ndim > 1 and (a.ndim == 1 or a.shape[-2] == 1):
+        a1, t1 = (a, t) if a.ndim == 1 else (a[..., 0, :], t[..., 0, :, :])
+        na, tn = (n @ a1[..., None])[..., 0], n @ t1
+    else:
+        na, tn = (n[..., None, :] @ a[..., None])[..., 0, 0], (n[..., None, :] @ t)[..., 0, :]
     sign = np.array([1.0, -1.0]).reshape(2, *[1] * na.ndim)
     p = (1.0 + sign * na) / 2.0
     kept = p >= ZERO_PROB_TOL
@@ -198,65 +177,85 @@ def _assisted_coherence(n: np.ndarray, a, b, t) -> np.ndarray:
     return sum(p * _qubit_coherence(r))
 
 
-def _lattice_argmax(thetas: np.ndarray, phis: np.ndarray, coords) -> tuple[int, int, float]:
-    """(i, j, value) of the best basis (thetas[i], phis[j]) in one batched evaluation; ties go to the smallest (i, j)."""
-    st = np.sin(thetas)[:, None]
-    n = np.stack(np.broadcast_arrays(st * np.cos(phis), st * np.sin(phis), np.cos(thetas)[:, None]), axis=-1)
-    values = _assisted_coherence(n, *coords)
-    i, j = np.unravel_index(np.argmax(values), values.shape)
-    return int(i), int(j), float(values[i, j])
+def _coherence_gradient(r):
+    """Gradient (atanh(|r|) r / |r| - atanh(r_z) e_z) / ln 2 of _qubit_coherence at r[..., :], elementwise.
+
+    |r| and |r_z| are clipped at 1 - 2^-53, so a pure outcome's |r| term (tangent part 0 up to rounding)
+    gets the factor atanh(1 - 2^-53) ~ 18.7, not atanh(1) = inf."""
+    s, top = np.linalg.norm(r, axis=-1, keepdims=True), 1.0 - 2.0**-53
+    grad = np.arctanh(np.minimum(s, top)) / np.where(s > 0.0, s, 1.0) * r
+    grad[..., 2] -= np.arctanh(np.clip(r[..., 2], -top, top))
+    return grad / math.log(2.0)
+
+
+def _local_model(theta: float, phi: float, coords):
+    """(n, frame, value, gradient, Hessian) of the search objective f at the basis (theta, phi).
+
+    frame holds e_theta and e_phi at n as rows.  Gradient and Hessian are those of g(x) = f((n + x frame)
+    / |n + x frame|) at x = 0, the Hessian by central differences of g's gradient at x = +-NEWTON_H e_i,
+    with n and those four points scored in one _outcomes call.  f's Euclidean gradient is sum_+- +-[a
+    C_r(r+-) + (T - a r+-^t) grad C_r(r+-)] / 2, to which a zero-probability outcome adds 0."""
+    st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
+    n, frame = np.array([st * cp, st * sp, ct]), np.array([[ct * cp, ct * sp, -st], [-sp, cp, 0.0]])
+    x = NEWTON_H * np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    scale = np.sqrt(1.0 + (x * x).sum(-1))[:, None]  # |n + x frame|, exactly 1 at x = 0
+    m, (a, b, t) = (n + x @ frame) / scale, coords
+    p, r = _outcomes(m, a, b, t)
+    c, dc = _qubit_coherence(r), _coherence_gradient(r)
+    term = np.where((p > 0.0)[..., None], (c - (r * dc).sum(-1))[..., None] * a + dc @ t.T, 0.0)
+    grad = (term[0] - term[1]) / 2.0
+    tangent = (grad - (grad * m).sum(-1, keepdims=True) * m) @ frame.T / scale
+    d = (tangent[1::2] - tangent[2::2]) / (2.0 * NEWTON_H)  # d[i] = dg/dx_i
+    return n, frame, float(sum(p * c)[0]), tangent[0], (d + d.T) / 2.0
 
 
 def _basis_search(rho: np.ndarray, grid_res: int, refine_iters: int):
     """Maximize the average assisted coherence of a valid rho over projective bases.
 
-    Scores a grid_res x grid_res grid on the Bloch hemisphere (theta in
-    [0, pi/2] inclusive, phi in [0, 2pi) -- antipodal bases are identical),
-    then zooms: each of refine_iters rounds scores a ZOOM_POINTS^2 lattice
-    spanning +-h around the running best (h starts at one grid step per
-    axis), moves to its argmax only if that is strictly better, and shrinks
-    h to one lattice spacing, except on an axis where the move ended on the
-    lattice's edge.  Once a lattice has rounded onto a single point, the
-    rounds left would score that point again without moving, so the search
-    stops there.  Returns (basis, value, trace); trace holds
-    ((theta, phi), value) of the running best after the grid and each round.
-    """
+    Scores a grid_res x grid_res grid on the Bloch hemisphere (theta in [0, pi/2], phi in [0, 2pi); ties go to
+    the smallest (theta, phi)), then takes up to refine_iters modified Newton steps on the sphere (Absil, Mahony
+    & Sepulchre, Optimization Algorithms on Matrix Manifolds, ch. 6): |H|^-1 g in _local_model's frame, with
+    |eigenvalues| floored at 1e-8 so that it goes uphill, halved until the value does not fall.  Once |g| <=
+    NEWTON_GTOL (a step's gain then nears the value's rounding) one more step, kept only if the value does not
+    fall, ends the search; so does a step under NEWTON_XTOL, untaken.  Returns ((basis, converged), value,
+    trace): converged is whether |g| <= NEWTON_GTOL at basis; trace, ((theta, phi), value) after grid and steps."""
     if not 8 <= qcore.as_int("grid_res", grid_res) <= GRID_RES_MAX:
         raise ValueError(f"grid_res must be an int in [8, {GRID_RES_MAX}], got {grid_res!r}")
     if qcore.as_int("refine_iters", refine_iters) < 0:
         raise ValueError(f"refine_iters must be an int >= 0, got {refine_iters!r}")
     coords = _pauli_coordinates(rho)
     thetas, phis = np.linspace(0.0, math.pi / 2.0, grid_res), (2.0 * math.pi / grid_res) * np.arange(grid_res)
-    i, j, value = _lattice_argmax(thetas, phis, coords)
-    theta, phi = float(thetas[i]), float(phis[j])
+    st = np.sin(thetas)[:, None]
+    grid = np.stack(np.broadcast_arrays(st * np.cos(phis), st * np.sin(phis), np.cos(thetas)[:, None]), axis=-1)
+    values = _assisted_coherence(grid, *coords)
+    i, j = np.unravel_index(np.argmax(values), values.shape)
+    theta, phi, value = float(thetas[i]), float(phis[j]), float(values[i, j])
     trace = [((theta, phi), value)]
-    h_t, h_p = (math.pi / 2.0) / (grid_res - 1), 2.0 * math.pi / grid_res
-    offsets = np.linspace(-1.0, 1.0, ZOOM_POINTS)
-    shrink = 2.0 / (ZOOM_POINTS - 1)  # one lattice spacing, in units of h
-    edge = (0, ZOOM_POINTS - 1)
-    for rounds_left in range(refine_iters - 1, -1, -1):
-        thetas, phis = theta + h_t * offsets, phi + h_p * offsets
-        i, j, v = _lattice_argmax(thetas, phis, coords)
-        moved = v > value
-        if moved:
-            theta, phi, value = float(thetas[i]), float(phis[j]), v
-        h_t *= 1.0 if moved and i in edge else shrink
-        h_p *= 1.0 if moved and j in edge else shrink
-        trace.append(((theta, phi), value))
-        if (thetas == thetas[0]).all() and (phis == phis[0]).all():
-            # the lattice has collapsed onto one point: every later round scores it again and cannot move
-            trace += trace[-1:] * rounds_left
+    n, frame, _, grad, hess = _local_model(theta, phi, coords)
+    for _ in range(refine_iters):
+        mid, half = (hess[0, 0] + hess[1, 1]) / 2.0, math.hypot((hess[0, 0] - hess[1, 1]) / 2.0, hess[0, 1])
+        up = (hess - (mid - half) * np.eye(2)) / (2.0 * half) if half > 0.0 else 0.0 * hess  # eigenprojector of mid + half
+        step = ((np.eye(2) - up) / max(abs(mid - half), 1e-8) + up / max(abs(mid + half), 1e-8)) @ grad
+        last = np.linalg.norm(grad) <= NEWTON_GTOL
+        while np.linalg.norm(step) > NEWTON_XTOL:
+            x, y, z = n + step @ frame
+            angles = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
+            model = _local_model(*angles, coords)
+            if model[2] >= value:
+                (theta, phi), (n, frame, value, grad, hess) = angles, model
+                trace.append((angles, value))
+            if model[2] >= value or last:  # kept; or the last step, which is never halved
+                break
+            step /= 2.0
+        if last or np.linalg.norm(step) <= NEWTON_XTOL:
             break
-    return MeasurementBasis.from_angles(theta, phi), value, trace
+    return (MeasurementBasis.from_angles(theta, phi), bool(np.linalg.norm(grad) <= NEWTON_GTOL)), value, trace
 
 
 def optimize_basis(rho_ab, grid_res: int = 64, refine_iters: int = 30) -> tuple[MeasurementBasis, float]:
-    """Numerically maximize the average assisted coherence over Alice bases.
+    """Numerically maximize the average assisted coherence over Alice bases: the best basis found and its value.
 
-    A grid_res x grid_res Bloch-hemisphere grid, then refine_iters zoom
-    rounds of a local lattice (see _basis_search).  grid_res must be an int
-    in [8, GRID_RES_MAX] and refine_iters an int >= 0; anything else raises
-    ValueError.  Returns the best basis found and its value.
-    """
-    basis, value, _ = _basis_search(qcore.ensure_density(rho_ab, dim=4), grid_res, refine_iters)
+    A grid_res x grid_res Bloch-hemisphere grid, then up to refine_iters Newton steps (see _basis_search).
+    grid_res must be an int in [8, GRID_RES_MAX] and refine_iters an int >= 0, or ValueError is raised."""
+    (basis, _), value, _ = _basis_search(qcore.ensure_density(rho_ab, dim=4), grid_res, refine_iters)
     return basis, value

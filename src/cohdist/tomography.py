@@ -233,6 +233,8 @@ def _count_pair(basis: str, pair) -> tuple[int, int]:
 def _check_record(record: TomographyRecord) -> None:
     if not 1 <= qcore.as_int("shots_per_basis", record.shots_per_basis) <= SHOTS_MAX:
         raise ValueError(f"shots_per_basis must be in [1, {SHOTS_MAX}], got {record.shots_per_basis}")
+    if not 0 <= qcore.as_int("seed", record.seed) < SEED_LIMIT:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {record.seed}")
     for b in BASES:
         plus, minus = _count_pair(b, record.counts.get(b))
         if plus < 0 or minus < 0 or plus + minus != record.shots_per_basis:

@@ -1,6 +1,8 @@
+import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -361,40 +363,126 @@ def test_search_matches_dense_oracle_argmax_and_value():
             assert trace[0][0] == ref.trace[0][0]
 
 
-def test_zoom_follows_a_ridge_past_its_lattice():
-    # on these states the best basis near the grid argmax lies along a ridge, more than the 8/7 grid steps
-    # away that a zoom shrinking every round can reach; a zoom that shrank on edge moves fell 1e-6 and 1.6e-4 short
-    picks = ((43, 12), (45, 54))  # (seed, index) of random_density draws
-    for seed, index in picks:
-        rng = np.random.default_rng(seed)
-        rho = [random_density(rng, 4) for _ in range(index + 1)][-1]
-        ref = oracles.basis_search_oracle(rho, 16, 6)
-        _, value, trace = protocol._basis_search(rho, 16, 6)
-        assert value >= ref.value - 1e-12
-        assert len(trace) == 7 and trace[-1][1] == value
-        assert all(later[1] >= earlier[1] for earlier, later in zip(trace, trace[1:]))
+# --- the Newton steps after the grid ----------------------------------------
+
+SEARCH_VALUES_0_7_0 = Path(__file__).parent / "data" / "search_values_0.7.0.json"
 
 
-def test_zoom_early_exit_is_bit_identical_to_every_round():
-    # the search stops once its lattice rounds onto one point; all 30 rounds give the same basis, value and trace
-    rng = np.random.default_rng(48)
+def _search_gate_sets():
+    """{name: (grid_res, refine_iters, states)}: the states 0.7.0's zoom was pinned on, and 200 depolarized pure ones."""
+    rng = np.random.default_rng(48)  # the zoom early-exit states, searched at (16, 30)
     plus_x, plus_z = projector(qcore.KET_X_PLUS), projector(qcore.KET_H)
     minus_x, minus_z = np.eye(2) - plus_x, np.eye(2) - plus_z
-    states = [random_density(rng, 4) for _ in range(70)]
-    states += [projector(random_pure_state(rng, 4)) for _ in range(70)]
-    states += [make_werner(float(p)) for p in rng.uniform(0.0, 1.0, 60)]
-    states += [
-        (np.kron(plus_z, plus_x) + np.kron(minus_z, minus_x)) / 2.0,  # best basis at theta = 0
-        (np.kron(plus_x, plus_x) + np.kron(minus_x, minus_x)) / 2.0,  # best basis at phi = 0
-    ]
-    ends = set()
+    early = [random_density(rng, 4) for _ in range(70)] + [projector(random_pure_state(rng, 4)) for _ in range(70)]
+    early += [make_werner(float(p)) for p in rng.uniform(0.0, 1.0, 60)]
+    early += [(np.kron(plus_z, plus_x) + np.kron(minus_z, minus_x)) / 2.0]  # best basis at theta = 0
+    early += [(np.kron(plus_x, plus_x) + np.kron(minus_x, minus_x)) / 2.0]  # best basis at phi = 0
+    rng = np.random.default_rng(43)  # test_search_matches_dense_oracle_argmax_and_value's states, at (16, 6)
+    dense = [random_density(rng, 4) for _ in range(6)]
+    dense += [make_werner(0.7), projector(family1(22.5)), np.kron(projector(qcore.KET_H), random_density(rng, 2))]
+    ridges = []  # states whose optimum lies along a ridge several grid steps from the grid argmax, at (16, 6)
+    for seed, index in ((43, 12), (45, 54)):
+        rng = np.random.default_rng(seed)
+        ridges.append([random_density(rng, 4) for _ in range(index + 1)][-1])
+    rng = np.random.default_rng(5)  # epsilon-depolarized random pure states, at the defaults (64, 30)
+    depolarized = []
+    for _ in range(200):
+        psi, eps = random_pure_state(rng, 4), float(rng.choice([0.05, 0.3, 0.6]))
+        depolarized.append((1.0 - eps) * projector(psi) + eps * np.eye(4) / 4.0)
+    return {
+        "early_exit": (16, 30, early), "dense_oracle": (16, 6, dense), "ridges": (16, 6, ridges), "depolarized": (64, 30, depolarized),
+    }
+
+
+def test_coherence_and_objective_gradients_match_central_differences():
+    rng = np.random.default_rng(60)
+    h = 1e-6
+    for _ in range(200):  # grad C_r inside the Bloch ball
+        r = np.array(random_bloch(rng)) * rng.uniform(0.0, 0.95)
+        fd = [(protocol._qubit_coherence(r + h * e) - protocol._qubit_coherence(r - h * e)) / (2.0 * h) for e in np.eye(3)]
+        assert np.abs(protocol._coherence_gradient(r) - fd).max() <= 1e-8
+    for _ in range(40):  # f's gradient and Hessian on the sphere, in _local_model's tangent chart
+        coords = protocol._pauli_coordinates(random_density(rng, 4))
+        theta, phi = rng.uniform(0.2, math.pi - 0.2), rng.uniform(0.0, 2.0 * math.pi)
+        n, frame, value, grad, hess = protocol._local_model(theta, phi, coords)
+
+        def f(x):
+            m = n + np.asarray(x) @ frame
+            return float(protocol._assisted_coherence(m / np.linalg.norm(m), *coords))
+
+        assert abs(value - f([0.0, 0.0])) <= 1e-15
+        fd = [(f(h * e) - f(-h * e)) / (2.0 * h) for e in np.eye(2)]
+        assert np.abs(grad - fd).max() <= 1e-8
+        k = 1e-4
+        second = [[f(k * (ei + ej)) - f(k * (ei - ej)) - f(k * (ej - ei)) + f(-k * (ei + ej)) for ej in np.eye(2)] for ei in np.eye(2)]
+        assert np.abs(hess - np.array(second) / (4.0 * k * k)).max() <= 1e-6
+    product = protocol._pauli_coordinates(np.kron(projector(qcore.KET_H), random_density(rng, 2)))
+    _, _, value, grad, hess = protocol._local_model(0.0, 0.0, product)  # the pole: outcome - has p = 0 and adds 0
+    assert value == float(protocol._assisted_coherence(np.array([0.0, 0.0, 1.0]), *product))
+    assert np.isfinite(grad).all() and np.isfinite(hess).all()
+    # coordinates (not of a state) whose outcome - has p = 0 and a far-off r at the pole: it must add 0 to the gradient too
+    coords = (np.array([0.0, 0.0, 1.0]), np.array([0.1, 0.0, 0.2]), np.array([[0.3, 0.0, 0.0], [0.0, 0.2, 0.0], [0.1, 0.2, 0.3]]))
+    n, frame, _, grad, _ = protocol._local_model(0.0, 0.3, coords)
+
+    def g(x):
+        return float(protocol._assisted_coherence((n + x @ frame) / np.linalg.norm(n + x @ frame), *coords))
+
+    assert np.abs(grad - [(g(h * e) - g(-h * e)) / (2.0 * h) for e in np.eye(2)]).max() <= 1e-8
+
+
+def test_search_values_never_fall_below_0_7_0():
+    # values only rise: at least 0.7.0's grid-and-zoom value less 1e-14 (rounding at a shared optimum), converged throughout
+    stored = json.loads(SEARCH_VALUES_0_7_0.read_text())
+    worst = {}
+    for name, (grid_res, refine_iters, states) in _search_gate_sets().items():
+        old = stored[name]
+        assert (old["grid_res"], old["refine_iters"], len(old["value"])) == (grid_res, refine_iters, len(states))
+        for rho, old_grid, old_value in zip(states, old["grid"], old["value"]):
+            (_, converged), value, trace = protocol._basis_search(rho, grid_res, refine_iters)
+            assert abs(trace[0][1] - float.fromhex(old_grid)) <= 1e-12  # the same state, and the same grid
+            assert converged and value >= float.fromhex(old_value) - 1e-14
+            worst[name] = max(worst.get(name, 0.0), value - float.fromhex(old_value))
+    assert worst["depolarized"] > 1e-5  # the zoom stopped short on these; the Newton steps do not
+
+
+def test_search_matches_the_multistart_dense_reference():
+    sets = _search_gate_sets()
+    picks = [(16, 6, rho) for name in ("dense_oracle", "ridges") for rho in sets[name][2]]
+    picks += [(g, k, rho) for name in ("early_exit", "depolarized") for g, k, states in [sets[name]] for rho in states[::25]]
+    for grid_res, refine_iters, rho in picks:
+        _, value, _ = protocol._basis_search(rho, grid_res, refine_iters)
+        assert abs(value - oracles.multistart_search_oracle(rho)) <= 1e-12
+
+
+def test_pure_parents_converge_without_warnings():
+    rng = np.random.default_rng(61)
+    psis = [random_pure_state(rng, 4) for _ in range(40)] + [family1(t) for t in (0.0, 10.0, 22.5)] + [family2(0.0), family2(30.0)]
+    bell = (np.kron(qcore.KET_H, qcore.KET_H) + np.kron(qcore.KET_V, qcore.KET_V)) / math.sqrt(2.0)  # r_z = +-1 at n = z
+    psis += [np.kron(qcore.KET_H, qcore.KET_H), np.kron(qcore.KET_X_PLUS, qcore.KET_H), bell]  # flat objectives, then a Bell state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # atanh(1) = inf would warn
+        for psi in psis:
+            res = coa_numeric(psi)
+            assert res.converged
+            assert abs(res.value - coa_closed_form(partial_trace(projector(psi), "B"))) <= 1e-12
+
+
+def test_step_cap_reports_convergence_honestly():
+    rng = np.random.default_rng(62)
+    states = [random_density(rng, 4) for _ in range(10)] + [projector(random_pure_state(rng, 4)) for _ in range(5)]
+    states.append(make_werner(0.4))  # the grid holds its optimum, the equator
+    converged = {0: [], 3: [], 30: []}
     for rho in states:
-        basis, value, trace = protocol._basis_search(rho, 16, 30)
-        want_basis, want_value, want_trace = oracles.zoom_search_oracle(rho, 16, 30)
-        assert (basis, value, trace) == (want_basis, want_value, want_trace)
-        assert len(trace) == 31
-        ends.update(name for name, angle in zip(("theta", "phi"), trace[-1][0]) if angle == 0.0)
-    assert ends == {"theta", "phi"}
+        coords = protocol._pauli_coordinates(rho)
+        for cap in converged:
+            (basis, ok), value, trace = protocol._basis_search(rho, 8, cap)
+            assert len(trace) <= cap + 1 and trace[-1][1] == value and basis == MeasurementBasis.from_angles(*trace[-1][0])
+            _, _, _, grad, _ = protocol._local_model(*trace[-1][0], coords)
+            assert ok == (np.linalg.norm(grad) <= protocol.NEWTON_GTOL)
+            converged[cap].append(ok)
+    assert not any(converged[0][:15]) and all(converged[30])
+    psi = random_pure_state(rng, 4)
+    assert coa_numeric(psi, grid_res=8, refine_iters=0).converged is False and coa_numeric(psi).converged is True
 
 
 @st.composite

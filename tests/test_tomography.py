@@ -296,6 +296,20 @@ def test_checks_name_the_basis_of_a_count_pair_of_the_wrong_length():
                 reconstruct(record)
 
 
+def test_checks_keep_the_seed_in_the_json_range():
+    # a record that reconstructs also writes JSON that from_json reads back
+    counts = {"X": (7, 3), "Y": (5, 5), "Z": (10, 0)}
+    for seed in (-1, 2**64, 2**70, 5.0, True):
+        record = TomographyRecord(shots_per_basis=10, seed=seed, counts=counts)
+        for reconstruct in (reconstruct_linear, reconstruct_mle):
+            with pytest.raises(ValueError, match="seed"):
+                reconstruct(record)
+    for seed in (0, 2**64 - 1):
+        record = TomographyRecord(shots_per_basis=10, seed=seed, counts=counts)
+        assert reconstruct_mle(record).state.shape == (2, 2)
+        assert TomographyRecord.from_json(record.to_json()).seed == seed
+
+
 # --- reconstruct_linear ----------------------------------------------------------
 
 def _record_from_counts(shots, x, y, z):
