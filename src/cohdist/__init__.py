@@ -9,8 +9,6 @@ harness that regenerates theory curves and scores the bundled experimental
 reference tables.
 """
 
-__version__ = "0.8.0"
-
 from .coherence import (
     CoaResult,
     CoherenceReport,
@@ -51,6 +49,7 @@ from .tomography import (
     simulate_counts,
 )
 from .harness import (
+    VERSION as __version__,
     DeviationReport,
     ExperimentRow,
     RunConfig,

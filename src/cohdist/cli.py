@@ -9,9 +9,10 @@ import sys
 import click
 import numpy as np
 
-from . import __version__, protocol, qcore, states, tomography
+from . import protocol, qcore, states, tomography
 from .harness import (
     ALICE_BLOCH,
+    VERSION,
     RunConfig,
     compare_fixtures,
     dump_json,
@@ -98,7 +99,7 @@ def _run_family(kind, grid, points, mode, shots, seed, epsilon_prep, fmt, out):
 
 
 @click.group()
-@click.version_option(version=__version__)
+@click.version_option(version=VERSION)
 def main():
     """Assisted coherence-distillation simulator for two-qubit states."""
 
@@ -174,7 +175,7 @@ def tomo_demo(family, theta, shots, seed, fmt, out):
     cr_true, cr_mle = protocol._qubit_coherence(bob).tolist(), protocol._qubit_coherence(mle).tolist()
     results = []
     for i, label in enumerate("+-"):
-        record = TomographyRecord(shots, int(streams[i]), {b: (k, shots - k) for b, k in zip(BASES, plus[i].tolist())})
+        record = TomographyRecord(shots, streams[i], {b: (k, shots - k) for b, k in zip(BASES, plus[i].tolist())})
         true_state = qcore.bloch_state(bob[i])
         results.append(
             {

@@ -18,8 +18,6 @@ _CHECKSUMS = {
     3: "a91a4a050e112a9f751a7844667bcd9361e8ac92bbfa54ef27f6603a9bb86b13",
 }
 
-_EXPECTED_ROWS = {1: 19, 2: 19, 3: 16}
-
 
 @dataclass(frozen=True)
 class FixtureRow:
@@ -40,7 +38,7 @@ class FixtureTable:
 
 
 def load_fixture(table_id: int) -> FixtureTable:
-    """Load one of the bundled tables, verifying its checksum and row count."""
+    """Load one of the bundled tables, verifying its checksum."""
     if table_id not in _CHECKSUMS:
         raise ValueError(f"table_id must be 1, 2 or 3, got {table_id}")
     raw = resources.files("cohdist.data").joinpath(f"table_{table_id}.csv").read_bytes()
@@ -59,6 +57,4 @@ def load_fixture(table_id: int) -> FixtureTable:
         )
         for rec in csv.DictReader(lines)
     )
-    if len(rows) != _EXPECTED_ROWS[table_id]:
-        raise RuntimeError(f"fixture table {table_id} has {len(rows)} rows, expected {_EXPECTED_ROWS[table_id]}")
     return FixtureTable(table_id=table_id, rows=rows)

@@ -25,14 +25,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__, protocol, qcore, states
+from . import protocol, qcore, states
 from .fixtures import load_fixture
-from .tomography import ESTIMATOR_ID, PRNG_ID, SEED_LIMIT, SHOTS_MAX, derive_stream, tomograph
+from .tomography import ESTIMATOR_ID, PRNG_ID, SHOTS_MAX, derive_stream, shots_and_seed, tomograph  # noqa: F401 (SHOTS_MAX)
 
 GRID_SNAP = 1e-9
 GRID_MAX_POINTS = 1_000_000
 RUN_CHUNK = 4096  # grid points per numpy pass, so a long grid's temporaries stay small
-META = {"prng": PRNG_ID, "estimator": ESTIMATOR_ID, "version": __version__}  # the "meta" of every JSON output (dump_json)
+VERSION = "0.8.0"  # cohdist.__version__
+META = {"prng": PRNG_ID, "estimator": ESTIMATOR_ID, "version": VERSION}  # the "meta" of every JSON output (dump_json)
 
 PURE_CSV_HEADER = "theta_deg,cd_before_theory,cd_before_sim,cd_after_theory,cd_after_sim,delta_sim"
 WERNER_CSV_HEADER = "p,cd_before_theory,cd_after_theory,cd_after_sim,bound_qi,delta_sim"
@@ -90,18 +91,11 @@ class RunConfig:
         bad = sorted(t.__name__ for t in set(map(type, self.params)) if not issubclass(t, numbers.Real) or issubclass(t, bool))
         if bad:  # one check per type, not per point; nan and inf pass here and reach the factory's range check
             raise ValueError(f"params must be real numbers, got {', '.join(bad)}")
-        shots, seed = qcore.as_int("shots_per_basis", self.shots_per_basis), qcore.as_int("seed", self.seed)
-        if not 1 <= shots <= SHOTS_MAX:
-            raise ValueError(f"shots_per_basis must be in [1, {SHOTS_MAX}], got {shots}")
-        if not 0 <= seed < SEED_LIMIT:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
-        eps = self.epsilon_prep
-        if not isinstance(eps, numbers.Real) or isinstance(eps, bool) or not 0.0 <= eps <= 1.0:  # nan is out of range
-            raise ValueError(f"epsilon_prep must be a real number in [0, 1], got {eps!r}")
+        shots, seed = shots_and_seed(self.shots_per_basis, self.seed)
         object.__setattr__(self, "params", tuple(sorted(float(p) + 0.0 for p in self.params)))  # + 0.0: -0.0 is 0.0
         object.__setattr__(self, "shots_per_basis", shots)  # a numpy integer is stored as int
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "epsilon_prep", float(eps))  # a numpy float is stored as float, and 1 as 1.0
+        object.__setattr__(self, "epsilon_prep", qcore.as_unit_real("epsilon_prep", self.epsilon_prep))  # 1 is stored as 1.0
 
 
 def parse_grid(text: str) -> tuple[float, ...]:

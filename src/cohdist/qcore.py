@@ -52,6 +52,13 @@ def as_int(name: str, value) -> int:
     return int(value)
 
 
+def as_unit_real(name: str, value) -> float:
+    """value as a float if it is a real number in [0, 1] (a numpy one too, not a bool or nan); else a ValueError naming the field."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0.0 <= value <= 1.0:  # nan is out of range
+        raise ValueError(f"{name} must be a real number in [0, 1], got {value!r}")
+    return float(value)
+
+
 def projector(psi) -> np.ndarray:
     """|psi><psi| for each state vector psi[..., :] of a stack."""
     psi = np.asarray(psi, dtype=complex)

@@ -76,8 +76,7 @@ def depolarize(rho, epsilon: float) -> np.ndarray:
 
     Preparation-imperfection knob; epsilon=0 is the ideal factory output.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in [0, 1], got {epsilon}")
+    epsilon = qcore.as_unit_real("epsilon", epsilon)
     rho = qcore.ensure_density(rho)
     d = rho.shape[0]
     return (1.0 - epsilon) * rho + epsilon * np.eye(d, dtype=complex) / d

@@ -22,9 +22,10 @@ stream element k is mix64(seed + (k+1) * 0x9E3779B97F4A7C15) where mix64 is
 the splitmix64 finalizer.  Uniform doubles are (u64 >> 11) * 2**-53.  Each
 Pauli basis uses its own stream derived as seed XOR mix64 of the basis index,
 and exactly one uniform is consumed per binomial draw, so identical
-(state, shots, seed) give bit-identical counts on one numpy build.  Seeds are
-integers in [0, 2**64) and shots at most SHOTS_MAX.  The algorithm identifier
-PRNG_ID is recorded in harness output metadata.
+(state, shots, seed) give bit-identical counts on one numpy build.  Shots and
+seeds pass one check, shots_and_seed, and a TomographyRecord checks its
+counts when it is made, so every record reconstructs and writes JSON.  PRNG_ID
+names the algorithm in harness output metadata.
 
 Axis k gives "+" with probability (1 + r_k) / 2 for the Bloch vector r.
 Binomial sampling uses exact CDF inversion (k = min{k : F(k) >= u}) for
@@ -196,13 +197,31 @@ def tomograph(blochs: np.ndarray, shots: int, streams: np.ndarray) -> tuple[np.n
     return _mle(_pauli_counts(blochs, shots, streams), shots)
 
 
+def shots_and_seed(shots, seed) -> tuple[int, int]:
+    """(shots, seed) as ints if shots is in [1, SHOTS_MAX] and seed in [0, 2**64) (numpy integers too); else a ValueError naming the field."""
+    shots, seed = qcore.as_int("shots_per_basis", shots), qcore.as_int("seed", seed)
+    if not 1 <= shots <= SHOTS_MAX:
+        raise ValueError(f"shots_per_basis must be in [1, {SHOTS_MAX}], got {shots}")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+    return shots, seed
+
+
 @dataclass(frozen=True)
 class TomographyRecord:
-    """Per-basis (count_plus, count_minus) pairs from one tomography run."""
+    """Per-basis (count_plus, count_minus) pairs from one tomography run, checked and stored as ints when made."""
 
     shots_per_basis: int
     seed: int
     counts: dict[str, tuple[int, int]]
+
+    def __post_init__(self):
+        shots, seed = shots_and_seed(self.shots_per_basis, self.seed)
+        if not isinstance(self.counts, dict):
+            raise ValueError(f"counts must be a dict of count pairs by basis, got {self.counts!r}")
+        object.__setattr__(self, "shots_per_basis", shots)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "counts", {b: _count_pair(b, self.counts.get(b), shots) for b in BASES})
 
     def to_json(self) -> str:
         return json.dumps(
@@ -216,29 +235,19 @@ class TomographyRecord:
     @classmethod
     def from_json(cls, text: str) -> "TomographyRecord":
         obj = json.loads(text)
-        if not isinstance(obj, dict) or not isinstance(obj.get("counts"), dict):
-            raise ValueError(f"a record is a JSON object with a counts object, got {text!r}")
-        seed = qcore.as_int("seed", obj.get("seed"))
-        if not 0 <= seed < SEED_LIMIT:
-            raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
-        return cls(qcore.as_int("shots", obj.get("shots")), seed, {b: _count_pair(b, obj["counts"].get(b)) for b in BASES})
+        if not isinstance(obj, dict):
+            raise ValueError(f"a record is a JSON object with seed, shots and counts, got {text!r}")
+        return cls(obj.get("shots"), obj.get("seed"), obj.get("counts"))
 
 
-def _count_pair(basis: str, pair) -> tuple[int, int]:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError(f"counts[{basis!r}] must be a pair of counts, got {pair!r}")
-    return tuple(qcore.as_int(f"counts[{basis!r}]", c) for c in pair)
-
-
-def _check_record(record: TomographyRecord) -> None:
-    if not 1 <= qcore.as_int("shots_per_basis", record.shots_per_basis) <= SHOTS_MAX:
-        raise ValueError(f"shots_per_basis must be in [1, {SHOTS_MAX}], got {record.shots_per_basis}")
-    if not 0 <= qcore.as_int("seed", record.seed) < SEED_LIMIT:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {record.seed}")
-    for b in BASES:
-        plus, minus = _count_pair(b, record.counts.get(b))
-        if plus < 0 or minus < 0 or plus + minus != record.shots_per_basis:
-            raise ValueError(f"counts for basis {b} do not sum to shots: {record.counts[b]}")
+def _count_pair(basis: str, pair, shots: int) -> tuple[int, int]:
+    """pair as two non-negative ints that sum to shots, else a ValueError naming counts[basis]."""
+    name = f"counts[{basis!r}]"
+    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+        plus, minus = (qcore.as_int(name, c) for c in pair)
+        if plus >= 0 and minus >= 0 and plus + minus == shots:
+            return plus, minus
+    raise ValueError(f"{name} must be a pair of non-negative counts that sum to {shots}, got {pair!r}")
 
 
 def simulate_counts(rho, shots_per_basis: int, seed: int) -> TomographyRecord:
@@ -250,11 +259,7 @@ def simulate_counts(rho, shots_per_basis: int, seed: int) -> TomographyRecord:
     which at 2^53 shots can move a count by 1.
     """
     rho = qcore.ensure_density(rho, dim=2)
-    shots_per_basis, seed = qcore.as_int("shots_per_basis", shots_per_basis), qcore.as_int("seed", seed)
-    if not 1 <= shots_per_basis <= SHOTS_MAX:
-        raise ValueError(f"shots_per_basis must be in [1, {SHOTS_MAX}], got {shots_per_basis}")
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed}")
+    shots_per_basis, seed = shots_and_seed(shots_per_basis, seed)
     stream = np.array([seed], dtype=np.uint64)
     plus = _pauli_counts(qcore.bloch_vector(rho)[None], shots_per_basis, stream)[0].tolist()
     counts = {b: (k, shots_per_basis - k) for b, k in zip(BASES, plus)}
@@ -283,7 +288,6 @@ def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     the map that clips a negative eigenvalue of the candidate to zero and
     renormalizes the trace, which sends |s| > 1 onto the pure state along s.
     """
-    _check_record(record)
     bloch = _linear(np.array([[record.counts[b][0] for b in BASES]]), record.shots_per_basis)[0]
     return ReconstructionResult(state=qcore.bloch_state(bloch), method="linear", iterations=0, converged=True)
 
@@ -362,6 +366,5 @@ def reconstruct_mle(record: TomographyRecord) -> ReconstructionResult:
     result is never an unconverged or blended iterate.  The tests check it
     against Hradil's iterative R-rho-R estimator (PRA 55, R1561, 1997).
     """
-    _check_record(record)
     bloch, steps = _mle(np.array([[record.counts[b][0] for b in BASES]]), record.shots_per_basis)
     return ReconstructionResult(state=qcore.bloch_state(bloch[0]), method="mle", iterations=int(steps[0]), converged=True)

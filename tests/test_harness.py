@@ -301,6 +301,41 @@ def test_package_version_matches_pyproject():
     assert pyproject["project"]["version"] == __version__ == harness.META["version"]
 
 
+def _import_graph(package: Path) -> dict[str, set[str]]:
+    """{module: the package's modules it imports}; `from . import X` with X not a submodule is an edge to __init__."""
+    modules = {p.stem for p in package.glob("*.py")}
+
+    def targets(module: str, names: list[str]) -> set[str]:  # module: the dotted name below the package, "" for the package
+        return {module.split(".")[0]} if module else {n if n in modules else "__init__" for n in names}
+
+    graph = {}
+    for name in modules:
+        graph[name] = edges = set()
+        for node in ast.walk(ast.parse((package / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                edges |= targets(node.module or "", [a.name for a in node.names])
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == package.name:
+                edges |= targets(node.module.partition(".")[2], [a.name for a in node.names])
+            elif isinstance(node, ast.Import):
+                for top, _, rest in (a.name.partition(".") for a in node.names):
+                    if top == package.name:
+                        edges |= targets(rest, ["__init__"])  # `import cohdist` runs __init__
+    return graph
+
+
+def test_package_has_no_import_cycle():
+    graph = _import_graph(Path(harness.__file__).parent)
+    assert {"harness", "tomography", "__init__"} <= set(graph) and "harness" in graph["__init__"]
+    for start in graph:
+        seen, todo = set(), list(graph[start])
+        while todo:
+            name = todo.pop()
+            assert name != start, f"{start} imports itself through {sorted(seen)}"
+            if name not in seen:
+                seen.add(name)
+                todo += graph[name]
+
+
 @pytest.mark.parametrize(
     "value", [1, np.int64(0), np.float32(0.05), np.float64(0.05)], ids=["int", "int64", "float32", "float64"]
 )

@@ -171,3 +171,9 @@ def test_depolarize():
     assert np.max(np.abs(depolarize(make_werner(0.8), 0.25) - make_werner(0.6))) <= 1e-12
     with pytest.raises(ValueError):
         depolarize(rho, 1.5)
+    # the epsilon_prep rule of RunConfig: a real number in [0, 1], not a bool, a string or nan
+    for epsilon in (True, np.bool_(False), "0.5", None, 1j, math.nan, -0.1):
+        with pytest.raises(ValueError, match="epsilon"):
+            depolarize(rho, epsilon)
+    assert np.array_equal(depolarize(rho, np.float64(0.25)), depolarize(rho, 0.25))
+    assert np.array_equal(depolarize(rho, 1), depolarize(rho, 1.0))

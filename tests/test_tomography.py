@@ -280,6 +280,7 @@ _RECORD = {"seed": 5, "shots": 10, "counts": {"X": [7, 3], "Y": [5, 5], "Z": [10
         ({**_RECORD, "seed": 2**70}, "seed"),
         ({**_RECORD, "counts": None}, "counts"),
         ([_RECORD], "counts"),
+        ({**_RECORD, "counts": {"X": [7, 2], "Y": [5, 5], "Z": [10, 0]}}, "counts\\['X'\\]"),
     ],
 )
 def test_record_json_rejects_malformed_fields_naming_them(obj, field):
@@ -290,20 +291,16 @@ def test_record_json_rejects_malformed_fields_naming_them(obj, field):
 
 def test_checks_name_the_basis_of_a_count_pair_of_the_wrong_length():
     for z in ((5, 5, 0), (10,)):
-        record = TomographyRecord(shots_per_basis=10, seed=0, counts={"X": (7, 3), "Y": (5, 5), "Z": z})
-        for reconstruct in (reconstruct_linear, reconstruct_mle):
-            with pytest.raises(ValueError, match="counts\\['Z'\\]"):
-                reconstruct(record)
+        with pytest.raises(ValueError, match="counts\\['Z'\\]"):
+            TomographyRecord(shots_per_basis=10, seed=0, counts={"X": (7, 3), "Y": (5, 5), "Z": z})
 
 
 def test_checks_keep_the_seed_in_the_json_range():
-    # a record that reconstructs also writes JSON that from_json reads back
+    # a record that exists also writes JSON that from_json reads back
     counts = {"X": (7, 3), "Y": (5, 5), "Z": (10, 0)}
     for seed in (-1, 2**64, 2**70, 5.0, True):
-        record = TomographyRecord(shots_per_basis=10, seed=seed, counts=counts)
-        for reconstruct in (reconstruct_linear, reconstruct_mle):
-            with pytest.raises(ValueError, match="seed"):
-                reconstruct(record)
+        with pytest.raises(ValueError, match="seed"):
+            TomographyRecord(shots_per_basis=10, seed=seed, counts=counts)
     for seed in (0, 2**64 - 1):
         record = TomographyRecord(shots_per_basis=10, seed=seed, counts=counts)
         assert reconstruct_mle(record).state.shape == (2, 2)
@@ -585,25 +582,34 @@ def test_mle_rejects_malformed_record():
     ids=["half-counts", "bool-shots", "bool-counts", "str-count", "float-shots"],
 )
 def test_records_with_non_integer_shots_or_counts_are_rejected_naming_the_field(shots, counts, field):
-    record = _record_from_counts(shots, counts, counts, counts)
-    for reconstruct in (reconstruct_linear, reconstruct_mle):
-        with pytest.raises(ValueError, match=field):
-            reconstruct(record)
+    with pytest.raises(ValueError, match=field):
+        _record_from_counts(shots, counts, counts, counts)
 
 
 @pytest.mark.parametrize("shots", [SHOTS_MAX + 1, 2**64, 2**70], ids=["2^53+1", "2^64", "2^70"])
 def test_records_beyond_shots_max_are_rejected_naming_the_field(shots):
-    record = _record_from_counts(shots, (shots, 0), (0, shots), (shots, 0))
-    for reconstruct in (reconstruct_linear, reconstruct_mle):
-        with pytest.raises(ValueError, match="shots_per_basis"):
-            reconstruct(record)
+    with pytest.raises(ValueError, match="shots_per_basis"):
+        _record_from_counts(shots, (shots, 0), (0, shots), (shots, 0))
 
 
 def test_records_take_numpy_integer_shots_and_counts():
-    plain = _record_from_counts(10, (10, 0), (10, 0), (4, 6))
-    numpy_ints = _record_from_counts(np.int64(10), *[tuple(map(np.int32, c)) for c in ((10, 0), (10, 0), (4, 6))])
+    counts = ((10, 0), (10, 0), (4, 6))
+    plain = TomographyRecord(10, 2**64 - 1, dict(zip(BASES, counts)))
+    numpy_ints = TomographyRecord(np.int64(10), np.uint64(2**64 - 1), {b: tuple(map(np.int32, c)) for b, c in zip(BASES, counts)})
+    # stored as ints, so the record equals the plain one and writes JSON that reads back as it
+    assert numpy_ints == plain and numpy_ints.to_json() == plain.to_json()
+    assert all(type(v) is int for v in (numpy_ints.shots_per_basis, numpy_ints.seed, *sum(numpy_ints.counts.values(), ())))
+    assert TomographyRecord.from_json(numpy_ints.to_json()) == plain
     for reconstruct in (reconstruct_linear, reconstruct_mle):
         assert np.array_equal(reconstruct(numpy_ints).state, reconstruct(plain).state)
+
+
+def test_records_are_checked_when_made():
+    with pytest.raises(ValueError, match="counts"):
+        TomographyRecord(10, 0, None)
+    for pair in ((11, -1), (-1, 11), (5, 6)):
+        with pytest.raises(ValueError, match="counts\\['Y'\\]"):
+            TomographyRecord(10, 0, {"X": (7, 3), "Y": pair, "Z": (10, 0)})
 
 
 # --- R-rho-R reference estimator (tests/oracles.py) ------------------------------

@@ -5,9 +5,9 @@
 For each checkout one subprocess puts that checkout's src/ first on sys.path and runs a fixed list of CLI
 invocations in process through click's CliRunner: every run command analytic and sampled (7, 10,001 and 1e6
 shots) at epsilon 0 and 0.05 in CSV and JSON, a 1,001-point JSON Werner grid, a 4,501-point sampled grid
-(more than one harness.RUN_CHUNK), every fixture table and tomo-demo in both formats, every --help page, five
-usage errors and --version.  Prints each invocation whose exit code, stdout or stderr differs between the
-two checkouts and exits 1 if any does.
+(more than one harness.RUN_CHUNK), every fixture table and tomo-demo in both formats, tomo-demo at seeds 0 and
+2^64 - 1 with 7 and 1e6 shots in both formats, every --help page, five usage errors and --version.  Prints each
+invocation whose exit code, stdout or stderr differs between the two checkouts and exits 1 if any does.
 """
 
 import argparse
@@ -30,6 +30,8 @@ def invocations() -> list[list[str]]:
     for fmt in ("csv", "json"):
         runs += [["fixtures", "--table", table, "--format", fmt] for table in ("1", "2", "3")]
         runs += [["tomo-demo", "--family", family, "--format", fmt] for family in ("1", "2")]
+        runs += [["tomo-demo", "--seed", seed, "--shots", shots, "--format", fmt]
+                 for seed in ("0", "18446744073709551615") for shots in ("7", "1000000")]
     runs += [[*command, "--help"] for command in ([], ["pure1"], ["pure2"], ["werner"], ["fixtures"], ["tomo-demo"])]
     runs += [
         ["pure1", "--grid", "0:45"],
