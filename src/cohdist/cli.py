@@ -2,6 +2,7 @@
 pipeline, fixture scoring, and a tomography demo."""
 
 import errno
+import functools
 import json
 import os
 import sys
@@ -9,9 +10,10 @@ import sys
 import click
 import numpy as np
 
-from . import protocol, qcore, states, tomography
+from . import protocol, qcore, tomography
 from .harness import (
     ALICE_BLOCH,
+    KINDS,
     VERSION,
     RunConfig,
     compare_fixtures,
@@ -25,7 +27,11 @@ from .harness import (
 )
 from .tomography import BASES, SEED_LIMIT, SHOTS_MAX, TomographyRecord, derive_stream
 
-_DEFAULT_GRIDS = {"family1": "0:45:2.5", "family2": "0:45:2.5", "werner": "0.05:0.95:0.05"}
+_RUNS = {  # run command: (KINDS key, default --grid, help)
+    "pure1": ("family1", "0:45:2.5", "First pure family: cos(2t)|HH> + sin(2t)|VV>."),
+    "pure2": ("family2", "0:45:2.5", "Second pure family (Bob marginal diagonal in the x basis)."),
+    "werner": ("werner", "0.05:0.95:0.05", "Werner family: p|S><S| + (1-p) I/4."),
+}
 _SHOTS, _SEED = click.IntRange(1, SHOTS_MAX), click.IntRange(0, SEED_LIMIT - 1)
 _SEED_HELP = "Run seed, an integer in [0, 2^64); each seed gives its own bit-identical output."
 
@@ -49,13 +55,13 @@ def _run_options(f):
     return f
 
 
-def _resolve_params(kind, grid, points):
+def _resolve_params(default_grid, grid, points):
     if grid is not None and points is not None:
         raise click.UsageError("use either --grid or --points, not both")
     try:
         if points is not None:
             return spaced((float(x) for x in points.split(",")), f"--points {points!r}")
-        return parse_grid(grid if grid is not None else _DEFAULT_GRIDS[kind])
+        return parse_grid(default_grid if grid is None else grid)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -87,9 +93,9 @@ def _write(text: str, out: str | None):
         raise click.UsageError(f"cannot write --out {out!r}: {exc.strerror or exc}")
 
 
-def _run_family(kind, grid, points, mode, shots, seed, epsilon_prep, fmt, out):
+def _run_family(kind, default_grid, grid, points, mode, shots, seed, epsilon_prep, fmt, out):
     _check_out(out)
-    params = _resolve_params(kind, grid, points)
+    params = _resolve_params(default_grid, grid, points)
     try:
         config = RunConfig(kind, params, mode, shots_per_basis=shots, seed=seed, epsilon_prep=epsilon_prep)
         rows = run_experiment(config)
@@ -104,25 +110,8 @@ def main():
     """Assisted coherence-distillation simulator for two-qubit states."""
 
 
-@main.command("pure1")
-@_run_options
-def pure1(**kwargs):
-    """First pure family: cos(2t)|HH> + sin(2t)|VV>."""
-    _run_family("family1", **kwargs)
-
-
-@main.command("pure2")
-@_run_options
-def pure2(**kwargs):
-    """Second pure family (Bob marginal diagonal in the x basis)."""
-    _run_family("family2", **kwargs)
-
-
-@main.command("werner")
-@_run_options
-def werner(**kwargs):
-    """Werner family: p|S><S| + (1-p) I/4."""
-    _run_family("werner", **kwargs)
+for _name, (_kind, _grid, _help) in _RUNS.items():  # name and help are given, so neither comes from the partial
+    main.command(_name, help=_help)(_run_options(functools.partial(_run_family, _kind, _grid)))
 
 
 @main.command("fixtures")
@@ -165,7 +154,7 @@ def tomo_demo(family, theta, shots, seed, fmt, out):
     _check_out(out)
     try:
         config = RunConfig(f"family{family}", (theta,), mode="sampled", shots_per_basis=shots, seed=seed)
-        psi = states.make_pure(int(family), config.params[0])  # -0.0 reads as 0.0, as in the run
+        psi = KINDS[config.kind].factory(config.params[0])  # the run's factory; -0.0 reads as 0.0, as in the run
     except ValueError as exc:
         raise click.UsageError(str(exc))
     probs, bob = protocol._outcomes(ALICE_BLOCH, *protocol._pauli_coordinates(qcore.projector(psi)))  # p = 1/2 along y

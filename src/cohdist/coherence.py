@@ -67,5 +67,5 @@ def coa_numeric(psi_ab, grid_res: int = 64, refine_iters: int = 30) -> CoaResult
     refine_iters steps returns False, never raises).  Checkable against coa_closed_form on Bob's marginal.
     Pure parents only: decompositions of mixed Bob states are reached through a measurement on the purification."""
     psi = qcore.ensure_state_vector(psi_ab)
-    (basis, converged), value, trace = protocol._basis_search(qcore.projector(psi), grid_res, refine_iters)
+    basis, value, trace, converged = protocol._basis_search(qcore.projector(psi), grid_res, refine_iters)
     return CoaResult(value, basis, trace, converged)

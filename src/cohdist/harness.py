@@ -27,7 +27,7 @@ import numpy as np
 
 from . import protocol, qcore, states
 from .fixtures import load_fixture
-from .tomography import ESTIMATOR_ID, PRNG_ID, SHOTS_MAX, derive_stream, shots_and_seed, tomograph  # noqa: F401 (SHOTS_MAX)
+from .tomography import ESTIMATOR_ID, PRNG_ID, derive_stream, shots_and_seed, tomograph
 
 GRID_SNAP = 1e-9
 GRID_MAX_POINTS = 1_000_000

@@ -217,8 +217,8 @@ def _basis_search(rho: np.ndarray, grid_res: int, refine_iters: int):
     & Sepulchre, Optimization Algorithms on Matrix Manifolds, ch. 6): |H|^-1 g in _local_model's frame, with
     |eigenvalues| floored at 1e-8 so that it goes uphill, halved until the value does not fall.  Once |g| <=
     NEWTON_GTOL (a step's gain then nears the value's rounding) one more step, kept only if the value does not
-    fall, ends the search; so does a step under NEWTON_XTOL, untaken.  Returns ((basis, converged), value,
-    trace): converged is whether |g| <= NEWTON_GTOL at basis; trace, ((theta, phi), value) after grid and steps."""
+    fall, ends the search; so does a step under NEWTON_XTOL, untaken.  Returns (basis, value, trace, converged):
+    trace is ((theta, phi), value) after grid and steps; converged is whether |g| <= NEWTON_GTOL at basis."""
     if not 8 <= qcore.as_int("grid_res", grid_res) <= GRID_RES_MAX:
         raise ValueError(f"grid_res must be an int in [8, {GRID_RES_MAX}], got {grid_res!r}")
     if qcore.as_int("refine_iters", refine_iters) < 0:
@@ -249,7 +249,7 @@ def _basis_search(rho: np.ndarray, grid_res: int, refine_iters: int):
             step /= 2.0
         if last or np.linalg.norm(step) <= NEWTON_XTOL:
             break
-    return (MeasurementBasis.from_angles(theta, phi), bool(np.linalg.norm(grad) <= NEWTON_GTOL)), value, trace
+    return MeasurementBasis.from_angles(theta, phi), value, trace, bool(np.linalg.norm(grad) <= NEWTON_GTOL)
 
 
 def optimize_basis(rho_ab, grid_res: int = 64, refine_iters: int = 30) -> tuple[MeasurementBasis, float]:
@@ -257,5 +257,5 @@ def optimize_basis(rho_ab, grid_res: int = 64, refine_iters: int = 30) -> tuple[
 
     A grid_res x grid_res Bloch-hemisphere grid, then up to refine_iters Newton steps (see _basis_search).
     grid_res must be an int in [8, GRID_RES_MAX] and refine_iters an int >= 0, or ValueError is raised."""
-    (basis, _), value, _ = _basis_search(qcore.ensure_density(rho_ab, dim=4), grid_res, refine_iters)
+    basis, value, _, _ = _basis_search(qcore.ensure_density(rho_ab, dim=4), grid_res, refine_iters)
     return basis, value

@@ -24,7 +24,8 @@ Pauli basis uses its own stream derived as seed XOR mix64 of the basis index,
 and exactly one uniform is consumed per binomial draw, so identical
 (state, shots, seed) give bit-identical counts on one numpy build.  Shots and
 seeds pass one check, shots_and_seed, and a TomographyRecord checks its
-counts when it is made, so every record reconstructs and writes JSON.  PRNG_ID
+counts when it is made and refuses any change to them after (a TypeError), so
+every record reconstructs and writes JSON.  PRNG_ID
 names the algorithm in harness output metadata.
 
 Axis k gives "+" with probability (1 + r_k) / 2 for the Bloch vector r.
@@ -209,7 +210,7 @@ def shots_and_seed(shots, seed) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class TomographyRecord:
-    """Per-basis (count_plus, count_minus) pairs from one tomography run, checked and stored as ints when made."""
+    """Per-basis (count_plus, count_minus) pairs from one tomography run, checked and stored as ints when made, then read-only."""
 
     shots_per_basis: int
     seed: int
@@ -221,7 +222,7 @@ class TomographyRecord:
             raise ValueError(f"counts must be a dict of count pairs by basis, got {self.counts!r}")
         object.__setattr__(self, "shots_per_basis", shots)
         object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "counts", {b: _count_pair(b, self.counts.get(b), shots) for b in BASES})
+        object.__setattr__(self, "counts", _Counts((b, _count_pair(b, self.counts.get(b), shots)) for b in BASES))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -238,6 +239,18 @@ class TomographyRecord:
         if not isinstance(obj, dict):
             raise ValueError(f"a record is a JSON object with seed, shots and counts, got {text!r}")
         return cls(obj.get("shots"), obj.get("seed"), obj.get("counts"))
+
+
+class _Counts(dict):
+    """A record's checked count pairs by basis: a dict that refuses every change once made."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a TomographyRecord's counts cannot be changed after its check")
+
+    __setitem__ = __delitem__ = __ior__ = update = pop = popitem = clear = setdefault = _refuse
+
+    def __reduce__(self):  # pickle and deepcopy rebuild it from a plain dict, never through __setitem__
+        return _Counts, (dict(self),)
 
 
 def _count_pair(basis: str, pair, shots: int) -> tuple[int, int]:

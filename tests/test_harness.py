@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohdist import __version__, cli, coherence, harness, protocol, qcore, states
+from cohdist import __version__, cli, coherence, harness, protocol, qcore, states, tomography
 from cohdist.fixtures import load_fixture
 from cohdist.harness import (
     ExperimentRow,
@@ -128,7 +128,7 @@ def test_run_config_validation():
 
 
 def test_shots_and_seeds_outside_their_exact_ranges_are_usage_errors():
-    shots_max = harness.SHOTS_MAX
+    shots_max = tomography.SHOTS_MAX
     for seed in (-5, 2**64, 2**64 + 5):
         with pytest.raises(ValueError, match="seed"):
             RunConfig(kind="werner", params=(0.5,), seed=seed)
@@ -151,10 +151,10 @@ def test_shots_and_seeds_outside_their_exact_ranges_are_usage_errors():
 
 def test_run_config_checks_shots_in_every_mode():
     for mode in ("analytic", "sampled"):
-        for shots in (0, -5, harness.SHOTS_MAX + 1):
+        for shots in (0, -5, tomography.SHOTS_MAX + 1):
             with pytest.raises(ValueError, match="shots_per_basis"):
                 RunConfig(kind="werner", params=(0.5,), mode=mode, shots_per_basis=shots)
-        for shots in (1, harness.SHOTS_MAX):
+        for shots in (1, tomography.SHOTS_MAX):
             assert RunConfig(kind="werner", params=(0.5,), mode=mode, shots_per_basis=shots).shots_per_basis == shots
 
 
@@ -462,6 +462,13 @@ def test_deviation_report_serializes():
 
 # --- CLI ---------------------------------------------------------------------------
 
+def test_run_commands_are_the_rows_of_one_table():
+    assert sorted(cli.main.commands) == ["fixtures", "pure1", "pure2", "tomo-demo", "werner"]
+    for name, (kind, grid, help_text) in cli._RUNS.items():
+        assert kind in harness.KINDS and cli.main.commands[name].help == help_text
+        assert harness.parse_grid(grid)
+
+
 def test_cli_pure1_csv_output():
     result = CliRunner().invoke(cli.main, ["pure1", "--points", "0,22.5"])
     assert result.exit_code == 0
@@ -651,7 +658,7 @@ def _assert_rows_match(rows, ref, tol=1e-12):
 
 def _oracle_grids():
     rng = np.random.default_rng(61)
-    grids = {k: [harness.parse_grid(g)] for k, g in cli._DEFAULT_GRIDS.items()}
+    grids = {kind: [harness.parse_grid(grid)] for kind, grid, _ in cli._RUNS.values()}
     for table_id in (1, 2, 3):
         cfg = fixture_run_config(table_id)
         grids[cfg.kind].append(cfg.params)

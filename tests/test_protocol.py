@@ -353,7 +353,7 @@ def test_search_matches_dense_oracle_argmax_and_value():
     flat = [make_werner(0.7), projector(family1(22.5)), np.kron(projector(qcore.KET_H), random_density(rng, 2))]
     for k, rho in enumerate(mixed + flat):
         ref = oracles.basis_search_oracle(rho, 16, 6)
-        _, value, trace = protocol._basis_search(rho, 16, 6)
+        _, value, trace, _ = protocol._basis_search(rho, 16, 6)
         assert value >= ref.value - 1e-12
         if k < len(mixed):
             grid = protocol._assisted_coherence(n, *protocol._pauli_coordinates(rho))
@@ -438,7 +438,7 @@ def test_search_values_never_fall_below_0_7_0():
         old = stored[name]
         assert (old["grid_res"], old["refine_iters"], len(old["value"])) == (grid_res, refine_iters, len(states))
         for rho, old_grid, old_value in zip(states, old["grid"], old["value"]):
-            (_, converged), value, trace = protocol._basis_search(rho, grid_res, refine_iters)
+            _, value, trace, converged = protocol._basis_search(rho, grid_res, refine_iters)
             assert abs(trace[0][1] - float.fromhex(old_grid)) <= 1e-12  # the same state, and the same grid
             assert converged and value >= float.fromhex(old_value) - 1e-14
             worst[name] = max(worst.get(name, 0.0), value - float.fromhex(old_value))
@@ -450,7 +450,7 @@ def test_search_matches_the_multistart_dense_reference():
     picks = [(16, 6, rho) for name in ("dense_oracle", "ridges") for rho in sets[name][2]]
     picks += [(g, k, rho) for name in ("early_exit", "depolarized") for g, k, states in [sets[name]] for rho in states[::25]]
     for grid_res, refine_iters, rho in picks:
-        _, value, _ = protocol._basis_search(rho, grid_res, refine_iters)
+        _, value, _, _ = protocol._basis_search(rho, grid_res, refine_iters)
         assert abs(value - oracles.multistart_search_oracle(rho)) <= 1e-12
 
 
@@ -475,7 +475,7 @@ def test_step_cap_reports_convergence_honestly():
     for rho in states:
         coords = protocol._pauli_coordinates(rho)
         for cap in converged:
-            (basis, ok), value, trace = protocol._basis_search(rho, 8, cap)
+            basis, value, trace, ok = protocol._basis_search(rho, 8, cap)
             assert len(trace) <= cap + 1 and trace[-1][1] == value and basis == MeasurementBasis.from_angles(*trace[-1][0])
             _, _, _, grad, _ = protocol._local_model(*trace[-1][0], coords)
             assert ok == (np.linalg.norm(grad) <= protocol.NEWTON_GTOL)

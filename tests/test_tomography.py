@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import functools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -610,6 +613,34 @@ def test_records_are_checked_when_made():
     for pair in ((11, -1), (-1, 11), (5, 6)):
         with pytest.raises(ValueError, match="counts\\['Y'\\]"):
             TomographyRecord(10, 0, {"X": (7, 3), "Y": pair, "Z": (10, 0)})
+
+
+def test_record_counts_cannot_change_after_the_check():
+    record = TomographyRecord(10, 0, {"X": (7, 3), "Y": (5, 5), "Z": (10, 0)})
+    text, counts = record.to_json(), record.counts
+    with pytest.raises(TypeError, match="cannot be changed"):
+        record.counts["X"] = (70, 3)
+    with pytest.raises(TypeError, match="cannot be changed"):
+        del record.counts["X"]
+    with pytest.raises(TypeError, match="cannot be changed"):
+        counts |= {"X": (0, 10)}
+    changes = [
+        lambda c: c.update(X=(0, 10)), lambda c: c.pop("X"), lambda c: c.popitem(), lambda c: c.clear(),
+        lambda c: c.setdefault("W", (0, 10)),
+    ]
+    for change in changes:
+        with pytest.raises(TypeError, match="cannot be changed"):
+            change(record.counts)
+    assert record.to_json() == text and record.counts == {"X": (7, 3), "Y": (5, 5), "Z": (10, 0)}
+    # copies keep the check: each equals the record and refuses changes too
+    copies = [pickle.loads(pickle.dumps(record)), copy.deepcopy(record), dataclasses.replace(record, seed=1)]
+    copies.append(TomographyRecord(record.shots_per_basis, record.seed, record.counts))
+    for other in copies:
+        assert dataclasses.replace(other, seed=0) == record
+        with pytest.raises(TypeError, match="cannot be changed"):
+            other.counts["X"] = (70, 3)
+    assert dataclasses.asdict(record) == {"shots_per_basis": 10, "seed": 0, "counts": {"X": (7, 3), "Y": (5, 5), "Z": (10, 0)}}
+    assert TomographyRecord.from_json(text) == record
 
 
 # --- R-rho-R reference estimator (tests/oracles.py) ------------------------------

@@ -6,7 +6,8 @@ For each checkout one subprocess puts that checkout's src/ first on sys.path and
 invocations in process through click's CliRunner: every run command analytic and sampled (7, 10,001 and 1e6
 shots) at epsilon 0 and 0.05 in CSV and JSON, a 1,001-point JSON Werner grid, a 4,501-point sampled grid
 (more than one harness.RUN_CHUNK), every fixture table and tomo-demo in both formats, tomo-demo at seeds 0 and
-2^64 - 1 with 7 and 1e6 shots in both formats, every --help page, five usage errors and --version.  Prints each
+2^64 - 1 with 7 and 1e6 shots in both formats, every --help page, nine usage errors (four of them parameters out
+of range, which reach the run table's rows and the KINDS state factories) and --version.  Prints each
 invocation whose exit code, stdout or stderr differs between the two checkouts and exits 1 if any does.
 """
 
@@ -39,6 +40,10 @@ def invocations() -> list[list[str]]:
         ["pure2", "--shots", "0"],
         ["werner", "--points", "0.5", "--epsilon-prep", "2"],
         ["fixtures", "--table", "4"],
+        ["tomo-demo", "--theta", "50"],
+        ["tomo-demo", "--theta", "nan"],
+        ["pure1", "--points", "50"],
+        ["werner", "--grid", "0:2:0.5"],
     ]
     runs.append(["--version"])
     return runs
