@@ -37,7 +37,7 @@ from .protocol import (
     optimal_basis_pure,
     optimize_basis,
 )
-from .states import depolarize, family1, family2, make_pure, make_werner, singlet
+from .states import depolarize, family1, family2, make_werner, singlet
 from .tomography import (
     PRNG_ID,
     ReconstructionResult,
@@ -84,7 +84,6 @@ __all__ = [
     "family1",
     "family2",
     "fidelity",
-    "make_pure",
     "make_werner",
     "negativity",
     "optimal_basis_pure",

@@ -48,14 +48,6 @@ def family2(theta_deg) -> np.ndarray:
     return psi / math.sqrt(2.0)
 
 
-def make_pure(family: int, theta_deg) -> np.ndarray:
-    if family == 1:
-        return family1(theta_deg)
-    if family == 2:
-        return family2(theta_deg)
-    raise ValueError(f"family must be 1 or 2, got {family}")
-
-
 def singlet() -> np.ndarray:
     """(|HV> - |VH>) / sqrt(2)."""
     return np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)

@@ -38,11 +38,11 @@ library's statistics.NormalDist (see _normal_draws).  The sampler's exp, log
 and sqrt are numpy's and the C library's, so counts are bit-stable run to run
 on one build, not across builds.  Thresholds and methods are fixed so frozen
 golden counts stay valid.
-The inversion evaluates a window around the mode from Bernstein's tail bound:
-left of it every pmf term underflows to 0.0 (tail e^-800), right of it each
-term is under half an ulp of the running sum (tail e^-40), so the window's
-CDF is the full-support one bit for bit.  The draws of one p share one CDF
-row and one search over their uniforms.
+The inversion evaluates a window around the mode from Bernstein's tail bound,
+e^-40 on each side: left of it the full-support F(k) is below 2**-53, the
+least uniform drawn, inside it the sums lack at most e^-40 (a few ulps of F),
+and right of it F is 1.0.  The draws of one p share one CDF row and one
+search over their uniforms.
 """
 
 import json
@@ -55,7 +55,7 @@ import numpy as np
 
 from . import qcore
 
-PRNG_ID = "splitmix64-sampler-v3"
+PRNG_ID = "splitmix64-sampler-v4"
 ESTIMATOR_ID = "mle-newton-v2"
 BASES = ("X", "Y", "Z")
 SHOTS_MAX = 2**53  # counts and n p stay exact in float64
@@ -64,7 +64,7 @@ SEED_LIMIT = 2**64  # seeds are integers in [0, SEED_LIMIT)
 _MASK = (1 << 64) - 1
 _GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _INVERSION_MAX_SHOTS = 10_000
-_TAIL_BELOW, _TAIL_ABOVE = 800.0, 40.0  # Bernstein exponents of the inversion window (see the module docstring)
+_TAIL = 40.0  # Bernstein exponent of the inversion window on each side of the mode (see the module docstring)
 _WINDOW_FLOATS = 2**14  # window elements per numpy pass, so the sampler's temporaries stay small
 # step cap for the MLE multiplier search; bisection alone needs at most 51 steps
 MLE_MAX_STEPS = 100
@@ -141,14 +141,14 @@ def _window(n: int, p: np.ndarray) -> tuple[np.ndarray, int, int]:
     """(modes of Binomial(n, p[i]), most window terms any row keeps left and right of its mode, at least 1)."""
     # Bernstein: P(X - n p >= t) and P(n p - X >= t) are at most e^-T for t = T/3 + sqrt(T^2/9 + 2 T var)
     mean, var = n * p, n * p * (1.0 - p)
-    below, above = (tail / 3.0 + np.sqrt(tail * tail / 9.0 + 2.0 * tail * var) for tail in (_TAIL_BELOW, _TAIL_ABOVE))
+    t = _TAIL / 3.0 + np.sqrt(_TAIL * _TAIL / 9.0 + 2.0 * _TAIL * var)
     mode = np.minimum(n, ((n + 1) * p).astype(np.int64))
-    first, last = np.maximum(0, np.floor(mean - below)), np.minimum(n, np.ceil(mean + above))
+    first, last = np.maximum(0, np.floor(mean - t)), np.minimum(n, np.ceil(mean + t))
     return mode, int(np.max(mode - first, initial=1)), int(np.max(last - mode, initial=1))
 
 
 def _window_cdf(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(k0, cdf): cdf[i, j] is the full-support F(k0[i] + j) of Binomial(n, p[i]), 0 < p < 1, bit for bit.
+    """(k0, cdf): cdf[i, j] is F(k0[i] + j) of Binomial(n, p[i]), 0 < p < 1, summed from k0[i]; within 2**-56 of the full support's.
 
     Each row spans the block's widest window from its own mode; its terms past its own window are the full support's.
     """

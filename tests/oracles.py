@@ -526,7 +526,7 @@ def dense_run_oracle(config) -> list[ExperimentRow]:
         if config.kind == "werner":
             rho_ab, basis = states.make_werner(param), MeasurementBasis((0.0, 1.0, 0.0))
         else:
-            psi = states.make_pure(1 if config.kind == "family1" else 2, param)
+            psi = getattr(states, config.kind)(param)
             rho_ab, basis = qcore.projector(psi), optimal_basis_pure_oracle(psi)
         rho_ab = states.depolarize(rho_ab, config.epsilon_prep)
         rho_b = qcore.partial_trace(rho_ab, "B")

@@ -290,7 +290,7 @@ def test_json_round_trip_is_exact():
     parsed_cfg, parsed_rows = parse_rows_json(text)
     assert parsed_rows == rows
     assert parsed_cfg["kind"] == "werner"
-    assert json.loads(text)["meta"]["prng"] == "splitmix64-sampler-v3"
+    assert json.loads(text)["meta"]["prng"] == "splitmix64-sampler-v4"
     assert json.loads(text)["meta"]["estimator"] == "mle-newton-v2"
 
 
@@ -634,7 +634,7 @@ def test_tomo_demo_prints_the_runners_point_zero(family):
         outcomes = json.loads(CliRunner().invoke(cli.main, ["tomo-demo", *args]).output)["outcomes"]
         row = run_experiment(RunConfig(f"family{family}", (theta,), mode="sampled", shots_per_basis=shots, seed=seed))[0]
         assert sum(o["prob"] * o["cr_mle"] for o in outcomes) == row.cd_after_sim, args
-        truth = protocol.alice_measure(qcore.projector(states.make_pure(family, theta)), protocol.MeasurementBasis((0, 1, 0)))
+        truth = protocol.alice_measure(qcore.projector(getattr(states, f"family{family}")(theta)), protocol.MeasurementBasis((0, 1, 0)))
         for t, (o, bob) in enumerate(zip(outcomes, truth), start=1):
             want = simulate_counts(bob.bob_state, shots, derive_stream(seed, 0, t))
             assert TomographyRecord.from_json(json.dumps(o["record"])) == want, args

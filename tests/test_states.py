@@ -10,7 +10,6 @@ from cohdist.states import (
     depolarize,
     family1,
     family2,
-    make_pure,
     make_werner,
     singlet,
 )
@@ -90,17 +89,6 @@ def test_stack_error_names_first_bad_parameter():
         result = CliRunner().invoke(cli.main, args)
         assert result.exit_code == 2, args
         assert "must be in" in result.output
-
-
-def test_make_pure_dispatch_and_errors():
-    assert np.allclose(make_pure(1, 10.0), family1(10.0))
-    assert np.allclose(make_pure(2, 10.0), family2(10.0))
-    with pytest.raises(ValueError):
-        make_pure(3, 10.0)
-    with pytest.raises(ValueError):
-        family1(-0.1)
-    with pytest.raises(ValueError):
-        family2(45.1)
 
 
 def test_werner_extremes():

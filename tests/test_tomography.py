@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from cohdist import qcore, tomography
 from cohdist.protocol import MeasurementBasis, alice_measure, optimal_basis_pure
 from cohdist.qcore import fidelity, partial_trace, projector, validate_density
-from cohdist.states import family1, make_pure
+from cohdist.states import family1, family2
 from cohdist.tomography import (
     BASES,
     PRNG_ID,
@@ -57,7 +57,7 @@ def test_splitmix64_floats_in_unit_interval():
     s = SplitMix64(987654321)
     vals = [s.next_float() for _ in range(1000)]
     assert all(0.0 <= v < 1.0 for v in vals)
-    assert PRNG_ID == "splitmix64-sampler-v3"
+    assert PRNG_ID == "splitmix64-sampler-v4"
 
 
 def test_derive_stream_is_stable_and_distinct():
@@ -193,7 +193,8 @@ def test_normal_draws_are_symmetric_in_the_upper_tail(n, slack):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 257, 4_999, 9_999, 10_000])
 def test_inversion_window_holds_the_full_support_cdf(n):
-    # the window's CDF equals the full-support one bit for bit, which is 0.0 left of it and 1.0 right of it
+    # left of the window the full-support F is below 2**-53, the least uniform drawn, so no draw lands there;
+    # inside it the window's sums lack at most e^-40 of mass, so they stay within 2**-56 of F; right of it both are 1.0
     rng = np.random.default_rng(n)
     ps = np.concatenate([10 ** rng.uniform(-14, 0, 40), 1 - 10 ** rng.uniform(-14, 0, 40), rng.uniform(size=40),
                          [0.5, 1e-12, 1e-6, 1 - 1e-6, 1 / (n + 1), 1 - 1 / (n + 1), 5e-324, 1 - 2.0**-53]])
@@ -202,9 +203,28 @@ def test_inversion_window_holds_the_full_support_cdf(n):
         full = oracles.binomial_cdf_full(n, p)
         k = np.arange(first, first + row.size)
         inside = (k >= 0) & (k <= n)
-        assert np.array_equal(row[inside], full[k[inside]]), p
-        assert (row[k < 0] == 0.0).all() and (row[k > n] == 1.0).all()
-        assert (full[: max(first, 0)] == 0.0).all() and (full[min(k[-1], n) :] == 1.0).all(), p
+        assert (full[: max(first, 0)] < 2.0**-53).all(), p
+        assert np.abs(row[inside] - full[k[inside]]).max() < 2.0**-56, p
+        assert (row[k < 0] == 0.0).all() and (row[k > n] == 1.0).all() and row[-1] == 1.0
+        assert (full[min(k[-1], n) :] == 1.0).all(), p
+
+
+def test_windowed_inversion_draws_the_full_support_counts():
+    # 1.1e6 draws at n from 1 to 1e4, each min{k : F(k) >= u} over the full support with F summed from 0. The uniforms
+    # are multiples of 2**-53 as the streams make them: a third spread evenly, a third log-uniform down to 2**-53 and a
+    # third mirrored below 1, so both tails of every CDF are searched, plus the edges 2**-53 and 1 - 2**-53 at every p.
+    rng = np.random.default_rng(24)
+    for n in (1, 2, 3, 10, 64, 257, 1_000, 4_999, 9_999, 10_000):
+        ps = np.concatenate([10 ** rng.uniform(-14, 0, 10), 1 - 10 ** rng.uniform(-14, 0, 10), rng.uniform(size=15),
+                             [0.5, 1 / (n + 1), 1 - 1 / (n + 1), 5e-324, 1 - 2.0**-53]])
+        tail = np.minimum(np.maximum(np.floor(2.0 ** rng.uniform(0, 53, (ps.size, 916))), 1.0), 2.0**53 - 1) * 2.0**-53
+        even = np.maximum(np.floor(rng.uniform(size=(ps.size, 916)) * 2.0**53), 1.0) * 2.0**-53
+        u = np.concatenate([tail, 1.0 - tail, even, np.tile([2.0**-53, 1.0 - 2.0**-53], (ps.size, 1))], axis=1)
+        order = rng.permutation(u.size)  # the draws of one p in shuffled order, as a pass of the runner makes them
+        k = np.empty(u.size, dtype=np.int64)
+        k[order] = tomography._binomial_draws(n, np.repeat(ps, u.shape[1])[order], u.ravel()[order])
+        for p, row, got in zip(ps.tolist(), u, k.reshape(u.shape)):
+            assert np.array_equal(got, np.searchsorted(oracles.binomial_cdf_full(n, p), row)), (n, p)
 
 
 def test_shots_beyond_the_exact_range_are_rejected():
@@ -369,9 +389,9 @@ def test_linear_closed_form_matches_eigenvalue_clipping():
 def _pipeline_records():
     """Every record of the 19-point family1/family2 sampled pipeline at 1e5 shots, seed 42."""
     records = []
-    for family in (1, 2):
+    for family in (family1, family2):
         for g in range(19):
-            psi = make_pure(family, 2.5 * g)
+            psi = family(2.5 * g)
             rho_ab = projector(psi)
             records.append(simulate_counts(partial_trace(rho_ab, "B"), 10**5, derive_stream(42, g, 0)))
             for t, outcome in enumerate(alice_measure(rho_ab, optimal_basis_pure(psi)), start=1):

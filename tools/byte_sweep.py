@@ -8,7 +8,10 @@ shots) at epsilon 0 and 0.05 in CSV and JSON, a 1,001-point JSON Werner grid, a 
 (more than one harness.RUN_CHUNK), every fixture table and tomo-demo in both formats, tomo-demo at seeds 0 and
 2^64 - 1 with 7 and 1e6 shots in both formats, every --help page, nine usage errors (four of them parameters out
 of range, which reach the run table's rows and the KINDS state factories) and --version.  Prints each
-invocation whose exit code, stdout or stderr differs between the two checkouts and exits 1 if any does.
+invocation whose exit code, stdout or stderr differs between the two checkouts, and exits 1 if any does.
+Where both stdouts parse as JSON it says whether the two results differ only in that JSON's top-level "meta",
+and the last line counts the differing invocations as "in meta only" and "otherwise": a version bump that
+moves nothing else leaves --version as the one "otherwise".
 """
 
 import argparse
@@ -69,6 +72,19 @@ def sweep(checkout: Path) -> list:
     return json.loads(subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout)
 
 
+def meta_only(old: list, new: list) -> bool | None:
+    """None unless both stdouts parse as JSON, else whether the two results differ only in stdout's top-level "meta"."""
+    try:
+        values = [json.loads(old[3]), json.loads(new[3])]
+    except ValueError:
+        return None
+    for value in values:
+        if isinstance(value, dict):
+            value.pop("meta", None)
+    same = json.dumps(values[0], sort_keys=True) == json.dumps(values[1], sort_keys=True)  # nan compares equal as text
+    return same and old[1:3] + old[4:] == new[1:3] + new[4:]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path)
@@ -82,13 +98,16 @@ def main(argv=None) -> int:
         parser.error("--parent and --change are required")
     parent, change = sweep(args.parent), sweep(args.change)
     fields = ("exit code", "exception", "stdout", "stderr")
-    differ = 0
+    differ = in_meta = 0
     for old, new in zip(parent, change, strict=True):
         changed = [name for name, a, b in zip(fields, old[1:], new[1:]) if a != b]
         if changed:
             differ += 1
-            print(f"differs ({', '.join(changed)}): cohdist {' '.join(old[0])}")
-    print(f"{len(parent)} invocations, {differ} differ")
+            only = meta_only(old, new)
+            in_meta += bool(only)
+            note = {None: "", True: "; meta only", False: "; not only meta"}[only]
+            print(f"differs ({', '.join(changed)}{note}): cohdist {' '.join(old[0])}")
+    print(f"{len(parent)} invocations, {differ} differ: {in_meta} in meta only, {differ - in_meta} otherwise")
     return 1 if differ else 0
 
 
