@@ -82,17 +82,21 @@ class RunConfig:
     epsilon_prep: float = 0.0
 
     def __post_init__(self):
+        try:  # read once: a generator is consumed, and an array has no truth value
+            params = tuple(self.params)
+        except TypeError:
+            raise ValueError(f"params must be an iterable of real numbers, got {type(self.params).__name__}") from None
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
         if self.mode not in ("analytic", "sampled"):
             raise ValueError(f"mode must be 'analytic' or 'sampled', got {self.mode!r}")
-        if not self.params:
+        if not params:
             raise ValueError("parameter grid is empty")
-        bad = sorted(t.__name__ for t in set(map(type, self.params)) if not issubclass(t, numbers.Real) or issubclass(t, bool))
+        bad = sorted(t.__name__ for t in set(map(type, params)) if not issubclass(t, numbers.Real) or issubclass(t, bool))
         if bad:  # one check per type, not per point; nan and inf pass here and reach the factory's range check
             raise ValueError(f"params must be real numbers, got {', '.join(bad)}")
         shots, seed = shots_and_seed(self.shots_per_basis, self.seed)
-        object.__setattr__(self, "params", tuple(sorted(float(p) + 0.0 for p in self.params)))  # + 0.0: -0.0 is 0.0
+        object.__setattr__(self, "params", tuple(sorted(float(p) + 0.0 for p in params)))  # + 0.0: -0.0 is 0.0
         object.__setattr__(self, "shots_per_basis", shots)  # a numpy integer is stored as int
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "epsilon_prep", qcore.as_unit_real("epsilon_prep", self.epsilon_prep))  # 1 is stored as 1.0

@@ -13,10 +13,13 @@ outcome probabilities p+- = (1 +- n.a) / 2 and leaves Bob with Bloch vectors r+-
 (_outcomes) is the only one.  It stacks both outcomes on a leading axis of 2, and n's leading axes
 broadcast against the state's: alice_measure builds Bob's matrices from it, the harness scores a
 stack of states with it along y, and the basis search scores its theta x phi grid in one call and
-each Newton step's five points in another.  On an exactly flat objective (a Werner state's equator,
-a Bell state) rounding picks the grid argmax.
+each Newton step's five points in another.  r[..., j] are views of one components-first buffer, |r|
+(_norm) is summed as (x^2 + y^2) + z^2 like np.linalg.norm(r, axis=-1), and the search's hemisphere
+grid is built once per resolution.  On an exactly flat objective (a Werner state's equator, a Bell
+state) rounding picks the grid argmax.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +30,8 @@ from . import qcore
 ZERO_PROB_TOL = 1e-12
 GRID_RES_MAX = 1024  # the batched grid holds GRID_RES_MAX^2 Bloch vectors
 NEWTON_H = 1e-5  # central-difference offset of the basis search's tangent Hessian
+_CHART_X = NEWTON_H * np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])  # _local_model's 5 points
+_CHART_SCALE = np.sqrt(1.0 + (_CHART_X * _CHART_X).sum(-1))[:, None]  # |n + x frame|, exactly 1 at x = 0
 NEWTON_GTOL, NEWTON_XTOL = 1e-7, 1e-9  # converged once |tangent gradient| <= GTOL; a step under XTOL ends the search
 _PAULIS = np.stack([qcore.IDENTITY_2, qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z])
 # (rho.ravel() @ _PAULI_PAIRS)[4m + n] = tr[rho (s_m x s_n)]
@@ -147,9 +152,15 @@ def _qubit_entropy(u):
     return -(hi * np.log2(hi) + lo * np.log2(np.where(lo > 0.0, lo, 1.0)))
 
 
+def _norm(r):
+    """|r[..., :]| elementwise, summed as (x^2 + y^2) + z^2 from component views: np.linalg.norm(r, axis=-1)'s bits."""
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
 def _qubit_coherence(r):
     """C_r of the qubit with Bloch vector r[..., :], elementwise."""
-    return _qubit_entropy(r[..., 2]) - _qubit_entropy(np.linalg.norm(r, axis=-1))
+    return _qubit_entropy(r[..., 2]) - _qubit_entropy(_norm(r))
 
 
 def _outcomes(n: np.ndarray, a, b, t) -> tuple[np.ndarray, np.ndarray]:
@@ -158,7 +169,8 @@ def _outcomes(n: np.ndarray, a, b, t) -> tuple[np.ndarray, np.ndarray]:
     n[..., :] is Alice's Bloch vector for the state (a, b, t)[...]; n's leading axes broadcast against
     the coordinates'.  Where the states do not vary along n's last leading axis (one state, a grid of n),
     n.a and T^t n are one M x 3 matrix product per state, else one 1 x 3 product per basis, so a stack of
-    states gets each state's own bits.  Outcomes with p < ZERO_PROB_TOL get p = 0 and a meaningless r."""
+    states gets each state's own bits.  r views one (3, 2, ...) buffer, each component (b_j +- (T^t n)_j) / (2 p+-)
+    filled in one pass, bit for bit a (..., 3) broadcast.  Outcomes with p < ZERO_PROB_TOL get p = 0 and a meaningless r."""
     if n.ndim > 1 and (a.ndim == 1 or a.shape[-2] == 1):
         a1, t1 = (a, t) if a.ndim == 1 else (a[..., 0, :], t[..., 0, :, :])
         na, tn = (n @ a1[..., None])[..., 0], n @ t1
@@ -167,8 +179,10 @@ def _outcomes(n: np.ndarray, a, b, t) -> tuple[np.ndarray, np.ndarray]:
     sign = np.array([1.0, -1.0]).reshape(2, *[1] * na.ndim)
     p = (1.0 + sign * na) / 2.0
     kept = p >= ZERO_PROB_TOL
-    r = (b + sign[..., None] * tn) / (2.0 * np.where(kept, p, 1.0))[..., None]
-    return np.where(kept, p, 0.0), r
+    d, r = 2.0 * np.where(kept, p, 1.0), np.empty((3, *p.shape))
+    for j in range(3):
+        np.divide(b[..., j] + sign * tn[..., j], d, out=r[j])
+    return np.where(kept, p, 0.0), r.transpose(*range(1, r.ndim), 0)  # np.moveaxis(r, 0, -1), without its ~3 us
 
 
 def _assisted_coherence(n: np.ndarray, a, b, t) -> np.ndarray:
@@ -182,7 +196,7 @@ def _coherence_gradient(r):
 
     |r| and |r_z| are clipped at 1 - 2^-53, so a pure outcome's |r| term (tangent part 0 up to rounding)
     gets the factor atanh(1 - 2^-53) ~ 18.7, not atanh(1) = inf."""
-    s, top = np.linalg.norm(r, axis=-1, keepdims=True), 1.0 - 2.0**-53
+    s, top = _norm(r)[..., None], 1.0 - 2.0**-53
     grad = np.arctanh(np.minimum(s, top)) / np.where(s > 0.0, s, 1.0) * r
     grad[..., 2] -= np.arctanh(np.clip(r[..., 2], -top, top))
     return grad / math.log(2.0)
@@ -197,16 +211,24 @@ def _local_model(theta: float, phi: float, coords):
     C_r(r+-) + (T - a r+-^t) grad C_r(r+-)] / 2, to which a zero-probability outcome adds 0."""
     st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
     n, frame = np.array([st * cp, st * sp, ct]), np.array([[ct * cp, ct * sp, -st], [-sp, cp, 0.0]])
-    x = NEWTON_H * np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    scale = np.sqrt(1.0 + (x * x).sum(-1))[:, None]  # |n + x frame|, exactly 1 at x = 0
-    m, (a, b, t) = (n + x @ frame) / scale, coords
+    m, (a, b, t) = (n + _CHART_X @ frame) / _CHART_SCALE, coords
     p, r = _outcomes(m, a, b, t)
     c, dc = _qubit_coherence(r), _coherence_gradient(r)
     term = np.where((p > 0.0)[..., None], (c - (r * dc).sum(-1))[..., None] * a + dc @ t.T, 0.0)
     grad = (term[0] - term[1]) / 2.0
-    tangent = (grad - (grad * m).sum(-1, keepdims=True) * m) @ frame.T / scale
+    tangent = (grad - (grad * m).sum(-1, keepdims=True) * m) @ frame.T / _CHART_SCALE
     d = (tangent[1::2] - tangent[2::2]) / (2.0 * NEWTON_H)  # d[i] = dg/dx_i
     return n, frame, float(sum(p * c)[0]), tangent[0], (d + d.T) / 2.0
+
+
+@functools.lru_cache(maxsize=1)  # the last resolution's only: at most GRID_RES_MAX^2 Bloch vectors stay alive
+def _hemisphere(grid_res: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (thetas, phis, grid) of the search: grid[i, j] is the Bloch vector at (thetas[i], phis[j])."""
+    thetas, phis = np.linspace(0.0, math.pi / 2.0, grid_res), (2.0 * math.pi / grid_res) * np.arange(grid_res)
+    st = np.sin(thetas)[:, None]
+    grid = np.stack(np.broadcast_arrays(st * np.cos(phis), st * np.sin(phis), np.cos(thetas)[:, None]), axis=-1)
+    thetas.flags.writeable = phis.flags.writeable = grid.flags.writeable = False
+    return thetas, phis, grid
 
 
 def _basis_search(rho: np.ndarray, grid_res: int, refine_iters: int):
@@ -223,10 +245,7 @@ def _basis_search(rho: np.ndarray, grid_res: int, refine_iters: int):
         raise ValueError(f"grid_res must be an int in [8, {GRID_RES_MAX}], got {grid_res!r}")
     if qcore.as_int("refine_iters", refine_iters) < 0:
         raise ValueError(f"refine_iters must be an int >= 0, got {refine_iters!r}")
-    coords = _pauli_coordinates(rho)
-    thetas, phis = np.linspace(0.0, math.pi / 2.0, grid_res), (2.0 * math.pi / grid_res) * np.arange(grid_res)
-    st = np.sin(thetas)[:, None]
-    grid = np.stack(np.broadcast_arrays(st * np.cos(phis), st * np.sin(phis), np.cos(thetas)[:, None]), axis=-1)
+    coords, (thetas, phis, grid) = _pauli_coordinates(rho), _hemisphere(int(grid_res))
     values = _assisted_coherence(grid, *coords)
     i, j = np.unravel_index(np.argmax(values), values.shape)
     theta, phi, value = float(thetas[i]), float(phis[j]), float(values[i, j])

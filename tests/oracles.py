@@ -15,6 +15,10 @@ the runner measure through the dense map here (4x4 projectors, partial
 traces), not through the library's Pauli-coordinate closed form; the map
 builds Alice's projectors (I +- n.sigma) / 2 from the basis' Bloch vector n
 with bloch_rho, so it takes nothing about the basis from the library.
+The broadcast map (outcomes_broadcast, qubit_coherence_broadcast,
+coherence_gradient_broadcast) is the measurement map as one (..., 3)
+broadcast with np.linalg.norm(axis=-1), the layout the library's
+components-first buffer replaced; the tests hold the two to the same bits.
 """
 
 import math
@@ -221,6 +225,33 @@ def dense_average(outcomes: OutcomeSet) -> float:
 def dense_assisted_coherence(rho: np.ndarray, theta: float, phi: float) -> float:
     """Average assisted coherence of the Alice basis at (theta, phi), via 4x4 projectors and eigvalsh."""
     return dense_average(_measure(rho, MeasurementBasis.from_angles(theta, phi)))
+
+
+def outcomes_broadcast(n: np.ndarray, a, b, t) -> tuple[np.ndarray, np.ndarray]:
+    """protocol._outcomes with r built as one (2, ..., 3) broadcast: (b +- T^t n) / (2 p+-), C-contiguous."""
+    if n.ndim > 1 and (a.ndim == 1 or a.shape[-2] == 1):
+        a1, t1 = (a, t) if a.ndim == 1 else (a[..., 0, :], t[..., 0, :, :])
+        na, tn = (n @ a1[..., None])[..., 0], n @ t1
+    else:
+        na, tn = (n[..., None, :] @ a[..., None])[..., 0, 0], (n[..., None, :] @ t)[..., 0, :]
+    sign = np.array([1.0, -1.0]).reshape(2, *[1] * na.ndim)
+    p = (1.0 + sign * na) / 2.0
+    kept = p >= ZERO_PROB_TOL
+    r = (b + sign[..., None] * tn) / (2.0 * np.where(kept, p, 1.0))[..., None]
+    return np.where(kept, p, 0.0), r
+
+
+def qubit_coherence_broadcast(r: np.ndarray) -> np.ndarray:
+    """protocol._qubit_coherence with |r| by np.linalg.norm(r, axis=-1)."""
+    return protocol._qubit_entropy(r[..., 2]) - protocol._qubit_entropy(np.linalg.norm(r, axis=-1))
+
+
+def coherence_gradient_broadcast(r: np.ndarray) -> np.ndarray:
+    """protocol._coherence_gradient with |r| by np.linalg.norm(r, axis=-1, keepdims=True)."""
+    s, top = np.linalg.norm(r, axis=-1, keepdims=True), 1.0 - 2.0**-53
+    grad = np.arctanh(np.minimum(s, top)) / np.where(s > 0.0, s, 1.0) * r
+    grad[..., 2] -= np.arctanh(np.clip(r[..., 2], -top, top))
+    return grad / math.log(2.0)
 
 
 def _golden_max(f, lo: float, hi: float, steps: int = 16) -> float:

@@ -127,6 +127,25 @@ def test_run_config_validation():
             run_experiment(RunConfig(kind="werner", params=(0.5, value)))
 
 
+def test_run_config_reads_params_once():
+    # a generator is consumed by the first read; an array of several points has no truth value
+    from_generator = RunConfig(kind="werner", params=(x for x in [0.2, 0.1]))
+    assert from_generator.params == (0.1, 0.2)
+    rows = json.loads(emit_json(from_generator, run_experiment(from_generator)))["rows"]
+    assert [row["param"] for row in rows] == [0.1, 0.2]
+    assert RunConfig(kind="werner", params=np.array([0.5, 0.25])).params == (0.25, 0.5)
+    assert RunConfig(kind="werner", params=[0.5]).params == (0.5,)
+    with pytest.raises(ValueError, match="parameter grid is empty"):
+        RunConfig(kind="werner", params=iter(()))
+    with pytest.raises(ValueError, match="parameter grid is empty"):
+        RunConfig(kind="werner", params=np.array([]))
+    for value in (0.5, None, np.float64(0.5), np.array(0.5)):
+        with pytest.raises(ValueError, match="params"):
+            RunConfig(kind="werner", params=value)
+    with pytest.raises(ValueError, match="params must be real numbers"):
+        RunConfig(kind="werner", params=np.array([[0.1, 0.2]]))
+
+
 def test_shots_and_seeds_outside_their_exact_ranges_are_usage_errors():
     shots_max = tomography.SHOTS_MAX
     for seed in (-5, 2**64, 2**64 + 5):

@@ -325,6 +325,65 @@ def test_outcomes_stack_both_signs_and_broadcast_bases_against_states():
         assert np.array_equal(p[:, s], p_s) and np.array_equal(r[:, s], r_s)
 
 
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    return x.shape == y.shape and np.array_equal(np.ascontiguousarray(x).view(np.uint64), np.ascontiguousarray(y).view(np.uint64))
+
+
+def test_components_first_map_matches_the_broadcast_bit_for_bit():
+    rng = np.random.default_rng(64)
+    rhos = np.stack([random_density(rng, 4) for _ in range(30)] + [projector(random_pure_state(rng, 4)) for _ in range(7)])
+    product = np.kron(projector(qcore.KET_H), random_density(rng, 2))  # n = +z gives outcome - probability 0
+    _, _, grid = protocol._hemisphere(16)
+    theta, phi = 0.7, 1.1
+    n = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
+    frame = np.array([[math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi), -math.sin(theta)], [-math.sin(phi), math.cos(phi), 0.0]])
+    chart = (n + protocol._CHART_X @ frame) / protocol._CHART_SCALE  # _local_model's five points
+    cases = [
+        (harness.ALICE_BLOCH, protocol._pauli_coordinates(rhos)),  # the runner: one basis, N states
+        (harness.ALICE_BLOCH, protocol._pauli_coordinates(rhos[0])),  # alice_measure and tomo-demo: one basis, one state
+        (grid, protocol._pauli_coordinates(rhos[-1])),  # the search grid
+        (chart, protocol._pauli_coordinates(rhos[1])),
+        (grid, protocol._pauli_coordinates(rhos[:5, None, None])),  # an (S, 1, 1) stack against the grid
+        (np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), protocol._pauli_coordinates(product)),  # the poles
+        (grid, protocol._pauli_coordinates(product)),
+    ]
+    for k, (n, coords) in enumerate(cases):
+        p, r = protocol._outcomes(n, *coords)
+        p_ref, r_ref = oracles.outcomes_broadcast(n, *coords)
+        assert r_ref.flags.c_contiguous and np.moveaxis(r, -1, 0).flags.c_contiguous  # r[..., j] views one buffer
+        assert _same_bits(p, p_ref) and _same_bits(r, r_ref), k
+        assert _same_bits(protocol._qubit_coherence(r), oracles.qubit_coherence_broadcast(r_ref)), k
+        assert _same_bits(protocol._coherence_gradient(r), oracles.coherence_gradient_broadcast(r_ref)), k
+        assert _same_bits(protocol._norm(r_ref), np.linalg.norm(r_ref, axis=-1)), k  # and on a (..., 3) layout
+    assert (p == 0.0).any()  # the pole's outcome - is scored, with p = 0
+    r = rng.uniform(-1.0, 1.0, (3,))  # one Bloch vector, as average_assisted_coherence passes it
+    assert _same_bits(protocol._qubit_coherence(r), oracles.qubit_coherence_broadcast(r))
+    assert _same_bits(protocol._coherence_gradient(r), oracles.coherence_gradient_broadcast(r))
+
+
+def test_hemisphere_is_read_only_cached_and_one_resolution_deep():
+    rng = np.random.default_rng(65)
+    rho = random_density(rng, 4)
+    protocol._hemisphere.cache_clear()
+    for res in (8, 16, 64):
+        protocol._basis_search(rho, res, 0)
+    info = protocol._hemisphere.cache_info()
+    assert (info.misses, info.currsize) == (3, 1)
+    thetas, phis, grid = protocol._hemisphere(64)
+    assert protocol._hemisphere.cache_info().hits == info.hits + 1  # 64 is the one kept
+    for x in (thetas, phis, grid):
+        assert not x.flags.writeable
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+    fresh = protocol._hemisphere.__wrapped__(64)
+    assert all(_same_bits(x, y) for x, y in zip((thetas, phis, grid), fresh))
+    ref_thetas, ref_phis, ref_grid = _grid(64)
+    assert _same_bits(thetas, ref_thetas) and _same_bits(phis, ref_phis) and np.abs(grid - ref_grid).max() <= 1e-15
+    protocol._basis_search(rho, 16, 0)
+    assert protocol._hemisphere.cache_info().currsize == 1 and protocol._hemisphere(16)[2].shape == (16, 16, 3)
+
+
 def test_closed_form_objective_matches_dense_path():
     rng = np.random.default_rng(41)
     products = [np.kron(projector(qcore.KET_H), random_density(rng, 2)) for _ in range(2)]
@@ -443,6 +502,46 @@ def test_search_values_never_fall_below_0_7_0():
             assert converged and value >= float.fromhex(old_value) - 1e-14
             worst[name] = max(worst.get(name, 0.0), value - float.fromhex(old_value))
     assert worst["depolarized"] > 1e-5  # the zoom stopped short on these; the Newton steps do not
+
+
+SEARCH_BITS_0_9_0 = Path(__file__).parent / "data" / "search_bits_0.9.0.json"
+
+
+def _search_bits() -> dict:
+    """The search's exact results, every float as float.hex, in search_bits_0.9.0.json's layout.
+
+    {name: [{"value", "basis", "trace", "converged"}, ...]} for _basis_search on _search_gate_sets' dense_oracle
+    and ridges states and every tenth early_exit state, and for coa_numeric on 10 random pure states.  The file
+    holds this function's output under cohdist 0.9.0:
+    json.dumps({"about": ..., **_search_bits()}, indent=1) with tests/ and src/ on sys.path."""
+
+    def bits(basis, value, trace, converged):
+        return {
+            "value": value.hex(),
+            "basis": [x.hex() for x in basis.bloch],
+            "trace": [[theta.hex(), phi.hex(), v.hex()] for (theta, phi), v in trace],
+            "converged": converged,
+        }
+
+    sets, out = _search_gate_sets(), {}
+    for name, step in (("dense_oracle", 1), ("ridges", 1), ("early_exit", 10)):
+        grid_res, refine_iters, states = sets[name]
+        out[name] = [bits(*protocol._basis_search(rho, grid_res, refine_iters)) for rho in states[::step]]
+    rng = np.random.default_rng(63)
+    results = [coa_numeric(random_pure_state(rng, 4)) for _ in range(10)]
+    out["coa_numeric"] = [bits(res.argmax_basis, res.value, res.optimizer_trace, res.converged) for res in results]
+    return out
+
+
+def test_search_bits_match_0_9_0():
+    # the measurement map's layout and the hemisphere cache must not move a single bit of any search
+    stored = json.loads(SEARCH_BITS_0_9_0.read_text())
+    got = _search_bits()
+    assert sorted(got) == sorted(k for k in stored if k != "about")
+    for name, records in got.items():
+        assert len(records) == len(stored[name])
+        for i, (record, want) in enumerate(zip(records, stored[name])):
+            assert record == want, (name, i)
 
 
 def test_search_matches_the_multistart_dense_reference():
