@@ -2,10 +2,12 @@
 
 Three CSV resources hold per-parameter coherence values measured on real
 hardware: tables 1 and 2 cover the two pure families on the theta grid
-0:2.5:45 degrees, table 3 covers sixteen Werner mixing parameters.  The files
-are checksummed so accidental edits are caught at load time.
+0:2.5:45 degrees, table 3 covers sixteen Werner mixing parameters.  A process
+reads and parses each file once; every load_fixture call checks those bytes'
+sha256, so an edit is caught at load time and no table of bad bytes is returned.
 """
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from importlib import resources
@@ -35,16 +37,24 @@ class FixtureTable:
         return tuple(r.param for r in self.rows)
 
 
-def load_fixture(table_id: int) -> FixtureTable:
-    """Load one of the bundled tables, verifying its checksum."""
-    if table_id not in _CHECKSUMS:
-        raise ValueError(f"table_id must be 1, 2 or 3, got {table_id}")
-    raw = resources.files("cohdist.data").joinpath(f"table_{table_id}.csv").read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
-    if digest != _CHECKSUMS[table_id]:
-        raise RuntimeError(
-            f"fixture table {table_id} failed its checksum (got {digest}); the bundled data was modified"
-        )
+@functools.lru_cache(maxsize=None, typed=True)
+def _bundled(table_id: int) -> bytes:
+    return resources.files("cohdist.data").joinpath(f"table_{table_id}.csv").read_bytes()
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _parse(table_id: int, raw: bytes) -> FixtureTable:
     # the checksum pins the header "param,cd_before,cd_after,delta", so each line splits in FixtureRow's order
     _, *lines = (ln for ln in raw.decode("utf-8").splitlines() if not ln.startswith("#"))
     return FixtureTable(table_id=table_id, rows=tuple(FixtureRow(*map(float, ln.split(","))) for ln in lines))
+
+
+def load_fixture(table_id: int) -> FixtureTable:
+    """One of the bundled tables, its checksum verified on every call; the (frozen) table is shared between calls."""
+    if table_id not in _CHECKSUMS:
+        raise ValueError(f"table_id must be 1, 2 or 3, got {table_id}")
+    raw = _bundled(table_id)
+    digest = hashlib.sha256(raw).hexdigest()
+    if digest != _CHECKSUMS[table_id]:
+        raise RuntimeError(f"fixture table {table_id} failed its checksum (got {digest}); the bundled data was modified")
+    return _parse(table_id, raw)

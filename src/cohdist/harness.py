@@ -16,6 +16,7 @@ Bob's marginal and both outcomes are the records t = 0, 1, 2 of one (3, N)
 stack, and sampled mode tomographs those with p > 0 in one tomograph call.
 """
 
+import itertools
 import json
 import math
 import numbers
@@ -174,15 +175,20 @@ def _run_points(config: RunConfig, start: int) -> list[ExperimentRow]:
 # ---------------------------------------------------------------------------
 # serialization
 
-_CELL = "{:.6g}"  # every CSV cell, to 6 significant digits
-_fmt = _CELL.format
+def _write_csv(header: str, records) -> str:
+    """header, then a line per record (one cell per header field, each printf "%.6g": 6 significant digits).
+    One % fills the line template for a block of RUN_CHUNK records: a long output holds no string per line."""
+    line, records, blocks = ",".join(["%.6g"] * (header.count(",") + 1)) + "\n", iter(records), [header, "\n"]
+    while block := list(itertools.islice(records, RUN_CHUNK)):
+        blocks.append((line * len(block)) % tuple(itertools.chain.from_iterable(block)))
+    return "".join(blocks)
 
 
-def emit_csv(rows: list[ExperimentRow], kind: str) -> str:
-    """CSV in the layout of KINDS[kind]: its header, then its columns of every row."""
+def emit_csv(rows, kind: str) -> str:
+    """CSV in the layout of KINDS[kind]: its header, then its columns of every row of the iterable rows."""
     spec = KINDS[kind]
-    cells, line = operator.attrgetter(*spec.columns), ",".join([_CELL] * len(spec.columns))
-    return "\n".join([spec.header] + [line.format(*cells(r)) for r in rows]) + "\n"
+    cells = operator.itemgetter(*map(ExperimentRow._fields.index, spec.columns))
+    return _write_csv(spec.header, map(cells, rows))
 
 
 def dump_json(**fields) -> str:
@@ -200,25 +206,21 @@ def parse_rows_csv(text: str) -> list[ExperimentRow]:
     if header not in _COLUMNS_BY_HEADER:
         raise ValueError(f"unrecognized CSV header: {header!r}")
     columns = _COLUMNS_BY_HEADER[header]
-    derive = "cd_before_sim" not in columns
-    cells_of = columns + ("cd_before_sim",) * derive  # a row's cells, then the derived one
-    pick = operator.itemgetter(*(cells_of.index(f) for f in ExperimentRow._fields if f in cells_of))
-    after, delta = columns.index("cd_after_sim"), columns.index("delta_sim")
-    rows = []
     for ln in body:
-        cells = list(map(float, ln.split(",")))
-        if len(cells) != len(columns):
-            raise ValueError(f"CSV row has {len(cells)} cells, expected {len(columns)}: {ln!r}")
-        if derive:
-            cells.append(cells[after] - cells[delta])
-        rows.append(ExperimentRow(*pick(cells)))
-    return rows
+        if ln.count(",") != len(columns) - 1:
+            raise ValueError(f"CSV row has {ln.count(',') + 1} cells, expected {len(columns)}: {ln!r}")
+    cells = list(map(float, ",".join(body).split(","))) if body else []  # every cell in one split
+    col = {name: cells[i :: len(columns)] for i, name in enumerate(columns)}
+    if "cd_before_sim" not in col:
+        col["cd_before_sim"] = list(map(operator.sub, col["cd_after_sim"], col["delta_sim"]))
+    # tuple.__new__ is ExperimentRow._make without a Python call per row; bound_qi is None if no column holds it
+    fields = zip(*(col.get(f, itertools.repeat(None)) for f in ExperimentRow._fields))
+    return list(map(tuple.__new__, itertools.repeat(ExperimentRow), fields))
 
 
 def parse_rows_json(text: str) -> tuple[dict, list[ExperimentRow]]:
     payload = json.loads(text)
-    rows = [ExperimentRow(**r) for r in payload["rows"]]
-    return payload["config"], rows
+    return payload["config"], [ExperimentRow(**r) for r in payload["rows"]]
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +242,9 @@ class DeviationReport:
     mean_deviation: float
 
     def to_csv(self) -> str:
-        lines = [DEVIATION_CSV_HEADER]
-        for r in self.rows:  # param, then (fixture, theory, deviation) for before, after and delta
-            cells = [r.param] + [v for column in zip(r.fixture, r.theory, r.deviation) for v in column]
-            lines.append(",".join(_fmt(v) for v in cells))
-        return "\n".join(lines) + "\n"
+        # param, then (fixture, theory, deviation) for before, after and delta
+        cells = ((r.param, *itertools.chain(*zip(r.fixture, r.theory, r.deviation))) for r in self.rows)
+        return _write_csv(DEVIATION_CSV_HEADER, cells)
 
     def to_json(self) -> str:
         return dump_json(
@@ -263,27 +263,18 @@ def compare_fixtures(table_id: int, rows: list[ExperimentRow]) -> DeviationRepor
     clamped at zero while negative experimental deltas are reported as-is.
     """
     fixture = load_fixture(table_id)
-    by_param = {}
-    for row in rows:
-        by_param[round(row.param / GRID_SNAP)] = row
+    by_param = {round(row.param / GRID_SNAP): row for row in rows}  # the last row of a param wins
     missing = [f.param for f in fixture.rows if round(f.param / GRID_SNAP) not in by_param]
     if missing:
         raise ValueError(f"rows do not cover the fixture grid of table {table_id}; missing params: {missing}")
     entries = []
     for f in fixture.rows:
         row = by_param[round(f.param / GRID_SNAP)]
-        theory_delta = max(row.cd_after_theory - row.cd_before_theory, 0.0)
-        theory = (row.cd_before_theory, row.cd_after_theory, theory_delta)
-        fixture_vals = (f.cd_before, f.cd_after, f.delta)
-        deviation = tuple(abs(a - b) for a, b in zip(fixture_vals, theory))
-        entries.append(RowDeviation(param=f.param, fixture=fixture_vals, theory=theory, deviation=deviation))
+        theory = (row.cd_before_theory, row.cd_after_theory, max(row.cd_after_theory - row.cd_before_theory, 0.0))
+        measured = (f.cd_before, f.cd_after, f.delta)
+        entries.append(RowDeviation(f.param, measured, theory, tuple(abs(a - b) for a, b in zip(measured, theory))))
     all_devs = [d for e in entries for d in e.deviation]
-    return DeviationReport(
-        table_id=table_id,
-        rows=tuple(entries),
-        max_deviation=max(all_devs),
-        mean_deviation=sum(all_devs) / len(all_devs),
-    )
+    return DeviationReport(table_id, tuple(entries), max(all_devs), sum(all_devs) / len(all_devs))
 
 
 def fixture_run_config(table_id: int) -> RunConfig:

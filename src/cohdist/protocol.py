@@ -33,6 +33,7 @@ NEWTON_H = 1e-5  # central-difference offset of the basis search's tangent Hessi
 _CHART_X = NEWTON_H * np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])  # _local_model's 5 points
 _CHART_SCALE = np.sqrt(1.0 + (_CHART_X * _CHART_X).sum(-1))[:, None]  # |n + x frame|, exactly 1 at x = 0
 NEWTON_GTOL, NEWTON_XTOL = 1e-7, 1e-9  # converged once |tangent gradient| <= GTOL; a step under XTOL ends the search
+_EYE2 = np.eye(2)
 _PAULIS = np.stack([qcore.IDENTITY_2, qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z])
 # (rho.ravel() @ _PAULI_PAIRS)[4m + n] = tr[rho (s_m x s_n)]
 _PAULI_PAIRS = np.einsum("mji,nlk->ikjlmn", _PAULIS, _PAULIS).reshape(16, 16)
@@ -251,24 +252,27 @@ def _basis_search(rho: np.ndarray, grid_res: int, refine_iters: int):
     theta, phi, value = float(thetas[i]), float(phis[j]), float(values[i, j])
     trace = [((theta, phi), value)]
     n, frame, _, grad, hess = _local_model(theta, phi, coords)
+    grad_size = np.linalg.norm(grad)  # each |grad| and |step| once, for the value it measures
     for _ in range(refine_iters):
         mid, half = (hess[0, 0] + hess[1, 1]) / 2.0, math.hypot((hess[0, 0] - hess[1, 1]) / 2.0, hess[0, 1])
-        up = (hess - (mid - half) * np.eye(2)) / (2.0 * half) if half > 0.0 else 0.0 * hess  # eigenprojector of mid + half
-        step = ((np.eye(2) - up) / max(abs(mid - half), 1e-8) + up / max(abs(mid + half), 1e-8)) @ grad
-        last = np.linalg.norm(grad) <= NEWTON_GTOL
-        while np.linalg.norm(step) > NEWTON_XTOL:
+        up = (hess - (mid - half) * _EYE2) / (2.0 * half) if half > 0.0 else 0.0 * hess  # eigenprojector of mid + half
+        step = ((_EYE2 - up) / max(abs(mid - half), 1e-8) + up / max(abs(mid + half), 1e-8)) @ grad
+        last, step_size = grad_size <= NEWTON_GTOL, np.linalg.norm(step)
+        while step_size > NEWTON_XTOL:
             x, y, z = n + step @ frame
             angles = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
             model = _local_model(*angles, coords)
             if model[2] >= value:
                 (theta, phi), (n, frame, value, grad, hess) = angles, model
+                grad_size = np.linalg.norm(grad)
                 trace.append((angles, value))
             if model[2] >= value or last:  # kept; or the last step, which is never halved
                 break
             step /= 2.0
-        if last or np.linalg.norm(step) <= NEWTON_XTOL:
+            step_size = np.linalg.norm(step)
+        if last or step_size <= NEWTON_XTOL:
             break
-    return MeasurementBasis.from_angles(theta, phi), value, trace, bool(np.linalg.norm(grad) <= NEWTON_GTOL)
+    return MeasurementBasis.from_angles(theta, phi), value, trace, bool(grad_size <= NEWTON_GTOL)
 
 
 def optimize_basis(rho_ab, grid_res: int = 64, refine_iters: int = 30) -> tuple[MeasurementBasis, float]:

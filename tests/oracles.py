@@ -19,9 +19,13 @@ The broadcast map (outcomes_broadcast, qubit_coherence_broadcast,
 coherence_gradient_broadcast) is the measurement map as one (..., 3)
 broadcast with np.linalg.norm(axis=-1), the layout the library's
 components-first buffer replaced; the tests hold the two to the same bits.
+The CSV oracles (emit_csv_oracle, deviation_csv_oracle, parse_rows_csv_oracle)
+are the per-cell str.format writers and the per-line parser that the
+library's one-printf-per-block writer and one-split parser replaced.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -602,4 +606,37 @@ def per_record_sampled_oracle(config) -> list[ExperimentRow]:
             if p[g] > 0.0
         )
         rows.append(row._replace(cd_before_sim=before, cd_after_sim=after, delta_sim=after - before))
+    return rows
+
+
+def emit_csv_oracle(rows, kind: str) -> str:
+    """emit_csv as one "{:.6g}".format per cell and one string per line."""
+    spec = harness.KINDS[kind]
+    cells, line = operator.attrgetter(*spec.columns), ",".join(["{:.6g}"] * len(spec.columns))
+    return "\n".join([spec.header] + [line.format(*cells(r)) for r in rows]) + "\n"
+
+
+def deviation_csv_oracle(report) -> str:
+    """DeviationReport.to_csv as one "{:.6g}".format per cell: param, then (fixture, theory, deviation) per column."""
+    lines = [harness.DEVIATION_CSV_HEADER]
+    for r in report.rows:
+        cells = [r.param] + [v for column in zip(r.fixture, r.theory, r.deviation) for v in column]
+        lines.append(",".join("{:.6g}".format(v) for v in cells))
+    return "\n".join(lines) + "\n"
+
+
+def parse_rows_csv_oracle(text: str) -> list[ExperimentRow]:
+    """parse_rows_csv one line at a time: split, convert, check the cell count, derive cd_before_sim if absent."""
+    header, *body = [ln for ln in text.strip().splitlines() if ln]
+    columns = {kind.header: kind.columns for kind in harness.KINDS.values()}.get(header)
+    if columns is None:
+        raise ValueError(f"unrecognized CSV header: {header!r}")
+    rows = []
+    for ln in body:
+        cells = list(map(float, ln.split(",")))
+        if len(cells) != len(columns):
+            raise ValueError(f"CSV row has {len(cells)} cells, expected {len(columns)}: {ln!r}")
+        named = dict(zip(columns, cells))
+        named.setdefault("cd_before_sim", named["cd_after_sim"] - named["delta_sim"])
+        rows.append(ExperimentRow(**named))
     return rows

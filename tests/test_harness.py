@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import hashlib
 import importlib
 import itertools
 import json
@@ -407,6 +408,82 @@ def test_csv_layout_follows_the_kind_table():
             parse_rows_csv(f"{header}\n{body[0].rsplit(',', 1)[0]}\n")
 
 
+# CSV cells the writers must agree on: nan, +-inf, -0.0, subnormals and +-1.79e308 among st.floats(), plus ints
+# and numpy scalars, which "%.6g" and "{:.6g}".format both turn into a double
+_CSV_CELLS = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, -1e-310, 1.79e308, -1.79e308, 999999.5, 9999995.0]),
+    st.integers(-(10**15), 10**15),
+    st.floats().map(np.float64),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(sorted(harness.KINDS)), st.lists(st.lists(_CSV_CELLS, min_size=7, max_size=7), max_size=4))
+def test_emit_csv_matches_the_per_cell_format_oracle(kind, cells):
+    rows = [ExperimentRow(*c) for c in cells]
+    want = oracles.emit_csv_oracle(rows, kind)
+    assert emit_csv(rows, kind) == want
+    assert emit_csv(iter(rows), kind) == want  # any iterable of rows
+
+
+@pytest.mark.parametrize("count", [0, 1, harness.RUN_CHUNK + 1])
+def test_emit_csv_matches_the_oracle_across_blocks(count):
+    rng = np.random.default_rng(count)
+    cells = (rng.standard_normal((count, 7)) * 10.0 ** rng.integers(-320, 300, (count, 7))).tolist()
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.79e308, 7, np.float64(0.1)]
+    rows = [ExperimentRow(special[i % len(special)], *c[1:]) for i, c in enumerate(cells)]
+    for kind in harness.KINDS:
+        want = oracles.emit_csv_oracle(rows, kind)
+        assert want.count("\n") == count + 1
+        assert _first_difference(emit_csv(rows, kind), want) is None
+        assert _first_difference(emit_csv((r for r in rows), kind), want) is None
+
+
+def _first_difference(got: str, want: str):
+    """None if got == want, else (line index, got line, wanted line) of the first difference: a short report where
+    pytest's own diff of two 4,000-line strings would take minutes."""
+    if got == want:
+        return None
+    pairs = enumerate(itertools.zip_longest(got.split("\n"), want.split("\n")))
+    return next((i, a, b) for i, (a, b) in pairs if a != b)
+
+
+@pytest.mark.parametrize("table_id", [1, 2, 3])
+def test_deviation_csv_matches_the_per_cell_format_oracle(table_id):
+    report = compare_fixtures(table_id, run_experiment(fixture_run_config(table_id)))
+    assert report.to_csv() == oracles.deviation_csv_oracle(report)
+
+
+def _parsed(parse, text: str) -> str:
+    """The repr of parse(text)'s rows, or its ValueError's message (nan rows compare by repr)."""
+    try:
+        return repr(parse(text))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_parse_rows_csv_keeps_the_per_line_parser_semantics():
+    odd = [ExperimentRow(0.5, math.nan, -0.0, math.inf, -math.inf, 5e-324, 1.79e308)]
+    texts = ["a,b,c\n1,2,3\n"]
+    for kind, params in (("family1", (0.0, 22.5)), ("werner", (0.1, 0.5, 0.9))):
+        text = emit_csv(run_experiment(RunConfig(kind=kind, params=params)) + odd, kind)
+        header, *body = text.splitlines()
+        texts += [
+            text,
+            text.replace("\n", "\r\n"),  # CRLF
+            "\n\n" + text.replace("\n", "\n\n") + " \n\n",  # blank lines, and whitespace at the end
+            header,
+            header + "\r\n\r\n",  # header only: no rows
+            f"{header}\n{body[0]},1\n",  # a cell too many
+            f"{header}\n{body[0]}\n{body[1].rsplit(',', 1)[0]}\n",  # a cell too few, on the second row
+            f"{header}\n{body[0].replace(',', ',x', 1)}\n",  # a cell that is not a number
+        ]
+    for text in texts:
+        assert _parsed(parse_rows_csv, text) == _parsed(oracles.parse_rows_csv_oracle, text), repr(text)
+    assert parse_rows_csv(harness.WERNER_CSV_HEADER + "\r\n\r\n") == []
+
+
 # --- fixtures --------------------------------------------------------------------
 
 def test_fixture_tables_load_with_expected_grids():
@@ -426,6 +503,27 @@ def test_fixture_checksum_guard(monkeypatch):
     monkeypatch.setitem(fx._CHECKSUMS, 1, "0" * 64)
     with pytest.raises(RuntimeError):
         fx.load_fixture(1)
+
+
+def test_fixture_checksum_is_checked_after_a_cached_load(monkeypatch):
+    from cohdist import fixtures as fx
+
+    table = fx.load_fixture(1)
+    assert fx.load_fixture(1) is table  # read and parsed once
+    monkeypatch.setitem(fx._CHECKSUMS, 1, "0" * 64)
+    with pytest.raises(RuntimeError, match="failed its checksum"):
+        fx.load_fixture(1)
+
+
+def test_fixture_parse_is_keyed_on_the_verified_bytes(monkeypatch):
+    from cohdist import fixtures as fx
+
+    edited = fx._bundled(1).replace(b",0.905,", b",0.906,")
+    monkeypatch.setattr(fx, "_bundled", lambda table_id: edited)
+    with pytest.raises(RuntimeError, match="failed its checksum"):
+        fx.load_fixture(1)
+    monkeypatch.setitem(fx._CHECKSUMS, 1, hashlib.sha256(edited).hexdigest())
+    assert fx.load_fixture(1).rows[9].cd_after == 0.906
 
 
 def test_compare_fixtures_zero_for_theory_equal_rows():

@@ -541,7 +541,9 @@ def test_search_bits_match_0_9_0():
     for name, records in got.items():
         assert len(records) == len(stored[name])
         for i, (record, want) in enumerate(zip(records, stored[name])):
-            assert record == want, (name, i)
+            # the golden pins one build's bits (see its "about"): on another numpy build or CPU a mismatch here
+            # can be a rounding difference of log2 or arctanh, not a program fault
+            assert record == want, f"{name}[{i}] differs from the golden written by: {stored['about']}"
 
 
 def test_search_matches_the_multistart_dense_reference():
