@@ -58,13 +58,15 @@ class CoaResult:
     converged: bool
 
 
-def coa_numeric(psi_ab, grid_res: int = 64, refine_iters: int = 30) -> CoaResult:
+def coa_numeric(psi_ab, grid_res: int = protocol.GRID_RES_DEFAULT, refine_iters: int = 30) -> CoaResult:
     """Maximize the ensemble-averaged post-measurement coherence numerically.
 
-    Runs the protocol's basis search on |psi><psi| (a Bloch-hemisphere grid, then up to refine_iters Newton
-    steps on the sphere).  optimizer_trace holds ((theta, phi), value) after the grid and each step;
+    Runs the protocol's basis search on |psi><psi| (a grid_res x grid_res Bloch-hemisphere grid, 16 x 16 by
+    default, then up to refine_iters Newton steps on the sphere that also climb flat ridges; see
+    protocol._basis_search).  optimizer_trace holds ((theta, phi), value) after the grid and each step;
     converged says whether the tangent gradient at argmax_basis met protocol.NEWTON_GTOL (a search cut at
-    refine_iters steps returns False, never raises).  Checkable against coa_closed_form on Bob's marginal.
+    refine_iters steps returns False, never raises), a local statement about one climb from the grid argmax.
+    Checkable against coa_closed_form on Bob's marginal.
     Pure parents only: decompositions of mixed Bob states are reached through a measurement on the purification."""
     psi = qcore.ensure_state_vector(psi_ab)
     basis, value, trace, converged = protocol._basis_search(qcore.projector(psi), grid_res, refine_iters)

@@ -9,6 +9,7 @@ sha256, so an edit is caught at load time and no table of bad bytes is returned.
 
 import functools
 import hashlib
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 
@@ -51,8 +52,9 @@ def _parse(table_id: int, raw: bytes) -> FixtureTable:
 
 def load_fixture(table_id: int) -> FixtureTable:
     """One of the bundled tables, its checksum verified on every call; the (frozen) table is shared between calls."""
-    if table_id not in _CHECKSUMS:
-        raise ValueError(f"table_id must be 1, 2 or 3, got {table_id}")
+    if not isinstance(table_id, numbers.Integral) or isinstance(table_id, bool) or table_id not in _CHECKSUMS:
+        raise ValueError(f"table_id must be 1, 2 or 3, got {table_id}")  # True and 1.0 equal the key 1
+    table_id = int(table_id)
     raw = _bundled(table_id)
     digest = hashlib.sha256(raw).hexdigest()
     if digest != _CHECKSUMS[table_id]:

@@ -5,18 +5,16 @@ his photons into per-outcome ensembles, a free (incoherent) operation.  The modu
 measurement map, the ensemble-averaged distillable coherence it induces on Bob, the analytic optimal
 basis for pure parents, and a numerical basis search for any state.
 
-Measurement and search work in Pauli (Fano / Horodecki) coordinates,
-rho_AB = (I x I + a.sigma x I + I x b.sigma + sum_ij T_ij sigma_i x sigma_j) / 4, with Alice's Bloch
-vector a, Bob's b and the correlation matrix T.  Measuring Alice along the Bloch vector n gives
-outcome probabilities p+- = (1 +- n.a) / 2 and leaves Bob with Bloch vectors r+- = (b +- T^t n) /
-(2 p+-); a qubit with Bloch vector r has C_r = h2((1 + r_z) / 2) - h2((1 + |r|) / 2).  That map
-(_outcomes) is the only one.  It stacks both outcomes on a leading axis of 2, and n's leading axes
-broadcast against the state's: alice_measure builds Bob's matrices from it, the harness scores a
-stack of states with it along y, and the basis search scores its theta x phi grid in one call and
-each Newton step's five points in another.  r[..., j] are views of one components-first buffer, |r|
-(_norm) is summed as (x^2 + y^2) + z^2 like np.linalg.norm(r, axis=-1), and the search's hemisphere
-grid is built once per resolution.  On an exactly flat objective (a Werner state's equator, a Bell
-state) rounding picks the grid argmax.
+Measurement and search work in Pauli (Fano / Horodecki) coordinates, with Alice's Bloch vector a, Bob's b and
+the correlation matrix T: rho_AB = (I x I + a.sigma x I + I x b.sigma + sum_ij T_ij sigma_i x sigma_j) / 4.
+Measuring Alice along the Bloch vector n gives outcome probabilities p+- = (1 +- n.a) / 2 and leaves Bob with
+Bloch vectors r+- = (b +- T^t n) / (2 p+-); a qubit with Bloch vector r has C_r = h2((1 + r_z) / 2) -
+h2((1 + |r|) / 2).  That map (_outcomes) is the only one.  It stacks both outcomes on a leading axis of 2, and
+n's leading axes broadcast against the state's: alice_measure builds Bob's matrices from it, the harness scores
+a stack of states with it along y, and the basis search scores its theta x phi grid (built once per resolution)
+in one call and each Newton step's five points in another.  r[..., j] are views of one components-first buffer,
+|r| (_norm) is summed as (x^2 + y^2) + z^2 like np.linalg.norm(r, axis=-1), and on an exactly flat objective (a
+Werner state's equator, a Bell state) rounding picks the grid argmax and where the steps stop.
 """
 
 import functools
@@ -28,11 +26,11 @@ import numpy as np
 from . import qcore
 
 ZERO_PROB_TOL = 1e-12
-GRID_RES_MAX = 1024  # the batched grid holds GRID_RES_MAX^2 Bloch vectors
+GRID_RES_DEFAULT, GRID_RES_MAX = 16, 1024  # optimize_basis' and coa_numeric's grid_res; a grid holds at most GRID_RES_MAX^2 bases
 NEWTON_H = 1e-5  # central-difference offset of the basis search's tangent Hessian
 _CHART_X = NEWTON_H * np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])  # _local_model's 5 points
 _CHART_SCALE = np.sqrt(1.0 + (_CHART_X * _CHART_X).sum(-1))[:, None]  # |n + x frame|, exactly 1 at x = 0
-NEWTON_GTOL, NEWTON_XTOL = 1e-7, 1e-9  # converged once |tangent gradient| <= GTOL; a step under XTOL ends the search
+NEWTON_GTOL, NEWTON_XTOL, RIDGE_STEP, RIDGE_FTOL = 1e-7, 1e-9, 0.5, 2e-14  # the basis search's stop rules (see _basis_search)
 _EYE2 = np.eye(2)
 _PAULIS = np.stack([qcore.IDENTITY_2, qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z])
 # (rho.ravel() @ _PAULI_PAIRS)[4m + n] = tr[rho (s_m x s_n)]
@@ -239,9 +237,11 @@ def _basis_search(rho: np.ndarray, grid_res: int, refine_iters: int):
     the smallest (theta, phi)), then takes up to refine_iters modified Newton steps on the sphere (Absil, Mahony
     & Sepulchre, Optimization Algorithms on Matrix Manifolds, ch. 6): |H|^-1 g in _local_model's frame, with
     |eigenvalues| floored at 1e-8 so that it goes uphill, halved until the value does not fall.  Once |g| <=
-    NEWTON_GTOL (a step's gain then nears the value's rounding) one more step, kept only if the value does not
-    fall, ends the search; so does a step under NEWTON_XTOL, untaken.  Returns (basis, value, trace, converged):
-    trace is ((theta, phi), value) after grid and steps; converged is whether |g| <= NEWTON_GTOL at basis."""
+    NEWTON_GTOL (a flat top, or a flat ridge between near-equal basins) a step is capped at RIDGE_STEP, never
+    halved, kept only if the value does not fall, and ends the search unless it raised the value by more than
+    RIDGE_FTOL, above a pure parent's ~1.3e-14 rounding; a step under NEWTON_XTOL ends it untaken.  Returns (basis,
+    value, trace, converged): trace is ((theta, phi), value) after grid and steps; converged, |g| <= NEWTON_GTOL
+    at basis, is local: it speaks of the one climb from the grid argmax."""
     if not 8 <= qcore.as_int("grid_res", grid_res) <= GRID_RES_MAX:
         raise ValueError(f"grid_res must be an int in [8, {GRID_RES_MAX}], got {grid_res!r}")
     if qcore.as_int("refine_iters", refine_iters) < 0:
@@ -257,7 +257,8 @@ def _basis_search(rho: np.ndarray, grid_res: int, refine_iters: int):
         mid, half = (hess[0, 0] + hess[1, 1]) / 2.0, math.hypot((hess[0, 0] - hess[1, 1]) / 2.0, hess[0, 1])
         up = (hess - (mid - half) * _EYE2) / (2.0 * half) if half > 0.0 else 0.0 * hess  # eigenprojector of mid + half
         step = ((_EYE2 - up) / max(abs(mid - half), 1e-8) + up / max(abs(mid + half), 1e-8)) @ grad
-        last, step_size = grad_size <= NEWTON_GTOL, np.linalg.norm(step)
+        ridge, start, size = grad_size <= NEWTON_GTOL, value, np.linalg.norm(step)
+        step, step_size = (step * (RIDGE_STEP / size), RIDGE_STEP) if ridge and size > RIDGE_STEP else (step, size)
         while step_size > NEWTON_XTOL:
             x, y, z = n + step @ frame
             angles = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
@@ -266,19 +267,18 @@ def _basis_search(rho: np.ndarray, grid_res: int, refine_iters: int):
                 (theta, phi), (n, frame, value, grad, hess) = angles, model
                 grad_size = np.linalg.norm(grad)
                 trace.append((angles, value))
-            if model[2] >= value or last:  # kept; or the last step, which is never halved
+            if model[2] >= value or ridge:  # kept; or a ridge step, which is never halved
                 break
-            step /= 2.0
-            step_size = np.linalg.norm(step)
-        if last or step_size <= NEWTON_XTOL:
+            step, step_size = step / 2.0, step_size / 2.0  # both exact
+        if (ridge and value - start <= RIDGE_FTOL) or step_size <= NEWTON_XTOL:
             break
     return MeasurementBasis.from_angles(theta, phi), value, trace, bool(grad_size <= NEWTON_GTOL)
 
 
-def optimize_basis(rho_ab, grid_res: int = 64, refine_iters: int = 30) -> tuple[MeasurementBasis, float]:
+def optimize_basis(rho_ab, grid_res: int = GRID_RES_DEFAULT, refine_iters: int = 30) -> tuple[MeasurementBasis, float]:
     """Numerically maximize the average assisted coherence over Alice bases: the best basis found and its value.
 
-    A grid_res x grid_res Bloch-hemisphere grid, then up to refine_iters Newton steps (see _basis_search).
-    grid_res must be an int in [8, GRID_RES_MAX] and refine_iters an int >= 0, or ValueError is raised."""
+    A grid_res x grid_res Bloch-hemisphere grid (16 x 16 by default), then up to refine_iters Newton steps (see
+    _basis_search).  grid_res must be an int in [8, GRID_RES_MAX] and refine_iters an int >= 0, or ValueError is raised."""
     basis, value, _, _ = _basis_search(qcore.ensure_density(rho_ab, dim=4), grid_res, refine_iters)
     return basis, value

@@ -322,11 +322,28 @@ def _angles(v: np.ndarray) -> tuple[float, float]:
     return math.atan2(math.hypot(v[0], v[1]), v[2]), math.atan2(v[1], v[0])
 
 
-def _dense_ascent(rho: np.ndarray, theta: float, phi: float, steps: int, h: float = 1e-4) -> float:
-    """Best dense_assisted_coherence seen on a modified Newton ascent from (theta, phi).
+def dense_assisted_coherences(rho: np.ndarray, angles) -> np.ndarray:
+    """dense_assisted_coherence at each (theta, phi) of angles, as one batch of 4x4 projectors, partial traces and eigvalsh."""
+    theta, phi = np.asarray(angles, dtype=float).reshape(-1, 2).T
+    n = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
+    n = np.concatenate([n, -n])  # outcome + of every basis, then outcome -
+    alice = (np.eye(2) + np.einsum("ki,ijl->kjl", n, np.stack([qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z]))) / 2.0
+    proj = np.einsum("kac,bd->kabcd", alice, np.eye(2)).reshape(-1, 4, 4)  # kron(alice, I)
+    m = proj @ rho @ proj
+    p = np.einsum("kii->k", m).real
+    kept = p >= ZERO_PROB_TOL
+    bob = np.einsum("kabad->kbd", m.reshape(-1, 2, 2, 2, 2)) / np.where(kept, p, 1.0)[:, None, None]
+    bob = np.where(kept[:, None, None], (bob + bob.conj().swapaxes(-1, -2)) / 2.0, np.eye(2) / 2.0)  # I / 2 where p = 0
+    bob /= np.einsum("kii->k", bob).real[:, None, None]
+    c_r = qcore.entropy_bits(np.einsum("kii->ki", bob).real) - qcore.entropy_bits(np.linalg.eigvalsh(bob))
+    return np.where(kept, p * c_r, 0.0).reshape(2, -1).sum(axis=0)
 
-    Each step fits the value's gradient and Hessian by central differences (9 dense evaluations) in the
-    chart x -> (n + x1 e_theta + x2 e_phi) / |...| at the current basis n, steps by |H|^-1 g with
+
+def _dense_ascent(rho: np.ndarray, theta: float, phi: float, steps: int, h: float = 1e-4) -> float:
+    """Best dense_assisted_coherences value seen on a modified Newton ascent from (theta, phi).
+
+    Each step fits the value's gradient and Hessian by central differences (9 dense evaluations, one batch) in
+    the chart x -> (n + x1 e_theta + x2 e_phi) / |...| at the current basis n, steps by |H|^-1 g with
     |eigenvalues| floored at 1e-6, and halves that step until the value does not fall.  It stops after
     `steps` steps, when no step longer than 1e-10 raises the value, or after a step of at most 1e-8.
     """
@@ -335,17 +352,18 @@ def _dense_ascent(rho: np.ndarray, theta: float, phi: float, steps: int, h: floa
         n, e1, e2 = np.array([st * cp, st * sp, ct]), np.array([ct * cp, ct * sp, -st]), np.array([-sp, cp, 0.0])
         return lambda x: _angles(n + x[0] * e1 + x[1] * e2)
 
-    value = dense_assisted_coherence(rho, theta, phi)
+    value = float(dense_assisted_coherences(rho, [(theta, phi)])[0])
     for _ in range(steps):
         to_angles = chart(theta, phi)
-        f = {(i, j): dense_assisted_coherence(rho, *to_angles((i * h, j * h))) for i in (-1, 0, 1) for j in (-1, 0, 1)}
+        offsets = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
+        f = dict(zip(offsets, dense_assisted_coherences(rho, [to_angles((i * h, j * h)) for i, j in offsets]).tolist()))
         grad = np.array([f[1, 0] - f[-1, 0], f[0, 1] - f[0, -1]]) / (2.0 * h)
         cross = (f[1, 1] - f[1, -1] - f[-1, 1] + f[-1, -1]) / 4.0
         hess = np.array([[f[1, 0] - 2.0 * f[0, 0] + f[-1, 0], cross], [cross, f[0, 1] - 2.0 * f[0, 0] + f[0, -1]]]) / (h * h)
         w, v = np.linalg.eigh(hess)
         step = v @ ((v.T @ grad) / np.maximum(np.abs(w), 1e-6))
         while np.linalg.norm(step) > 1e-10:
-            trial = dense_assisted_coherence(rho, *to_angles(step))
+            trial = float(dense_assisted_coherences(rho, [to_angles(step)])[0])
             if trial >= value:
                 (theta, phi), value = to_angles(step), trial
                 break
@@ -356,13 +374,14 @@ def _dense_ascent(rho: np.ndarray, theta: float, phi: float, steps: int, h: floa
 
 
 def multistart_search_oracle(rho: np.ndarray, starts: int = 2, steps: int = 10) -> float:
-    """A reference optimum of dense_assisted_coherence over Alice's bases, independent of protocol's search.
+    """A reference optimum of the dense map over Alice's bases, independent of protocol's search.
 
-    Scores a 5 x 8 hemisphere grid (theta at 9, 27, ..., 81 degrees, phi every 45 degrees) densely and
-    returns the best value of _dense_ascent from each of its `starts` best points.
+    Scores a 5 x 8 hemisphere grid (theta at 9, 27, ..., 81 degrees, phi every 45 degrees) with
+    dense_assisted_coherences and returns the best value of _dense_ascent from each of its `starts` best points.
     """
     grid = [(math.radians(t), math.radians(p)) for t in range(9, 90, 18) for p in range(0, 360, 45)]
-    scored = sorted(grid, key=lambda angles: -dense_assisted_coherence(rho, *angles))
+    values = dense_assisted_coherences(rho, grid).tolist()
+    scored = [angles for _, angles in sorted(zip(values, grid), key=lambda pair: -pair[0])]
     return max(_dense_ascent(rho, theta, phi, steps) for theta, phi in scored[:starts])
 
 

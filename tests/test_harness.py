@@ -497,6 +497,19 @@ def test_fixture_tables_load_with_expected_grids():
     assert t3.rows[-1] .param == 0.949 and t3.rows[-1].cd_after == 0.762
 
 
+def test_fixture_table_id_must_be_an_integer():
+    # True and 1.0 equal the key 1 of the checksum table; they are unknown table ids, not missing files
+    for bad in (True, False, 1.0, np.float64(2.0), np.bool_(True), "1", 4, np.int64(0)):
+        for call in (load_fixture, fixture_run_config, lambda t: harness.compare_fixtures(t, [])):
+            with pytest.raises(ValueError, match="table_id must be 1, 2 or 3"):
+                call(bad)
+    for good in (np.int64(1), np.uint8(2), 3):
+        table = load_fixture(good)
+        assert type(table.table_id) is int and table is load_fixture(int(good))
+    rows = harness.run_experiment(fixture_run_config(np.int64(3)))
+    assert type(harness.compare_fixtures(np.int64(3), rows).table_id) is int
+
+
 def test_fixture_checksum_guard(monkeypatch):
     from cohdist import fixtures as fx
 
@@ -805,6 +818,36 @@ def test_sampled_run_matches_dense_oracle():
                 rows = harness.run_experiment(cfg)
                 _assert_rows_match(rows, oracles.dense_run_oracle(cfg))
                 assert emit_csv(rows, kind) == emit_csv(oracles.per_record_sampled_oracle(cfg), kind)
+
+
+ROWS_0_9_0 = Path(__file__).parent / "data" / "rows_0.9.0.json"
+
+
+def _row_bits() -> dict:
+    """{"<kind> <mode> <epsilon>": [[field.hex() or None, ...] per row]} of run_experiment on each kind's CLI grid.
+
+    Analytic and sampled (1,000 shots, seed 5) at epsilon 0 and 0.05.  rows_0.9.0.json holds this function's output
+    under cohdist 0.9.0, whose runner built each row through ExperimentRow's own __new__:
+    json.dumps({"about": ..., **_row_bits()}, indent=1) with tests/ and src/ on sys.path."""
+    out = {}
+    for kind, grid, _ in cli._RUNS.values():
+        for mode in ("analytic", "sampled"):
+            for epsilon in (0.0, 0.05):
+                cfg = RunConfig(kind, harness.parse_grid(grid), mode=mode, shots_per_basis=1000, seed=5, epsilon_prep=epsilon)
+                rows = harness.run_experiment(cfg)
+                assert all(type(row) is ExperimentRow for row in rows)
+                assert all(type(x) is float or (x is None and name == "bound_qi") for row in rows for name, x in row._asdict().items())
+                out[f"{kind} {mode} {epsilon}"] = [[None if x is None else x.hex() for x in row] for row in rows]
+    return out
+
+
+def test_rows_match_0_9_0():
+    # the runner builds rows with tuple.__new__, not ExperimentRow's Python-level __new__: the same rows, field for field
+    stored = json.loads(ROWS_0_9_0.read_text())
+    got = _row_bits()
+    assert sorted(got) == sorted(k for k in stored if k != "about")
+    for name, rows in got.items():
+        assert rows == stored[name], f"{name} differs from the golden written by: {stored['about']}"
 
 
 def test_sampled_scoring_matches_scalar_code_to_rounding():

@@ -25,7 +25,7 @@ from cohdist.qcore import partial_trace, projector
 from cohdist.states import family1, family2, make_werner, singlet
 
 import oracles
-from sampling import random_bloch, random_density, random_pure_state
+from sampling import random_bloch, random_density, random_pure_state, two_basin_states
 
 Y_BASIS = MeasurementBasis((0.0, 1.0, 0.0))
 
@@ -405,6 +405,16 @@ def test_closed_form_objective_matches_dense_path():
             assert abs(batched - dense) <= 1e-12
 
 
+def test_batched_dense_map_matches_the_scalar_one():
+    rng = np.random.default_rng(66)
+    rhos = [random_density(rng, 4) for _ in range(5)] + [projector(random_pure_state(rng, 4)), make_werner(0.4)]
+    rhos.append(np.kron(projector(qcore.KET_H), random_density(rng, 2)))  # the poles leave one outcome with p = 0
+    angles = [(0.0, 0.0), (math.pi, 0.0)] + [(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(10)]
+    for rho in rhos:
+        batch = oracles.dense_assisted_coherences(rho, angles)
+        assert np.abs(batch - [oracles.dense_assisted_coherence(rho, *a) for a in angles]).max() <= 1e-14
+
+
 def test_search_matches_dense_oracle_argmax_and_value():
     rng = np.random.default_rng(43)
     _, _, n = _grid(16)
@@ -505,14 +515,15 @@ def test_search_values_never_fall_below_0_7_0():
 
 
 SEARCH_BITS_0_9_0 = Path(__file__).parent / "data" / "search_bits_0.9.0.json"
+SEARCH_BITS_0_10_0 = Path(__file__).parent / "data" / "search_bits_0.10.0.json"
 
 
 def _search_bits() -> dict:
-    """The search's exact results, every float as float.hex, in search_bits_0.9.0.json's layout.
+    """The search's exact results, every float as float.hex, in the layout of the search_bits_*.json goldens.
 
     {name: [{"value", "basis", "trace", "converged"}, ...]} for _basis_search on _search_gate_sets' dense_oracle
-    and ridges states and every tenth early_exit state, and for coa_numeric on 10 random pure states.  The file
-    holds this function's output under cohdist 0.9.0:
+    and ridges states and every tenth early_exit state, and for coa_numeric (at its defaults) on 10 random pure
+    states.  search_bits_<version>.json holds this function's output under that cohdist version:
     json.dumps({"about": ..., **_search_bits()}, indent=1) with tests/ and src/ on sys.path."""
 
     def bits(basis, value, trace, converged):
@@ -533,9 +544,20 @@ def _search_bits() -> dict:
     return out
 
 
-def test_search_bits_match_0_9_0():
-    # the measurement map's layout and the hemisphere cache must not move a single bit of any search
+def test_search_values_never_fall_below_0_9_0():
+    # 0.10.0's grid 16 and ridge steps move bases: 0.9.0's values stay a floor, less 1e-14 of rounding at a shared optimum
     stored = json.loads(SEARCH_BITS_0_9_0.read_text())
+    got = _search_bits()
+    assert sorted(got) == sorted(k for k in stored if k != "about")
+    for name, records in got.items():
+        assert len(records) == len(stored[name])
+        for i, (record, old) in enumerate(zip(records, stored[name])):
+            assert record["converged"] and float.fromhex(record["value"]) >= float.fromhex(old["value"]) - 1e-14, f"{name}[{i}]"
+
+
+def test_search_bits_match_0_10_0():
+    # the search's layout and arithmetic must not move a single bit of any search
+    stored = json.loads(SEARCH_BITS_0_10_0.read_text())
     got = _search_bits()
     assert sorted(got) == sorted(k for k in stored if k != "about")
     for name, records in got.items():
@@ -544,6 +566,21 @@ def test_search_bits_match_0_9_0():
             # the golden pins one build's bits (see its "about"): on another numpy build or CPU a mismatch here
             # can be a rounding difference of log2 or arctanh, not a program fault
             assert record == want, f"{name}[{i}] differs from the golden written by: {stored['about']}"
+
+
+def test_every_gate_state_matches_the_multistart_reference_at_the_defaults():
+    for name, (_, _, states) in _search_gate_sets().items():
+        for i, rho in enumerate(states):
+            _, value = optimize_basis(rho)
+            assert abs(value - oracles.multistart_search_oracle(rho)) <= 1e-12, f"{name}[{i}]"
+
+
+def test_two_basin_states_reach_the_closed_form():
+    # two near-equal basins joined by a flat ridge: 0.9.0 stopped on the ridge, up to 5e-7 short at (16, 30)
+    for rho, best in two_basin_states():
+        assert abs(optimize_basis(rho)[1] - best) <= 1e-9  # at the defaults
+        _, value, _, converged = protocol._basis_search(rho, 16, 30)
+        assert converged and abs(value - best) <= 1e-9
 
 
 def test_search_matches_the_multistart_dense_reference():
