@@ -577,10 +577,19 @@ def test_every_gate_state_matches_the_multistart_reference_at_the_defaults():
 
 def test_two_basin_states_reach_the_closed_form():
     # two near-equal basins joined by a flat ridge: 0.9.0 stopped on the ridge, up to 5e-7 short at (16, 30)
+    capped = 0
     for rho, best in two_basin_states():
         assert abs(optimize_basis(rho)[1] - best) <= 1e-9  # at the defaults
-        _, value, _, converged = protocol._basis_search(rho, 16, 30)
+        _, value, trace, converged = protocol._basis_search(rho, 16, 30)
         assert converged and abs(value - best) <= 1e-9
+        coords = protocol._pauli_coordinates(rho)
+        for (start, _), (end, _) in zip(trace, trace[1:]):  # a step from |g| <= GTOL is capped at RIDGE_STEP in the chart
+            n, _, _, grad, _ = protocol._local_model(*start, coords)
+            if np.linalg.norm(grad) <= protocol.NEWTON_GTOL:
+                angle = math.acos(min(1.0, float(n @ protocol._local_model(*end, coords)[0])))
+                assert angle <= math.atan(protocol.RIDGE_STEP) + 1e-12
+                capped += angle >= math.atan(protocol.RIDGE_STEP) - 1e-12
+    assert capped > 0  # the cap is reached on some ridges
 
 
 def test_search_matches_the_multistart_dense_reference():
