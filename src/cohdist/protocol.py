@@ -5,16 +5,16 @@ his photons into per-outcome ensembles, a free (incoherent) operation.  The modu
 measurement map, the ensemble-averaged distillable coherence it induces on Bob, the analytic optimal
 basis for pure parents, and a numerical basis search for any state.
 
-Measurement and search work in Pauli (Fano / Horodecki) coordinates, with Alice's Bloch vector a, Bob's b and
-the correlation matrix T: rho_AB = (I x I + a.sigma x I + I x b.sigma + sum_ij T_ij sigma_i x sigma_j) / 4.
-Measuring Alice along the Bloch vector n gives outcome probabilities p+- = (1 +- n.a) / 2 and leaves Bob with
-Bloch vectors r+- = (b +- T^t n) / (2 p+-); a qubit with Bloch vector r has C_r = h2((1 + r_z) / 2) -
-h2((1 + |r|) / 2).  That map (_outcomes) is the only one.  It stacks both outcomes on a leading axis of 2, and
-n's leading axes broadcast against the state's: alice_measure builds Bob's matrices from it, the harness scores
-a stack of states with it along y, and the basis search scores its theta x phi grid (built once per resolution)
-in one call and each Newton step's five points in another.  r[..., j] are views of one components-first buffer,
-|r| (_norm) is summed as (x^2 + y^2) + z^2 like np.linalg.norm(r, axis=-1), and on an exactly flat objective (a
-Werner state's equator, a Bell state) rounding picks the grid argmax and where the steps stop.
+Measurement and search work in Pauli (Fano / Horodecki) coordinates, with Alice's Bloch vector a, Bob's b and the
+correlation matrix T: rho_AB = (I x I + a.sigma x I + I x b.sigma + sum_ij T_ij sigma_i x sigma_j) / 4.  Measuring
+Alice along the Bloch vector n gives outcome probabilities p+- = (1 +- n.a) / 2 and leaves Bob with Bloch vectors
+r+- = (b +- T^t n) / (2 p+-); a qubit with Bloch vector r has C_r = h2((1 + r_z) / 2) - h2((1 + |r|) / 2).  That map
+(_outcomes) is the only one.  It stacks both outcomes on a leading axis of 2, and n's leading axes broadcast against
+the state's: alice_measure builds Bob's matrices from it, the harness scores a stack of states with it along y, and
+the basis search scores its theta x phi grid (built once per resolution) in one call, then each Newton step's one
+basis in Python floats by _local_model, the map's closed form with tangent gradient and Hessian.  r[..., j] view one
+components-first buffer, |r| (_norm) is summed as (x^2 + y^2) + z^2 like np.linalg.norm(r, axis=-1), and on an exactly
+flat objective (a Werner state's equator, a Bell state) rounding picks the grid argmax and where the steps stop.
 """
 
 import functools
@@ -27,11 +27,7 @@ from . import qcore
 
 ZERO_PROB_TOL = 1e-12
 GRID_RES_DEFAULT, GRID_RES_MAX = 16, 1024  # optimize_basis' and coa_numeric's grid_res; a grid holds at most GRID_RES_MAX^2 bases
-NEWTON_H = 1e-5  # central-difference offset of the basis search's tangent Hessian
-_CHART_X = NEWTON_H * np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])  # _local_model's 5 points
-_CHART_SCALE = np.sqrt(1.0 + (_CHART_X * _CHART_X).sum(-1))[:, None]  # |n + x frame|, exactly 1 at x = 0
 NEWTON_GTOL, NEWTON_XTOL, RIDGE_STEP, RIDGE_FTOL = 1e-7, 1e-9, 0.5, 2e-14  # the basis search's stop rules (see _basis_search)
-_EYE2 = np.eye(2)
 _PAULIS = np.stack([qcore.IDENTITY_2, qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z])
 # (rho.ravel() @ _PAULI_PAIRS)[4m + n] = tr[rho (s_m x s_n)]
 _PAULI_PAIRS = np.einsum("mji,nlk->ikjlmn", _PAULIS, _PAULIS).reshape(16, 16)
@@ -190,34 +186,48 @@ def _assisted_coherence(n: np.ndarray, a, b, t) -> np.ndarray:
     return sum(p * _qubit_coherence(r))
 
 
-def _coherence_gradient(r):
-    """Gradient (atanh(|r|) r / |r| - atanh(r_z) e_z) / ln 2 of _qubit_coherence at r[..., :], elementwise.
-
-    |r| and |r_z| are clipped at 1 - 2^-53, so a pure outcome's |r| term (tangent part 0 up to rounding)
-    gets the factor atanh(1 - 2^-53) ~ 18.7, not atanh(1) = inf."""
-    s, top = _norm(r)[..., None], 1.0 - 2.0**-53
-    grad = np.arctanh(np.minimum(s, top)) / np.where(s > 0.0, s, 1.0) * r
-    grad[..., 2] -= np.arctanh(np.clip(r[..., 2], -top, top))
-    return grad / math.log(2.0)
+def _entropy(u: float) -> float:
+    """_qubit_entropy of one Python float, through libm's log2."""
+    hi, lo = (1.0 + min(abs(u), 1.0)) / 2.0, (1.0 - min(abs(u), 1.0)) / 2.0
+    return -(hi * math.log2(hi) + (lo * math.log2(lo) if lo > 0.0 else 0.0))
 
 
 def _local_model(theta: float, phi: float, coords):
-    """(n, frame, value, gradient, Hessian) of the search objective f at the basis (theta, phi).
+    """(n, frame, value, gradient, Hessian) of the search objective f at the basis (theta, phi), in Python floats.
 
-    frame holds e_theta and e_phi at n as rows.  Gradient and Hessian are those of g(x) = f((n + x frame)
-    / |n + x frame|) at x = 0, the Hessian by central differences of g's gradient at x = +-NEWTON_H e_i,
-    with n and those four points scored in one _outcomes call.  f's Euclidean gradient is sum_+- +-[a
-    C_r(r+-) + (T - a r+-^t) grad C_r(r+-)] / 2, to which a zero-probability outcome adds 0."""
+    coords is a state's (a, b, T) as 3 and 3 x 3 sequences (_basis_search passes them .tolist()-ed).  frame holds
+    e_theta and e_phi at n.  Gradient and Hessian are those of g(x) = f((n + x frame) / |n + x frame|) at x = 0, in
+    closed form: frame grad f and frame Hess f frame^t - (n . grad f) I.  Per outcome +-, with d = 1 +- n.a, r = (b +-
+    T^t n) / d, s = |r| and M = T - a r^t (its rows e^t M: e for e_theta, f for e_phi), f gains d C_r(r) / 2, grad f
+    gains +-[a C_r(r) + M grad C_r(r)] / 2 and Hess f gains M Hess C_r(r) M^t / (2 d), where ln 2 grad C_r = atanh(s) r
+    / s - atanh(r_z) e_z and ln 2 Hess C_r = atanh(s) / s (I - r r^t / s^2) + r r^t / (s^2 (1 - s^2)) - e_z e_z^t / (1 -
+    r_z^2).  s and |r_z| are clipped at 1 - 2^-53, so a pure outcome's terms stay finite, and a zero-probability outcome adds 0."""
     st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
-    n, frame = np.array([st * cp, st * sp, ct]), np.array([[ct * cp, ct * sp, -st], [-sp, cp, 0.0]])
-    m, (a, b, t) = (n + _CHART_X @ frame) / _CHART_SCALE, coords
-    p, r = _outcomes(m, a, b, t)
-    c, dc = _qubit_coherence(r), _coherence_gradient(r)
-    term = np.where((p > 0.0)[..., None], (c - (r * dc).sum(-1))[..., None] * a + dc @ t.T, 0.0)
-    grad = (term[0] - term[1]) / 2.0
-    tangent = (grad - (grad * m).sum(-1, keepdims=True) * m) @ frame.T / _CHART_SCALE
-    d = (tangent[1::2] - tangent[2::2]) / (2.0 * NEWTON_H)  # d[i] = dg/dx_i
-    return n, frame, float(sum(p * c)[0]), tangent[0], (d + d.T) / 2.0
+    n, frame, top, ln2 = (st * cp, st * sp, ct), ((ct * cp, ct * sp, -st), (-sp, cp, 0.0)), 1.0 - 2.0**-53, math.log(2.0)
+    (a0, a1, a2), (b0, b1, b2), ((t00, t01, t02), (t10, t11, t12), (t20, t21, t22)) = coords
+    (u0, u1, u2, ua), (v0, v1, v2, va), (n0, n1, n2, na) = [(x * t00 + y * t10 + z * t20, x * t01 + y * t11 + z * t21,
+        x * t02 + y * t12 + z * t22, x * a0 + y * a1 + z * a2) for x, y, z in (*frame, n)]  # (v^t T, v . a), v = e_theta, e_phi, n
+    value = gt = gp = gn = h00 = h01 = h11 = 0.0
+    for sign in (1.0, -1.0):
+        p = (1.0 + sign * na) / 2.0
+        if p < ZERO_PROB_TOL:
+            continue
+        x, y, z = (b0 + sign * n0) / (2.0 * p), (b1 + sign * n1) / (2.0 * p), (b2 + sign * n2) / (2.0 * p)
+        s = math.sqrt(x * x + y * y + z * z)
+        sc, zc = min(s, top), max(-top, min(z, top))
+        k, az = math.atanh(sc) / s if s > 0.0 else 1.0, math.atanh(zc)  # atanh(s) / s is 1 at s = 0
+        w, zz = (1.0 / (1.0 - sc * sc) - k) / (s * s) if s > 0.0 else 0.0, 1.0 / (1.0 - zc * zc)
+        e0, e1, e2, f0, f1, f2, nz = u0 - ua * x, u1 - ua * y, u2 - ua * z, v0 - va * x, v1 - va * y, v2 - va * z, n2 - na * z
+        er, fr, nr = e0 * x + e1 * y + e2 * z, f0 * x + f1 * y + f2 * z, (n0 - na * x) * x + (n1 - na * y) * y + nz * z  # v^t M r
+        c, d = _entropy(z) - _entropy(s), 4.0 * p * ln2
+        value += p * c
+        gt += sign * (ua * c + (k * er - az * e2) / ln2) / 2.0
+        gp += sign * (va * c + (k * fr - az * f2) / ln2) / 2.0
+        gn += sign * (na * c + (k * nr - az * nz) / ln2) / 2.0
+        h00 += (k * (e0 * e0 + e1 * e1 + e2 * e2) + w * er * er - zz * e2 * e2) / d
+        h01 += (k * (e0 * f0 + e1 * f1 + e2 * f2) + w * er * fr - zz * e2 * f2) / d
+        h11 += (k * (f0 * f0 + f1 * f1 + f2 * f2) + w * fr * fr - zz * f2 * f2) / d
+    return n, frame, value, (gt, gp), ((h00 - gn, h01), (h01, h11 - gn))
 
 
 @functools.lru_cache(maxsize=1)  # the last resolution's only: at most GRID_RES_MAX^2 Bloch vectors stay alive
@@ -235,13 +245,13 @@ def _basis_search(rho: np.ndarray, grid_res: int, refine_iters: int):
 
     Scores a grid_res x grid_res grid on the Bloch hemisphere (theta in [0, pi/2], phi in [0, 2pi); ties go to
     the smallest (theta, phi)), then takes up to refine_iters modified Newton steps on the sphere (Absil, Mahony
-    & Sepulchre, Optimization Algorithms on Matrix Manifolds, ch. 6): |H|^-1 g in _local_model's frame, with
-    |eigenvalues| floored at 1e-8 so that it goes uphill, halved until the value does not fall.  Once |g| <=
-    NEWTON_GTOL (a flat top, or a flat ridge between near-equal basins) a step is capped at RIDGE_STEP, never
-    halved, kept only if the value does not fall, and ends the search unless it raised the value by more than
-    RIDGE_FTOL, above a pure parent's ~1.3e-14 rounding; a step under NEWTON_XTOL ends it untaken.  Returns (basis,
-    value, trace, converged): trace is ((theta, phi), value) after grid and steps; converged, |g| <= NEWTON_GTOL
-    at basis, is local: it speaks of the one climb from the grid argmax."""
+    & Sepulchre, Optimization Algorithms on Matrix Manifolds, ch. 6): |H|^-1 g in _local_model's frame, with |eigenvalues|
+    floored at 1e-8 so that it goes uphill, halved until the value does not fall; each step, 2 x 2 eigenprojector
+    included, runs in Python floats and scores one basis.  Once |g| <= NEWTON_GTOL (a flat top, or a flat ridge between
+    near-equal basins) a step is capped at RIDGE_STEP, never halved, kept only if the value does not fall, and ends the
+    search unless it raised the value by more than RIDGE_FTOL, above a pure parent's ~1.3e-14 rounding; a step under
+    NEWTON_XTOL ends it untaken.  Returns (basis, value, trace, converged): trace is ((theta, phi), value) after grid
+    and steps; converged, |g| <= NEWTON_GTOL at basis, is local: it speaks of the one climb from the grid argmax."""
     if not 8 <= qcore.as_int("grid_res", grid_res) <= GRID_RES_MAX:
         raise ValueError(f"grid_res must be an int in [8, {GRID_RES_MAX}], got {grid_res!r}")
     if qcore.as_int("refine_iters", refine_iters) < 0:
@@ -250,27 +260,31 @@ def _basis_search(rho: np.ndarray, grid_res: int, refine_iters: int):
     values = _assisted_coherence(grid, *coords)
     i, j = np.unravel_index(np.argmax(values), values.shape)
     theta, phi, value = float(thetas[i]), float(phis[j]), float(values[i, j])
-    trace = [((theta, phi), value)]
+    trace, coords = [((theta, phi), value)], [x.tolist() for x in coords]
     n, frame, _, grad, hess = _local_model(theta, phi, coords)
-    grad_size = np.linalg.norm(grad)  # each |grad| and |step| once, for the value it measures
+    grad_size = math.hypot(*grad)  # each |grad| and |step| once, for the value it measures
     for _ in range(refine_iters):
-        mid, half = (hess[0, 0] + hess[1, 1]) / 2.0, math.hypot((hess[0, 0] - hess[1, 1]) / 2.0, hess[0, 1])
-        up = (hess - (mid - half) * _EYE2) / (2.0 * half) if half > 0.0 else 0.0 * hess  # eigenprojector of mid + half
-        step = ((_EYE2 - up) / max(abs(mid - half), 1e-8) + up / max(abs(mid + half), 1e-8)) @ grad
-        ridge, start, size = grad_size <= NEWTON_GTOL, value, np.linalg.norm(step)
-        step, step_size = (step * (RIDGE_STEP / size), RIDGE_STEP) if ridge and size > RIDGE_STEP else (step, size)
-        while step_size > NEWTON_XTOL:
-            x, y, z = n + step @ frame
+        ((h00, h01), (_, h11)), (g0, g1) = hess, grad
+        mid, half = (h00 + h11) / 2.0, math.hypot((h00 - h11) / 2.0, h01)
+        low, width = mid - half, 2.0 * half  # (u0, u1) = P grad, P = (hess - low I) / width the eigenprojector of mid + half
+        u0, u1 = (((h00 - low) * g0 + h01 * g1) / width, (h01 * g0 + (h11 - low) * g1) / width) if half > 0.0 else (0.0, 0.0)
+        lo, hi = max(abs(low), 1e-8), max(abs(mid + half), 1e-8)
+        s0, s1 = (g0 - u0) / lo + u0 / hi, (g1 - u1) / lo + u1 / hi
+        ridge, start, size = grad_size <= NEWTON_GTOL, value, math.hypot(s0, s1)
+        if ridge and size > RIDGE_STEP:
+            s0, s1, size = s0 * (RIDGE_STEP / size), s1 * (RIDGE_STEP / size), RIDGE_STEP
+        while size > NEWTON_XTOL:
+            x, y, z = [m + s0 * e + s1 * f for m, e, f in zip(n, *frame)]
             angles = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
             model = _local_model(*angles, coords)
             if model[2] >= value:
                 (theta, phi), (n, frame, value, grad, hess) = angles, model
-                grad_size = np.linalg.norm(grad)
+                grad_size = math.hypot(*grad)
                 trace.append((angles, value))
             if model[2] >= value or ridge:  # kept; or a ridge step, which is never halved
                 break
-            step, step_size = step / 2.0, step_size / 2.0  # both exact
-        if (ridge and value - start <= RIDGE_FTOL) or step_size <= NEWTON_XTOL:
+            s0, s1, size = s0 / 2.0, s1 / 2.0, size / 2.0  # all exact
+        if (ridge and value - start <= RIDGE_FTOL) or size <= NEWTON_XTOL:
             break
     return MeasurementBasis.from_angles(theta, phi), value, trace, bool(grad_size <= NEWTON_GTOL)
 

@@ -19,6 +19,9 @@ The broadcast map (outcomes_broadcast, qubit_coherence_broadcast,
 coherence_gradient_broadcast) is the measurement map as one (..., 3)
 broadcast with np.linalg.norm(axis=-1), the layout the library's
 components-first buffer replaced; the tests hold the two to the same bits.
+five_point_model is the basis search's tangent model with its Hessian by
+central differences of the closed-form gradient (coherence_gradient), the
+rule the library's closed-form Hessian in Python floats replaced.
 The CSV oracles (emit_csv_oracle, deviation_csv_oracle, parse_rows_csv_oracle)
 are the per-cell str.format writers and the per-line parser that the
 library's one-printf-per-block writer and one-split parser replaced.
@@ -250,12 +253,52 @@ def qubit_coherence_broadcast(r: np.ndarray) -> np.ndarray:
     return protocol._qubit_entropy(r[..., 2]) - protocol._qubit_entropy(np.linalg.norm(r, axis=-1))
 
 
+def coherence_gradient(r: np.ndarray) -> np.ndarray:
+    """Gradient (atanh(|r|) r / |r| - atanh(r_z) e_z) / ln 2 of protocol._qubit_coherence at r[..., :], elementwise.
+
+    |r| (protocol._norm) and |r_z| are clipped at 1 - 2^-53, so a pure outcome's |r| term (tangent part 0 up to
+    rounding) gets the factor atanh(1 - 2^-53) ~ 18.7, not atanh(1) = inf."""
+    s, top = protocol._norm(r)[..., None], 1.0 - 2.0**-53
+    grad = np.arctanh(np.minimum(s, top)) / np.where(s > 0.0, s, 1.0) * r
+    grad[..., 2] -= np.arctanh(np.clip(r[..., 2], -top, top))
+    return grad / math.log(2.0)
+
+
 def coherence_gradient_broadcast(r: np.ndarray) -> np.ndarray:
-    """protocol._coherence_gradient with |r| by np.linalg.norm(r, axis=-1, keepdims=True)."""
+    """coherence_gradient with |r| by np.linalg.norm(r, axis=-1, keepdims=True)."""
     s, top = np.linalg.norm(r, axis=-1, keepdims=True), 1.0 - 2.0**-53
     grad = np.arctanh(np.minimum(s, top)) / np.where(s > 0.0, s, 1.0) * r
     grad[..., 2] -= np.arctanh(np.clip(r[..., 2], -top, top))
     return grad / math.log(2.0)
+
+
+NEWTON_H = 1e-5  # the central-difference offset of five_point_model
+_CHART_X = NEWTON_H * np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+_CHART_SCALE = np.sqrt(1.0 + (_CHART_X * _CHART_X).sum(-1))[:, None]  # |n + x frame|, exactly 1 at x = 0
+
+
+def chart_points(n: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """The five Bloch vectors (n + x frame) / |n + x frame| of five_point_model, x = 0 then +-NEWTON_H e_1, +-NEWTON_H e_2."""
+    return (n + _CHART_X @ frame) / _CHART_SCALE
+
+
+def five_point_model(theta: float, phi: float, coords):
+    """The tangent model the library's closed-form protocol._local_model replaced: (n, frame, value, gradient, Hessian).
+
+    Gradient and Hessian are those of g(x) = f((n + x frame) / |n + x frame|) at x = 0, the gradient in closed form
+    (sum_+- +-[a C_r(r+-) + (T - a r+-^t) grad C_r(r+-)] / 2, projected on the tangent plane and pulled back to the
+    chart), the Hessian by central differences of that gradient at x = +-NEWTON_H e_i; the five points are scored in
+    one protocol._outcomes call, and a zero-probability outcome adds 0."""
+    st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
+    n, frame = np.array([st * cp, st * sp, ct]), np.array([[ct * cp, ct * sp, -st], [-sp, cp, 0.0]])
+    m, (a, b, t) = chart_points(n, frame), coords
+    p, r = protocol._outcomes(m, a, b, t)
+    c, dc = protocol._qubit_coherence(r), coherence_gradient(r)
+    term = np.where((p > 0.0)[..., None], (c - (r * dc).sum(-1))[..., None] * a + dc @ t.T, 0.0)
+    grad = (term[0] - term[1]) / 2.0
+    tangent = (grad - (grad * m).sum(-1, keepdims=True) * m) @ frame.T / _CHART_SCALE
+    d = (tangent[1::2] - tangent[2::2]) / (2.0 * NEWTON_H)  # d[i] = dg/dx_i
+    return n, frame, float(sum(p * c)[0]), tangent[0], (d + d.T) / 2.0
 
 
 def _golden_max(f, lo: float, hi: float, steps: int = 16) -> float:

@@ -338,7 +338,7 @@ def test_components_first_map_matches_the_broadcast_bit_for_bit():
     theta, phi = 0.7, 1.1
     n = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
     frame = np.array([[math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi), -math.sin(theta)], [-math.sin(phi), math.cos(phi), 0.0]])
-    chart = (n + protocol._CHART_X @ frame) / protocol._CHART_SCALE  # _local_model's five points
+    chart = oracles.chart_points(n, frame)  # the five points of the central-difference tangent Hessian
     cases = [
         (harness.ALICE_BLOCH, protocol._pauli_coordinates(rhos)),  # the runner: one basis, N states
         (harness.ALICE_BLOCH, protocol._pauli_coordinates(rhos[0])),  # alice_measure and tomo-demo: one basis, one state
@@ -354,12 +354,12 @@ def test_components_first_map_matches_the_broadcast_bit_for_bit():
         assert r_ref.flags.c_contiguous and np.moveaxis(r, -1, 0).flags.c_contiguous  # r[..., j] views one buffer
         assert _same_bits(p, p_ref) and _same_bits(r, r_ref), k
         assert _same_bits(protocol._qubit_coherence(r), oracles.qubit_coherence_broadcast(r_ref)), k
-        assert _same_bits(protocol._coherence_gradient(r), oracles.coherence_gradient_broadcast(r_ref)), k
+        assert _same_bits(oracles.coherence_gradient(r), oracles.coherence_gradient_broadcast(r_ref)), k
         assert _same_bits(protocol._norm(r_ref), np.linalg.norm(r_ref, axis=-1)), k  # and on a (..., 3) layout
     assert (p == 0.0).any()  # the pole's outcome - is scored, with p = 0
     r = rng.uniform(-1.0, 1.0, (3,))  # one Bloch vector, as average_assisted_coherence passes it
     assert _same_bits(protocol._qubit_coherence(r), oracles.qubit_coherence_broadcast(r))
-    assert _same_bits(protocol._coherence_gradient(r), oracles.coherence_gradient_broadcast(r))
+    assert _same_bits(oracles.coherence_gradient(r), oracles.coherence_gradient_broadcast(r))
 
 
 def test_hemisphere_is_read_only_cached_and_one_resolution_deep():
@@ -393,16 +393,11 @@ def test_closed_form_objective_matches_dense_path():
         assert alice_measure(rho, MeasurementBasis((0.0, 0.0, 1.0))).outcomes[1].zero_prob
     thetas, phis, n = _grid(16)
     poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
-    for rho in rhos:
-        coords = protocol._pauli_coordinates(rho)
-        grid = protocol._assisted_coherence(n, *coords)
-        for i, theta in enumerate(thetas.tolist()):
-            for j, phi in enumerate(phis.tolist()):
-                dense = oracles.dense_assisted_coherence(rho, theta, phi)
-                assert abs(grid[i, j] - dense) <= 1e-12
-        for theta, batched in zip((0.0, math.pi), protocol._assisted_coherence(poles, *coords)):
-            dense = oracles.dense_assisted_coherence(rho, theta, 0.0)
-            assert abs(batched - dense) <= 1e-12
+    angles = [(theta, phi) for theta in thetas.tolist() for phi in phis.tolist()] + [(0.0, 0.0), (math.pi, 0.0)]
+    for rho in rhos:  # the grid and the poles in one batch of the dense map per state
+        coords, dense = protocol._pauli_coordinates(rho), oracles.dense_assisted_coherences(rho, angles)
+        assert np.abs(protocol._assisted_coherence(n, *coords).ravel() - dense[:-2]).max() <= 1e-12
+        assert np.abs(protocol._assisted_coherence(poles, *coords) - dense[-2:]).max() <= 1e-12
 
 
 def test_batched_dense_map_matches_the_scalar_one():
@@ -469,7 +464,7 @@ def test_coherence_and_objective_gradients_match_central_differences():
     for _ in range(200):  # grad C_r inside the Bloch ball
         r = np.array(random_bloch(rng)) * rng.uniform(0.0, 0.95)
         fd = [(protocol._qubit_coherence(r + h * e) - protocol._qubit_coherence(r - h * e)) / (2.0 * h) for e in np.eye(3)]
-        assert np.abs(protocol._coherence_gradient(r) - fd).max() <= 1e-8
+        assert np.abs(oracles.coherence_gradient(r) - fd).max() <= 1e-8
     for _ in range(40):  # f's gradient and Hessian on the sphere, in _local_model's tangent chart
         coords = protocol._pauli_coordinates(random_density(rng, 4))
         theta, phi = rng.uniform(0.2, math.pi - 0.2), rng.uniform(0.0, 2.0 * math.pi)
@@ -481,7 +476,7 @@ def test_coherence_and_objective_gradients_match_central_differences():
 
         assert abs(value - f([0.0, 0.0])) <= 1e-15
         fd = [(f(h * e) - f(-h * e)) / (2.0 * h) for e in np.eye(2)]
-        assert np.abs(grad - fd).max() <= 1e-8
+        assert np.abs(np.subtract(grad, fd)).max() <= 1e-8
         k = 1e-4
         second = [[f(k * (ei + ej)) - f(k * (ei - ej)) - f(k * (ej - ei)) + f(-k * (ei + ej)) for ej in np.eye(2)] for ei in np.eye(2)]
         assert np.abs(hess - np.array(second) / (4.0 * k * k)).max() <= 1e-6
@@ -496,7 +491,23 @@ def test_coherence_and_objective_gradients_match_central_differences():
     def g(x):
         return float(protocol._assisted_coherence((n + x @ frame) / np.linalg.norm(n + x @ frame), *coords))
 
-    assert np.abs(grad - [(g(h * e) - g(-h * e)) / (2.0 * h) for e in np.eye(2)]).max() <= 1e-8
+    assert np.abs(np.subtract(grad, [(g(h * e) - g(-h * e)) / (2.0 * h) for e in np.eye(2)])).max() <= 1e-8
+
+
+def test_closed_form_hessian_matches_central_differences_of_the_gradient():
+    # pure parents and depolarized pure states (the test above draws Hilbert-Schmidt states), against the 0.10.0 rule:
+    # central differences of the tangent gradient, not second differences of values, whose ~1e-14 rounding on a pure
+    # parent would put their error at ~1e-6
+    rng = np.random.default_rng(67)
+    rhos = [projector(random_pure_state(rng, 4)) for _ in range(20)]
+    rhos += [(1.0 - eps) * projector(random_pure_state(rng, 4)) + eps * np.eye(4) / 4.0 for eps in (0.05, 0.3) * 10]
+    for rho in rhos:
+        coords = protocol._pauli_coordinates(rho)
+        theta, phi = rng.uniform(0.2, math.pi - 0.2), rng.uniform(0.0, 2.0 * math.pi)
+        _, _, value, grad, hess = protocol._local_model(theta, phi, [x.tolist() for x in coords])
+        _, _, ref_value, ref_grad, ref_hess = oracles.five_point_model(theta, phi, coords)
+        assert abs(value - ref_value) <= 2e-14 and np.abs(np.subtract(grad, ref_grad)).max() <= 1e-12  # ~1.3e-14 rounding
+        assert np.abs(np.subtract(hess, ref_hess)).max() <= 1e-6 * np.abs(ref_hess).max()
 
 
 def test_search_values_never_fall_below_0_7_0():
@@ -516,6 +527,7 @@ def test_search_values_never_fall_below_0_7_0():
 
 SEARCH_BITS_0_9_0 = Path(__file__).parent / "data" / "search_bits_0.9.0.json"
 SEARCH_BITS_0_10_0 = Path(__file__).parent / "data" / "search_bits_0.10.0.json"
+SEARCH_BITS_0_11_0 = Path(__file__).parent / "data" / "search_bits_0.11.0.json"
 
 
 def _search_bits() -> dict:
@@ -555,16 +567,27 @@ def test_search_values_never_fall_below_0_9_0():
             assert record["converged"] and float.fromhex(record["value"]) >= float.fromhex(old["value"]) - 1e-14, f"{name}[{i}]"
 
 
-def test_search_bits_match_0_10_0():
-    # the search's layout and arithmetic must not move a single bit of any search
+def test_search_values_never_fall_below_0_10_0():
+    # 0.11.0's closed-form Hessian moves bases and trace bits: 0.10.0's values stay a floor, less 1e-14 of rounding
     stored = json.loads(SEARCH_BITS_0_10_0.read_text())
     got = _search_bits()
     assert sorted(got) == sorted(k for k in stored if k != "about")
     for name, records in got.items():
         assert len(records) == len(stored[name])
+        for i, (record, old) in enumerate(zip(records, stored[name])):
+            assert record["converged"] and float.fromhex(record["value"]) >= float.fromhex(old["value"]) - 1e-14, f"{name}[{i}]"
+
+
+def test_search_bits_match_0_11_0():
+    # the search's layout and arithmetic must not move a single bit of any search
+    stored = json.loads(SEARCH_BITS_0_11_0.read_text())
+    got = _search_bits()
+    assert sorted(got) == sorted(k for k in stored if k != "about")
+    for name, records in got.items():
+        assert len(records) == len(stored[name])
         for i, (record, want) in enumerate(zip(records, stored[name])):
-            # the golden pins one build's bits (see its "about"): on another numpy build or CPU a mismatch here
-            # can be a rounding difference of log2 or arctanh, not a program fault
+            # the golden pins one build's bits (see its "about"): on another numpy build, libm or CPU a mismatch
+            # here can be a rounding difference of log2 or arctanh, not a program fault
             assert record == want, f"{name}[{i}] differs from the golden written by: {stored['about']}"
 
 
@@ -586,7 +609,7 @@ def test_two_basin_states_reach_the_closed_form():
         for (start, _), (end, _) in zip(trace, trace[1:]):  # a step from |g| <= GTOL is capped at RIDGE_STEP in the chart
             n, _, _, grad, _ = protocol._local_model(*start, coords)
             if np.linalg.norm(grad) <= protocol.NEWTON_GTOL:
-                angle = math.acos(min(1.0, float(n @ protocol._local_model(*end, coords)[0])))
+                angle = math.acos(min(1.0, float(np.dot(n, protocol._local_model(*end, coords)[0]))))
                 assert angle <= math.atan(protocol.RIDGE_STEP) + 1e-12
                 capped += angle >= math.atan(protocol.RIDGE_STEP) - 1e-12
     assert capped > 0  # the cap is reached on some ridges
