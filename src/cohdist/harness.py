@@ -33,7 +33,7 @@ from .tomography import ESTIMATOR_ID, PRNG_ID, derive_stream, shots_and_seed, to
 GRID_SNAP = 1e-9
 GRID_MAX_POINTS = 1_000_000
 RUN_CHUNK = 4096  # grid points per numpy pass, so a long grid's temporaries stay small
-VERSION = "0.11.0"  # cohdist.__version__
+VERSION = "0.12.0"  # cohdist.__version__
 META = {"prng": PRNG_ID, "estimator": ESTIMATOR_ID, "version": VERSION}  # the "meta" of every JSON output (dump_json)
 
 PURE_CSV_HEADER = "theta_deg,cd_before_theory,cd_before_sim,cd_after_theory,cd_after_sim,delta_sim"
@@ -217,11 +217,6 @@ def parse_rows_csv(text: str) -> list[ExperimentRow]:
     # tuple.__new__ is ExperimentRow._make without a Python call per row; bound_qi is None if no column holds it
     fields = zip(*(col.get(f, itertools.repeat(None)) for f in ExperimentRow._fields))
     return list(map(tuple.__new__, itertools.repeat(ExperimentRow), fields))
-
-
-def parse_rows_json(text: str) -> tuple[dict, list[ExperimentRow]]:
-    payload = json.loads(text)
-    return payload["config"], [ExperimentRow(**r) for r in payload["rows"]]
 
 
 # ---------------------------------------------------------------------------

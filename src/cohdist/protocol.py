@@ -161,14 +161,12 @@ def _qubit_coherence(r):
 def _outcomes(n: np.ndarray, a, b, t) -> tuple[np.ndarray, np.ndarray]:
     """(p, r): p[k, ...] and r[k, ..., :] are the probability of Alice's outcome k (0 for +, 1 for -) and Bob's Bloch vector.
 
-    n[..., :] is Alice's Bloch vector for the state (a, b, t)[...]; n's leading axes broadcast against
-    the coordinates'.  Where the states do not vary along n's last leading axis (one state, a grid of n),
-    n.a and T^t n are one M x 3 matrix product per state, else one 1 x 3 product per basis, so a stack of
-    states gets each state's own bits.  r views one (3, 2, ...) buffer, each component (b_j +- (T^t n)_j) / (2 p+-)
+    n[..., :] is Alice's Bloch vector for the state (a, b, t)[...]; n's leading axes broadcast against the coordinates'.
+    For one state and a grid of n, n.a and T^t n are one M x 3 matrix product, else one 1 x 3 product per basis, so
+    each state of a stack gets its own bits.  r views one (3, 2, ...) buffer, each component (b_j +- (T^t n)_j) / (2 p+-)
     filled in one pass, bit for bit a (..., 3) broadcast.  Outcomes with p < ZERO_PROB_TOL get p = 0 and a meaningless r."""
-    if n.ndim > 1 and (a.ndim == 1 or a.shape[-2] == 1):
-        a1, t1 = (a, t) if a.ndim == 1 else (a[..., 0, :], t[..., 0, :, :])
-        na, tn = (n @ a1[..., None])[..., 0], n @ t1
+    if n.ndim > 1 and a.ndim == 1:
+        na, tn = (n @ a[:, None])[..., 0], n @ t
     else:
         na, tn = (n[..., None, :] @ a[..., None])[..., 0, 0], (n[..., None, :] @ t)[..., 0, :]
     sign = np.array([1.0, -1.0]).reshape(2, *[1] * na.ndim)

@@ -18,13 +18,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = 1e-10
 
-KET_H = np.array([1.0, 0.0], dtype=complex)
-KET_V = np.array([0.0, 1.0], dtype=complex)
-KET_X_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-KET_X_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
-KET_Y_PLUS = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
-KET_Y_MINUS = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0)
-
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)

@@ -22,21 +22,21 @@ stream element k is mix64(seed + (k+1) * 0x9E3779B97F4A7C15) where mix64 is
 the splitmix64 finalizer.  Uniform doubles are (u64 >> 11) * 2**-53.  Each
 Pauli basis uses its own stream derived as seed XOR mix64 of the basis index,
 and exactly one uniform is consumed per binomial draw, so identical
-(state, shots, seed) give bit-identical counts on one numpy build.  Shots and
-seeds pass one check, shots_and_seed, and a TomographyRecord checks its
-counts when it is made and refuses any change to them after (a TypeError), so
-every record reconstructs and writes JSON.  PRNG_ID
-names the algorithm in harness output metadata.
+(state, shots, seed) give bit-identical counts on one numpy build, and up to
+10_000 shots the same Bloch vectors give the same counts on every build (see
+below).  Shots and seeds pass one check, shots_and_seed, and a
+TomographyRecord checks its counts when it is made and refuses any change to
+them after (a TypeError), so every record reconstructs and writes JSON.
+PRNG_ID names the algorithm in harness output metadata.
 
 Axis k gives "+" with probability (1 + r_k) / 2 for the Bloch vector r.
-Binomial sampling uses exact CDF inversion (k = min{k : F(k) >= u}) for
-shots <= 10_000, with the pmf evaluated by the two-sided recurrence from the
-mode (Devroye, Non-Uniform Random Variate Generation, 1986, ch. X) and summed
-from 0, and the normal approximation with continuity correction
-k = floor(n p + z sigma + 1/2) above that, z = Phi^-1(u) from the standard
-library's statistics.NormalDist (see _normal_draws).  The sampler's exp, log
-and sqrt are numpy's and the C library's, so counts are bit-stable run to run
-on one build, not across builds.  Thresholds and methods are fixed so frozen
+Binomial sampling uses exact CDF inversion (k = min{k : F(k) >= u}) for shots <= 10_000, with the terms
+pmf(k) / pmf(mode) taken by the two-sided ratio recurrence from the mode at 1.0 (Devroye, Non-Uniform Random
+Variate Generation, 1986, ch. X), summed from the left and divided by their total, and the normal approximation
+k = floor(n p + z sigma + 1/2) above that, z = Phi^-1(u) from statistics.NormalDist (see _normal_draws).
+Inversion uses only +, -, *, /, floor and sqrt, which IEEE 754 rounds correctly, so its counts are the same on
+every build.  The normal branch's AS241 calls the C library's log where |u - 1/2| > 0.425, and the MLE numpy's
+SIMD arcsin and sin, so those are bit-stable on one build only.  Thresholds and methods are fixed so frozen
 golden counts stay valid.
 The inversion evaluates a window around the mode from Bernstein's tail bound,
 e^-40 on each side: left of it the full-support F(k) is below 2**-53, the
@@ -46,7 +46,6 @@ search over their uniforms.
 """
 
 import json
-import math
 import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -55,7 +54,7 @@ import numpy as np
 
 from . import qcore
 
-PRNG_ID = "splitmix64-sampler-v4"
+PRNG_ID = "splitmix64-sampler-v5"
 ESTIMATOR_ID = "mle-newton-v2"
 BASES = ("X", "Y", "Z")
 SHOTS_MAX = 2**53  # counts and n p stay exact in float64
@@ -153,12 +152,7 @@ def _window_cdf(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Each row spans the block's widest window from its own mode; its terms past its own window are the full support's.
     """
     mode, wl, wr = _window(n, p)
-    lg = math.lgamma
-    top = [  # pmf(mode), in scalar floats
-        math.exp(lg(n + 1) - lg(m + 1) - lg(n - m + 1) + m * math.log(x) + (n - m) * math.log1p(-x))
-        for m, x in zip(mode.tolist(), p.tolist())
-    ]
-    # the ratios pmf(k -+ 1) / pmf(k) outward from each row's own mode, 0 off the support; pmf is their products
+    # the ratios pmf(k -+ 1) / pmf(k) outward from each row's own mode, 0 off the support; their products are pmf / pmf(mode)
     odds = np.divide(1.0 - p, p, out=np.zeros_like(p), where=mode > 0)  # no terms left of a mode at 0
     k = mode[:, None] - np.arange(wl)
     below = np.maximum(k, 0) / (n - k + 1.0) * odds[:, None]
@@ -168,7 +162,6 @@ def _window_cdf(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     np.cumprod(below, axis=1, out=cdf[:, wl - 1 :: -1])
     np.cumprod(above, axis=1, out=cdf[:, wl + 1 :])
     cdf[:, wl] = 1.0
-    cdf *= np.array(top)[:, None]
     np.cumsum(cdf, axis=1, out=cdf)
     cdf /= cdf[:, -1:].copy()
     return mode - wl, cdf

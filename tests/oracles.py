@@ -27,6 +27,7 @@ are the per-cell str.format writers and the per-line parser that the
 library's one-printf-per-block writer and one-split parser replaced.
 """
 
+import json
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -43,6 +44,14 @@ from cohdist.protocol import (
     OutcomeSet,
 )
 from cohdist.tomography import BASES, MLE_MAX_STEPS, ReconstructionResult, SplitMix64, TomographyRecord, derive_stream
+
+# |H>, |V>, |x+->, |y+->: the tests' named kets, which no library code needs
+KET_H = np.array([1.0, 0.0], dtype=complex)
+KET_V = np.array([0.0, 1.0], dtype=complex)
+KET_X_PLUS = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
+KET_X_MINUS = np.array([1.0, -1.0], dtype=complex) / np.sqrt(2.0)
+KET_Y_PLUS = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2.0)
+KET_Y_MINUS = np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2.0)
 
 
 def shannon(probs) -> float:
@@ -236,9 +245,8 @@ def dense_assisted_coherence(rho: np.ndarray, theta: float, phi: float) -> float
 
 def outcomes_broadcast(n: np.ndarray, a, b, t) -> tuple[np.ndarray, np.ndarray]:
     """protocol._outcomes with r built as one (2, ..., 3) broadcast: (b +- T^t n) / (2 p+-), C-contiguous."""
-    if n.ndim > 1 and (a.ndim == 1 or a.shape[-2] == 1):
-        a1, t1 = (a, t) if a.ndim == 1 else (a[..., 0, :], t[..., 0, :, :])
-        na, tn = (n @ a1[..., None])[..., 0], n @ t1
+    if n.ndim > 1 and a.ndim == 1:
+        na, tn = (n @ a[:, None])[..., 0], n @ t
     else:
         na, tn = (n[..., None, :] @ a[..., None])[..., 0, 0], (n[..., None, :] @ t)[..., 0, :]
     sign = np.array([1.0, -1.0]).reshape(2, *[1] * na.ndim)
@@ -484,29 +492,29 @@ def normal_quantile(u: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def binomial_pmf_full(n: int, p: float) -> np.ndarray:
-    """Every pmf term of Binomial(n, p), 0 < p < 1, by the two-sided ratio recurrence from the mode."""
+def _binomial_terms_full(n: int, p: float) -> np.ndarray:
+    """pmf(k) / pmf(mode) of Binomial(n, p) for k = 0..n, 0 < p < 1: the two-sided ratio recurrence from the mode at 1.0."""
     mode = min(n, int((n + 1) * p))
-    log_pmf_mode = (
-        math.lgamma(n + 1)
-        - math.lgamma(mode + 1)
-        - math.lgamma(n - mode + 1)
-        + mode * math.log(p)
-        + (n - mode) * math.log1p(-p)
-    )
-    pmf = np.zeros(n + 1)
-    pmf[mode] = math.exp(log_pmf_mode)
+    terms = np.zeros(n + 1)
+    terms[mode] = 1.0
     if mode < n:
         k = np.arange(mode, n, dtype=float)
-        pmf[mode + 1 :] = pmf[mode] * np.cumprod((n - k) / (k + 1.0) * (p / (1.0 - p)))
+        terms[mode + 1 :] = np.cumprod((n - k) / (k + 1.0) * (p / (1.0 - p)))
     if mode > 0:
         k = np.arange(mode, 0, -1, dtype=float)
-        pmf[mode - 1 :: -1] = pmf[mode] * np.cumprod(k / (n - k + 1.0) * ((1.0 - p) / p))
-    return pmf
+        terms[mode - 1 :: -1] = np.cumprod(k / (n - k + 1.0) * ((1.0 - p) / p))
+    return terms
+
+
+def binomial_pmf_full(n: int, p: float) -> np.ndarray:
+    """Every pmf term of Binomial(n, p), 0 < p < 1: the recurrence's terms over their sum."""
+    terms = _binomial_terms_full(n, p)
+    return terms / terms.sum()
 
 
 def binomial_cdf_full(n: int, p: float) -> np.ndarray:
-    cdf = np.cumsum(binomial_pmf_full(n, p))
+    """F(k) of Binomial(n, p) for k = 0..n, 0 < p < 1: the recurrence's terms summed from 0, over their total."""
+    cdf = np.cumsum(_binomial_terms_full(n, p))
     return cdf / cdf[-1]
 
 
@@ -702,3 +710,9 @@ def parse_rows_csv_oracle(text: str) -> list[ExperimentRow]:
         named.setdefault("cd_before_sim", named["cd_after_sim"] - named["delta_sim"])
         rows.append(ExperimentRow(**named))
     return rows
+
+
+def parse_rows_json(text: str) -> tuple[dict, list[ExperimentRow]]:
+    """(config, rows) of a JSON written by harness.emit_json."""
+    payload = json.loads(text)
+    return payload["config"], [ExperimentRow(**r) for r in payload["rows"]]

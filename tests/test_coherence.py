@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cohdist import coherence, qcore
+from cohdist import coherence
 from cohdist.coherence import (
     coa_closed_form,
     coa_numeric,
@@ -22,7 +22,7 @@ from sampling import random_density, random_pure_state
 # --- rel_entropy_coherence ---------------------------------------------------
 
 def test_cr_maximally_coherent_qubit():
-    assert rel_entropy_coherence(projector(qcore.KET_X_PLUS)).c_r == pytest.approx(1.0, abs=1e-12)
+    assert rel_entropy_coherence(projector(oracles.KET_X_PLUS)).c_r == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cr_diagonal_states_vanish():
@@ -34,7 +34,7 @@ def test_cr_diagonal_states_vanish():
 
 def test_cr_collapsed_werner_state():
     # 0.5 |y-><y-| + 0.25 I has C_r = 1 - H2(0.75)
-    rho = 0.5 * projector(qcore.KET_Y_MINUS) + 0.25 * np.eye(2)
+    rho = 0.5 * projector(oracles.KET_Y_MINUS) + 0.25 * np.eye(2)
     expected = 1.0 - oracles.h2(0.75)
     assert expected == pytest.approx(0.18872187554086717, abs=1e-12)
     assert rel_entropy_coherence(rho).c_r == pytest.approx(expected, abs=1e-12)
@@ -78,7 +78,7 @@ def test_qi_vanishes_on_quantum_incoherent_states():
         q = float(rng.uniform())
         sigma = random_density(rng, 2)
         tau = random_density(rng, 2)
-        rho = q * np.kron(sigma, projector(qcore.KET_H)) + (1 - q) * np.kron(tau, projector(qcore.KET_V))
+        rho = q * np.kron(sigma, projector(oracles.KET_H)) + (1 - q) * np.kron(tau, projector(oracles.KET_V))
         assert qi_relative_entropy(rho) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -104,7 +104,7 @@ def test_qi_rejects_qubit():
 
 def test_coa_closed_form_examples():
     assert coa_closed_form(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
-    assert coa_closed_form(projector(qcore.KET_H)) == pytest.approx(0.0, abs=1e-12)
+    assert coa_closed_form(projector(oracles.KET_H)) == pytest.approx(0.0, abs=1e-12)
     rho_b = partial_trace(projector(family1(10.0)), "B")
     expected = oracles.h2(math.cos(math.radians(20.0)) ** 2)
     assert expected == pytest.approx(0.5206107318548253, abs=1e-12)

@@ -70,8 +70,8 @@ def test_measure_werner_in_y_basis():
         outcomes = alice_measure(make_werner(p), Y_BASIS)
         assert outcomes.probs == pytest.approx((0.5, 0.5), abs=1e-12)
         collapsed = {
-            "+": p * projector(qcore.KET_Y_MINUS) + (1 - p) * np.eye(2) / 2,
-            "-": p * projector(qcore.KET_Y_PLUS) + (1 - p) * np.eye(2) / 2,
+            "+": p * projector(oracles.KET_Y_MINUS) + (1 - p) * np.eye(2) / 2,
+            "-": p * projector(oracles.KET_Y_PLUS) + (1 - p) * np.eye(2) / 2,
         }
         for o in outcomes:
             assert np.max(np.abs(o.bob_state - collapsed[o.label])) <= 1e-12
@@ -83,8 +83,8 @@ def test_measure_family1_in_z_basis():
     outcomes = alice_measure(projector(family1(theta)), MeasurementBasis((0.0, 0.0, 1.0)))
     assert outcomes.probs == pytest.approx((math.cos(t2) ** 2, math.sin(t2) ** 2), abs=1e-12)
     states = {o.label: o.bob_state for o in outcomes}
-    assert np.allclose(states["+"], projector(qcore.KET_H), atol=1e-12)
-    assert np.allclose(states["-"], projector(qcore.KET_V), atol=1e-12)
+    assert np.allclose(states["+"], projector(oracles.KET_H), atol=1e-12)
+    assert np.allclose(states["-"], projector(oracles.KET_V), atol=1e-12)
 
 
 def test_measure_zero_probability_outcome_flagged():
@@ -124,7 +124,7 @@ def test_alice_measure_matches_dense_map():
     rng = np.random.default_rng(39)
     cases = [(random_density(rng, 4), MeasurementBasis(random_bloch(rng))) for _ in range(200)]
     cases += [(projector(random_pure_state(rng, 4)), MeasurementBasis(random_bloch(rng))) for _ in range(50)]
-    product = np.kron(projector(qcore.KET_H), random_density(rng, 2))  # the poles leave one outcome at p = 0
+    product = np.kron(projector(oracles.KET_H), random_density(rng, 2))  # the poles leave one outcome at p = 0
     cases += [(product, MeasurementBasis((0.0, 0.0, z))) for z in (1.0, -1.0)]
     for rho, basis in cases:
         got, want = alice_measure(rho, basis), oracles._measure(rho, basis)
@@ -199,7 +199,7 @@ def test_optimal_basis_family2_is_y():
 
 
 def test_optimal_basis_degenerate_product_state():
-    psi = np.kron(qcore.KET_H, qcore.KET_X_PLUS)
+    psi = np.kron(oracles.KET_H, oracles.KET_X_PLUS)
     assert optimal_basis_pure(psi).bloch == pytest.approx((0.0, 1.0, 0.0), abs=1e-12)
 
 
@@ -236,20 +236,20 @@ def test_basis_rule_is_bit_identical_to_scalar_oracle():
     psis = [random_pure_state(rng, 4) for _ in range(400)]
     # product states: Alice's vectors are parallel, or Bob's |V> (or |H>) carries no amplitude
     psis += [np.kron(random_pure_state(rng, 2), random_pure_state(rng, 2)) for _ in range(50)]
-    psis += [np.kron(random_pure_state(rng, 2), ket) for ket in (qcore.KET_H, qcore.KET_V) for _ in range(25)]
+    psis += [np.kron(random_pure_state(rng, 2), ket) for ket in (oracles.KET_H, oracles.KET_V) for _ in range(25)]
     # an Alice vector along +-y, alone or with a second one
-    psis += [np.kron(ket, bob) for ket in (qcore.KET_Y_PLUS, qcore.KET_Y_MINUS) for bob in (qcore.KET_H, qcore.KET_X_PLUS)]
-    psis += [(np.kron(qcore.KET_Y_PLUS, qcore.KET_H) + np.kron(random_pure_state(rng, 2), qcore.KET_V)) for _ in range(10)]
+    psis += [np.kron(ket, bob) for ket in (oracles.KET_Y_PLUS, oracles.KET_Y_MINUS) for bob in (oracles.KET_H, oracles.KET_X_PLUS)]
+    psis += [(np.kron(oracles.KET_Y_PLUS, oracles.KET_H) + np.kron(random_pure_state(rng, 2), oracles.KET_V)) for _ in range(10)]
     # both Alice vectors in the xy (or yz) plane: the normal lies along z (or x), so the sign tie-break decides
     for _ in range(10):
         t1, t2 = rng.uniform(0.0, 2.0 * math.pi, 2)
         for plane in (lambda t: [1.0, np.exp(1j * t)], lambda t: [math.cos(t / 2), 1j * math.sin(t / 2)]):
-            psis.append(np.kron(plane(t1), qcore.KET_H) + np.kron(plane(t2), qcore.KET_V))
+            psis.append(np.kron(plane(t1), oracles.KET_H) + np.kron(plane(t2), oracles.KET_V))
     psis = [psi / np.linalg.norm(psi) for psi in psis]
     psis += [family1(t) for t in (0.0, 22.5, 45.0)] + [family2(t) for t in (0.0, 45.0)]
     for psi in psis:
         assert optimal_basis_pure(psi).bloch == oracles.optimal_basis_pure_oracle(psi).bloch
-    assert optimal_basis_pure(np.kron(qcore.KET_Y_MINUS, qcore.KET_H)).bloch == (1.0, 0.0, 0.0)
+    assert optimal_basis_pure(np.kron(oracles.KET_Y_MINUS, oracles.KET_H)).bloch == (1.0, 0.0, 0.0)
 
 
 # --- optimize_basis ----------------------------------------------------------
@@ -310,19 +310,13 @@ def test_outcomes_stack_both_signs_and_broadcast_bases_against_states():
         assert np.array_equal(p[:, g], p_g) and np.array_equal(r[:, g], r_g)
     assert (p[0] + p[1] == 1.0).all()
     _, _, n = _grid(16)
-    product = np.kron(projector(qcore.KET_H), random_density(rng, 2))  # the pole n = +z drops outcome -
+    product = np.kron(projector(oracles.KET_H), random_density(rng, 2))  # the pole n = +z drops outcome -
     for rho in (rhos[0], rhos[-1], product):  # a stack of bases for one state
         p, r = protocol._outcomes(n, *protocol._pauli_coordinates(rho))
         assert p.shape == (2, 16, 16) and r.shape == (2, 16, 16, 3)
         kept = (p > 0.0).all(axis=0)
         assert (p[0] + p[1] == 1.0)[kept].all()
     assert not kept[0].any() and kept[1:].all()
-    a, b, t = protocol._pauli_coordinates(rhos[:5, None, None])  # the same grid for each of a stack of states
-    p, r = protocol._outcomes(n, a, b, t)
-    assert p.shape == (2, 5, 16, 16) and r.shape == (2, 5, 16, 16, 3)
-    for s, rho in enumerate(rhos[:5]):
-        p_s, r_s = protocol._outcomes(n, *protocol._pauli_coordinates(rho))
-        assert np.array_equal(p[:, s], p_s) and np.array_equal(r[:, s], r_s)
 
 
 def _same_bits(x, y) -> bool:
@@ -333,7 +327,7 @@ def _same_bits(x, y) -> bool:
 def test_components_first_map_matches_the_broadcast_bit_for_bit():
     rng = np.random.default_rng(64)
     rhos = np.stack([random_density(rng, 4) for _ in range(30)] + [projector(random_pure_state(rng, 4)) for _ in range(7)])
-    product = np.kron(projector(qcore.KET_H), random_density(rng, 2))  # n = +z gives outcome - probability 0
+    product = np.kron(projector(oracles.KET_H), random_density(rng, 2))  # n = +z gives outcome - probability 0
     _, _, grid = protocol._hemisphere(16)
     theta, phi = 0.7, 1.1
     n = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)])
@@ -386,7 +380,7 @@ def test_hemisphere_is_read_only_cached_and_one_resolution_deep():
 
 def test_closed_form_objective_matches_dense_path():
     rng = np.random.default_rng(41)
-    products = [np.kron(projector(qcore.KET_H), random_density(rng, 2)) for _ in range(2)]
+    products = [np.kron(projector(oracles.KET_H), random_density(rng, 2)) for _ in range(2)]
     rhos = [random_density(rng, 4) for _ in range(24)] + products
     rhos += [projector(family1(t)) for t in (0.0, 22.5)] + [projector(family2(t)) for t in (10.0, 45.0)]
     for rho in products:  # the poles leave one outcome with probability 0
@@ -403,7 +397,7 @@ def test_closed_form_objective_matches_dense_path():
 def test_batched_dense_map_matches_the_scalar_one():
     rng = np.random.default_rng(66)
     rhos = [random_density(rng, 4) for _ in range(5)] + [projector(random_pure_state(rng, 4)), make_werner(0.4)]
-    rhos.append(np.kron(projector(qcore.KET_H), random_density(rng, 2)))  # the poles leave one outcome with p = 0
+    rhos.append(np.kron(projector(oracles.KET_H), random_density(rng, 2)))  # the poles leave one outcome with p = 0
     angles = [(0.0, 0.0), (math.pi, 0.0)] + [(rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)) for _ in range(10)]
     for rho in rhos:
         batch = oracles.dense_assisted_coherences(rho, angles)
@@ -414,7 +408,7 @@ def test_search_matches_dense_oracle_argmax_and_value():
     rng = np.random.default_rng(43)
     _, _, n = _grid(16)
     mixed = [random_density(rng, 4) for _ in range(6)]
-    flat = [make_werner(0.7), projector(family1(22.5)), np.kron(projector(qcore.KET_H), random_density(rng, 2))]
+    flat = [make_werner(0.7), projector(family1(22.5)), np.kron(projector(oracles.KET_H), random_density(rng, 2))]
     for k, rho in enumerate(mixed + flat):
         ref = oracles.basis_search_oracle(rho, 16, 6)
         _, value, trace, _ = protocol._basis_search(rho, 16, 6)
@@ -435,7 +429,7 @@ SEARCH_VALUES_0_7_0 = Path(__file__).parent / "data" / "search_values_0.7.0.json
 def _search_gate_sets():
     """{name: (grid_res, refine_iters, states)}: the states 0.7.0's zoom was pinned on, and 200 depolarized pure ones."""
     rng = np.random.default_rng(48)  # the zoom early-exit states, searched at (16, 30)
-    plus_x, plus_z = projector(qcore.KET_X_PLUS), projector(qcore.KET_H)
+    plus_x, plus_z = projector(oracles.KET_X_PLUS), projector(oracles.KET_H)
     minus_x, minus_z = np.eye(2) - plus_x, np.eye(2) - plus_z
     early = [random_density(rng, 4) for _ in range(70)] + [projector(random_pure_state(rng, 4)) for _ in range(70)]
     early += [make_werner(float(p)) for p in rng.uniform(0.0, 1.0, 60)]
@@ -443,7 +437,7 @@ def _search_gate_sets():
     early += [(np.kron(plus_x, plus_x) + np.kron(minus_x, minus_x)) / 2.0]  # best basis at phi = 0
     rng = np.random.default_rng(43)  # test_search_matches_dense_oracle_argmax_and_value's states, at (16, 6)
     dense = [random_density(rng, 4) for _ in range(6)]
-    dense += [make_werner(0.7), projector(family1(22.5)), np.kron(projector(qcore.KET_H), random_density(rng, 2))]
+    dense += [make_werner(0.7), projector(family1(22.5)), np.kron(projector(oracles.KET_H), random_density(rng, 2))]
     ridges = []  # states whose optimum lies along a ridge several grid steps from the grid argmax, at (16, 6)
     for seed, index in ((43, 12), (45, 54)):
         rng = np.random.default_rng(seed)
@@ -480,7 +474,7 @@ def test_coherence_and_objective_gradients_match_central_differences():
         k = 1e-4
         second = [[f(k * (ei + ej)) - f(k * (ei - ej)) - f(k * (ej - ei)) + f(-k * (ei + ej)) for ej in np.eye(2)] for ei in np.eye(2)]
         assert np.abs(hess - np.array(second) / (4.0 * k * k)).max() <= 1e-6
-    product = protocol._pauli_coordinates(np.kron(projector(qcore.KET_H), random_density(rng, 2)))
+    product = protocol._pauli_coordinates(np.kron(projector(oracles.KET_H), random_density(rng, 2)))
     _, _, value, grad, hess = protocol._local_model(0.0, 0.0, product)  # the pole: outcome - has p = 0 and adds 0
     assert value == float(protocol._assisted_coherence(np.array([0.0, 0.0, 1.0]), *product))
     assert np.isfinite(grad).all() and np.isfinite(hess).all()
@@ -627,8 +621,8 @@ def test_search_matches_the_multistart_dense_reference():
 def test_pure_parents_converge_without_warnings():
     rng = np.random.default_rng(61)
     psis = [random_pure_state(rng, 4) for _ in range(40)] + [family1(t) for t in (0.0, 10.0, 22.5)] + [family2(0.0), family2(30.0)]
-    bell = (np.kron(qcore.KET_H, qcore.KET_H) + np.kron(qcore.KET_V, qcore.KET_V)) / math.sqrt(2.0)  # r_z = +-1 at n = z
-    psis += [np.kron(qcore.KET_H, qcore.KET_H), np.kron(qcore.KET_X_PLUS, qcore.KET_H), bell]  # flat objectives, then a Bell state
+    bell = (np.kron(oracles.KET_H, oracles.KET_H) + np.kron(oracles.KET_V, oracles.KET_V)) / math.sqrt(2.0)  # r_z = +-1 at n = z
+    psis += [np.kron(oracles.KET_H, oracles.KET_H), np.kron(oracles.KET_X_PLUS, oracles.KET_H), bell]  # flat objectives, then a Bell state
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # atanh(1) = inf would warn
         for psi in psis:

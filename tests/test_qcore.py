@@ -56,7 +56,7 @@ def test_partial_trace_rejects_qubit():
 # --- dephase ----------------------------------------------------------------
 
 def test_dephase_x_plus_gives_maximally_mixed():
-    assert np.allclose(dephase(projector(qcore.KET_X_PLUS)), I2 / 2)
+    assert np.allclose(dephase(projector(oracles.KET_X_PLUS)), I2 / 2)
 
 
 def test_dephase_b_of_singlet():
@@ -66,7 +66,7 @@ def test_dephase_b_of_singlet():
 
 
 def test_dephase_b_keeps_alice_coherences():
-    rho = np.kron(projector(qcore.KET_X_PLUS), projector(qcore.KET_H))
+    rho = np.kron(projector(oracles.KET_X_PLUS), projector(oracles.KET_H))
     out = dephase(rho, scope="B")
     assert abs(out[0, 2] - 0.5) < 1e-12  # <HH| . |VH> coherence survives
 
@@ -238,11 +238,11 @@ def test_fidelity_self():
 
 
 def test_fidelity_orthogonal_pures():
-    assert fidelity(projector(qcore.KET_H), projector(qcore.KET_V)) == pytest.approx(0.0, abs=1e-12)
+    assert fidelity(projector(oracles.KET_H), projector(oracles.KET_V)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fidelity_h_vs_mixed():
-    assert fidelity(projector(qcore.KET_H), I2 / 2) == pytest.approx(0.5, abs=1e-12)
+    assert fidelity(projector(oracles.KET_H), I2 / 2) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_fidelity_pure_reference_reduces_to_overlap():

@@ -34,7 +34,7 @@ def test_family1_amplitudes_on_grid():
 
 
 def test_family2_theta_zero_is_product():
-    expected = np.kron(qcore.KET_H, qcore.KET_X_PLUS)
+    expected = np.kron(oracles.KET_H, oracles.KET_X_PLUS)
     assert np.allclose(family2(0.0), expected, atol=1e-12)
 
 
@@ -136,8 +136,8 @@ def test_family2_bob_marginal_structure_and_coherence():
         rho_b = qcore.partial_trace(qcore.projector(family2(theta)), "B")
         t2 = math.radians(2 * theta)
         expected = (
-            math.cos(t2) ** 2 * qcore.projector(qcore.KET_X_PLUS)
-            + math.sin(t2) ** 2 * qcore.projector(qcore.KET_X_MINUS)
+            math.cos(t2) ** 2 * qcore.projector(oracles.KET_X_PLUS)
+            + math.sin(t2) ** 2 * qcore.projector(oracles.KET_X_MINUS)
         )
         assert np.max(np.abs(rho_b - expected)) <= 1e-12
         assert rel_entropy_coherence(rho_b).c_r == pytest.approx(oracles.family2_before(theta), abs=1e-9)
@@ -145,13 +145,13 @@ def test_family2_bob_marginal_structure_and_coherence():
 
 def test_maximally_coherent():
     # the uniform superpositions of 2 and 4 levels carry log2(d) bits, and |+><+| dephases to I/2
-    assert rel_entropy_coherence(qcore.projector(qcore.KET_X_PLUS)).c_r == pytest.approx(1.0, abs=1e-12)
+    assert rel_entropy_coherence(qcore.projector(oracles.KET_X_PLUS)).c_r == pytest.approx(1.0, abs=1e-12)
     assert rel_entropy_coherence(qcore.projector(np.full(4, 0.5))).c_r == pytest.approx(2.0, abs=1e-12)
-    assert np.allclose(qcore.dephase(qcore.projector(qcore.KET_X_PLUS)), np.eye(2) / 2)
+    assert np.allclose(qcore.dephase(qcore.projector(oracles.KET_X_PLUS)), np.eye(2) / 2)
 
 
 def test_depolarize():
-    rho = qcore.projector(qcore.KET_H)
+    rho = qcore.projector(oracles.KET_H)
     assert np.allclose(depolarize(rho, 0.0), rho)
     assert np.allclose(depolarize(rho, 1.0), np.eye(2) / 2)
     assert qcore.validate_density(depolarize(rho, 0.3)).ok

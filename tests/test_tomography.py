@@ -57,7 +57,7 @@ def test_splitmix64_floats_in_unit_interval():
     s = SplitMix64(987654321)
     vals = [s.next_float() for _ in range(1000)]
     assert all(0.0 <= v < 1.0 for v in vals)
-    assert PRNG_ID == "splitmix64-sampler-v4"
+    assert PRNG_ID == "splitmix64-sampler-v5"
 
 
 def test_derive_stream_is_stable_and_distinct():
@@ -227,6 +227,32 @@ def test_windowed_inversion_draws_the_full_support_counts():
             assert np.array_equal(got, np.searchsorted(oracles.binomial_cdf_full(n, p), row)), (n, p)
 
 
+def test_inversion_draws_make_no_libm_call(monkeypatch):
+    # up to 1e4 shots the sampler uses only +, -, *, /, floor and sqrt, all correctly rounded under IEEE 754, so its
+    # counts do not depend on the build's libm: with exp, log, log1p and lgamma raising it draws the same counts
+    rng = np.random.default_rng(29)
+    blochs = rng.uniform(-1.0, 1.0, (200, 3)) / math.sqrt(3.0)  # inside the Bloch ball
+    streams = rng.integers(0, 2**63, 200, dtype=np.uint64)
+    ps = np.concatenate([rng.uniform(size=100), 10 ** rng.uniform(-14, 0, 50), 1 - 10 ** rng.uniform(-14, 0, 50)])
+    u = np.concatenate([rng.uniform(size=100), [2.0**-53, 0.5, 1 - 2.0**-53] * 25, 1 - 10 ** rng.uniform(-16, 0, 25)])
+    shots = (1, 7, 1_000, 9_999, 10_000)
+
+    def draw():
+        return [tomography._pauli_counts(blochs, n, streams) for n in shots] + [
+            tomography._binomial_draws(n, ps, u) for n in shots
+        ]
+
+    expected = draw()
+
+    def libm(*args, **kwargs):
+        raise AssertionError("the inversion path called libm")
+
+    for module, name in [(math, "lgamma"), (math, "exp"), (math, "log"), (math, "log1p"), (np, "exp"), (np, "log")]:
+        monkeypatch.setattr(module, name, libm)
+    for want, got in zip(expected, draw(), strict=True):
+        assert np.array_equal(want, got)
+
+
 def test_shots_beyond_the_exact_range_are_rejected():
     with pytest.raises(ValueError):
         binomial_draw(SHOTS_MAX + 1, 0.5, _FixedStream(0.5))
@@ -238,9 +264,9 @@ def test_shots_beyond_the_exact_range_are_rejected():
 # --- simulate_counts ------------------------------------------------------------
 
 def test_counts_deterministic_outcomes():
-    rec = simulate_counts(projector(qcore.KET_H), 5000, seed=1)
+    rec = simulate_counts(projector(oracles.KET_H), 5000, seed=1)
     assert rec.counts["Z"] == (5000, 0)
-    rec = simulate_counts(projector(qcore.KET_Y_PLUS), 5000, seed=1)
+    rec = simulate_counts(projector(oracles.KET_Y_PLUS), 5000, seed=1)
     assert rec.counts["Y"] == (5000, 0)
 
 
@@ -339,7 +365,7 @@ def _record_from_counts(shots, x, y, z):
 def test_linear_exact_h_state():
     rec = _record_from_counts(1000, (500, 500), (500, 500), (1000, 0))
     res = reconstruct_linear(rec)
-    assert np.max(np.abs(res.state - projector(qcore.KET_H))) <= 1e-12
+    assert np.max(np.abs(res.state - projector(oracles.KET_H))) <= 1e-12
     assert res.method == "linear" and res.converged
 
 
@@ -557,7 +583,7 @@ def test_mle_property_physical_and_at_least_oracle_likelihood(record):
 def test_mle_pure_state_limit():
     rec = _record_from_counts(100_000, (50_000, 50_000), (50_000, 50_000), (100_000, 0))
     res = reconstruct_mle(rec)
-    assert fidelity(res.state, projector(qcore.KET_H)) >= 1.0 - 1e-6
+    assert fidelity(res.state, projector(oracles.KET_H)) >= 1.0 - 1e-6
 
 
 def test_mle_family1_conditional_state():
