@@ -41,7 +41,6 @@ from .states import depolarize, family1, family2, make_werner, singlet
 from .tomography import (
     PRNG_ID,
     ReconstructionResult,
-    SplitMix64,
     TomographyRecord,
     derive_stream,
     reconstruct_linear,
@@ -70,7 +69,6 @@ __all__ = [
     "PRNG_ID",
     "ReconstructionResult",
     "RunConfig",
-    "SplitMix64",
     "TomographyRecord",
     "ValidationReport",
     "alice_measure",

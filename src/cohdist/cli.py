@@ -32,8 +32,10 @@ _RUNS = {  # run command: (KINDS key, default --grid, help)
     "pure2": ("family2", "0:45:2.5", "Second pure family (Bob marginal diagonal in the x basis)."),
     "werner": ("werner", "0.05:0.95:0.05", "Werner family: p|S><S| + (1-p) I/4."),
 }
-_SHOTS, _SEED = click.IntRange(1, SHOTS_MAX), click.IntRange(0, SEED_LIMIT - 1)
-_SEED_HELP = "Run seed, an integer in [0, 2^64); each seed gives its own bit-identical output."
+_SHOTS = click.IntRange(1, SHOTS_MAX)
+_OUT_OPTION = click.option("--out", default=None, help="Output path (default: stdout).")
+_SEED_OPTION = click.option("--seed", type=click.IntRange(0, SEED_LIMIT - 1), default=42, show_default=True,
+                            help="Run seed, an integer in [0, 2^64); each seed gives its own bit-identical output.")
 
 
 def _run_options(f):
@@ -43,12 +45,12 @@ def _run_options(f):
             click.option("--points", default=None, help="Explicit comma-separated parameter list."),
             click.option("--mode", type=click.Choice(["analytic", "sampled"]), default="analytic", show_default=True),
             click.option("--shots", type=_SHOTS, default=100_000, show_default=True, help="Shots per tomography basis."),
-            click.option("--seed", type=_SEED, default=42, show_default=True, help=_SEED_HELP),
+            _SEED_OPTION,
             click.option("--epsilon-prep", type=float, default=0.0, show_default=True, help=(
                 "Depolarizing preparation imperfection. Above 0, cd_after_theory is the value in the ideal parent's"
                 " basis, not necessarily the maximum over Alice's bases.")),
             click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True),
-            click.option("--out", default=None, help="Output path (default: stdout)."),
+            _OUT_OPTION,
         ]
     ):
         f = opt(f)
@@ -60,7 +62,7 @@ def _resolve_params(default_grid, grid, points):
         raise click.UsageError("use either --grid or --points, not both")
     try:
         if points is not None:
-            return spaced((float(x) for x in points.split(",")), f"--points {points!r}")
+            return spaced(points.split(","), f"--points {points!r}")
         return parse_grid(default_grid if grid is None else grid)
     except ValueError as exc:
         raise click.UsageError(str(exc))
@@ -118,7 +120,7 @@ for _name, (_kind, _grid, _help) in _RUNS.items():  # name and help are given, s
 @click.option("--table", type=click.Choice(["1", "2", "3"]), required=True)
 @click.option("--tolerance", type=float, default=0.10, show_default=True, help="Max allowed |fixture - theory| in bits.")
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
-@click.option("--out", default=None, help="Output path (default: stdout).")
+@_OUT_OPTION
 def fixtures(table, tolerance, fmt, out):
     """Score a bundled reference table against regenerated theory.
 
@@ -144,9 +146,9 @@ def fixtures(table, tolerance, fmt, out):
 @click.option("--family", type=click.Choice(["1", "2"]), default="1", show_default=True)
 @click.option("--theta", type=float, default=22.5, show_default=True, help="Preparation angle in degrees.")
 @click.option("--shots", type=_SHOTS, default=100_000, show_default=True)
-@click.option("--seed", type=_SEED, default=42, show_default=True, help=_SEED_HELP)
+@_SEED_OPTION
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json", show_default=True)
-@click.option("--out", default=None, help="Output path (default: stdout).")
+@_OUT_OPTION
 def tomo_demo(family, theta, shots, seed, fmt, out):
     """Tomograph Bob's conditional states for one pure-family setting: the records t = 1, 2 of
     `pure1|pure2 --points THETA --mode sampled`, whose cd_after_sim is the sum of prob * cr_mle.
@@ -166,28 +168,22 @@ def tomo_demo(family, theta, shots, seed, fmt, out):
     for i, label in enumerate("+-"):
         record = TomographyRecord(shots, streams[i], {b: (k, shots - k) for b, k in zip(BASES, plus[i].tolist())})
         true_state = qcore.bloch_state(bob[i])
-        results.append(
-            {
-                "label": label,
-                "prob": float(probs[i]),
-                "record": json.loads(record.to_json()),
-                "fidelity_linear": qcore.fidelity(qcore.bloch_state(lin[i]), true_state),
-                "fidelity_mle": qcore.fidelity(qcore.bloch_state(mle[i]), true_state),
-                "cr_true": cr_true[i],
-                "cr_mle": cr_mle[i],
-                "mle_iterations": int(steps[i]),
-                "mle_converged": True,  # _mle raises rather than return an unconverged estimate
-            }
-        )
+        results.append({
+            "label": label,
+            "prob": float(probs[i]),
+            "record": json.loads(record.to_json()),
+            "fidelity_linear": qcore.fidelity(qcore.bloch_state(lin[i]), true_state),
+            "fidelity_mle": qcore.fidelity(qcore.bloch_state(mle[i]), true_state),
+            "cr_true": cr_true[i],
+            "cr_mle": cr_mle[i],
+            "mle_iterations": int(steps[i]),
+            "mle_converged": True,  # _mle raises rather than return an unconverged estimate
+        })
     if fmt == "json":
         _write(dump_json(config=vars(config), basis_bloch=ALICE_BLOCH.tolist(), outcomes=results), out)
     else:
-        lines = ["outcome,prob,fidelity_linear,fidelity_mle,cr_true,cr_mle,mle_iterations,mle_converged"]
-        for r in results:
-            lines.append(
-                f"{r['label']},{r['prob']:.6g},{r['fidelity_linear']:.6g},{r['fidelity_mle']:.6g},"
-                f"{r['cr_true']:.6g},{r['cr_mle']:.6g},{r['mle_iterations']},{r['mle_converged']}"
-            )
+        rows = ([f"{v:.6g}" if isinstance(v, float) else str(v) for k, v in r.items() if k != "record"] for r in results)
+        lines = ["outcome,prob,fidelity_linear,fidelity_mle,cr_true,cr_mle,mle_iterations,mle_converged", *map(",".join, rows)]
         _write("\n".join(lines) + "\n", out)
 
 

@@ -33,7 +33,7 @@ from .tomography import ESTIMATOR_ID, PRNG_ID, derive_stream, shots_and_seed, to
 GRID_SNAP = 1e-9
 GRID_MAX_POINTS = 1_000_000
 RUN_CHUNK = 4096  # grid points per numpy pass, so a long grid's temporaries stay small
-VERSION = "0.12.0"  # cohdist.__version__
+VERSION = "0.13.0"  # cohdist.__version__
 META = {"prng": PRNG_ID, "estimator": ESTIMATOR_ID, "version": VERSION}  # the "meta" of every JSON output (dump_json)
 
 PURE_CSV_HEADER = "theta_deg,cd_before_theory,cd_before_sim,cd_after_theory,cd_after_sim,delta_sim"
@@ -108,7 +108,10 @@ def parse_grid(text: str) -> tuple[float, ...]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be 'start:stop:step', got {text!r}")
-    start, stop, step = (float(x) for x in parts)
+    try:
+        start, stop, step = (float(x) for x in parts)
+    except ValueError:
+        raise ValueError(f"grid {text!r} has a value that is not a number") from None
     if not all(math.isfinite(x) for x in (start, stop, step)):
         raise ValueError(f"grid start, stop and step must be finite, got {text!r}")
     if step <= 0.0:
@@ -127,8 +130,11 @@ def parse_grid(text: str) -> tuple[float, ...]:
 
 
 def spaced(values, label: str) -> tuple[float, ...]:
-    """values, sorted ascending, as a tuple; a ValueError naming label if two are GRID_SNAP or less apart."""
-    values = tuple(sorted(values))
+    """values as a sorted tuple of floats; a ValueError naming label if one is not a number or two are GRID_SNAP or less apart."""
+    try:
+        values = tuple(sorted(map(float, values)))
+    except ValueError:
+        raise ValueError(f"{label} has a value that is not a number") from None
     if any(b - a <= GRID_SNAP for a, b in zip(values, values[1:])):  # parameters GRID_SNAP apart are one point
         raise ValueError(f"{label} has points at most {GRID_SNAP} apart")
     return values

@@ -21,7 +21,7 @@ All randomness comes from splitmix64, a counter-based 64-bit generator:
 stream element k is mix64(seed + (k+1) * 0x9E3779B97F4A7C15) where mix64 is
 the splitmix64 finalizer.  Uniform doubles are (u64 >> 11) * 2**-53.  Each
 Pauli basis uses its own stream derived as seed XOR mix64 of the basis index,
-and exactly one uniform is consumed per binomial draw, so identical
+and each binomial draw inverts one uniform, its stream's element 0, so identical
 (state, shots, seed) give bit-identical counts on one numpy build, and up to
 10_000 shots the same Bloch vectors give the same counts on every build (see
 below).  Shots and seeds pass one check, shots_and_seed, and a
@@ -79,23 +79,6 @@ def mix64(x):
     return z ^ (z >> 31)
 
 
-class SplitMix64:
-    """Counter-based stream: output k is mix64(seed + (k+1)*GOLDEN_GAMMA)."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN_GAMMA) & _MASK
-        return mix64(self._state)
-
-    def next_float(self) -> float:
-        """Uniform double in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0 ** -53
-
-
 def derive_stream(seed, *indices):
     """Stable sub-stream seed: seed XOR a mix of the task indices; integers (numpy ones too), or uint64 arrays that broadcast.
 
@@ -108,14 +91,16 @@ def derive_stream(seed, *indices):
     return h
 
 
-def binomial_draw(n: int, p: float, stream: SplitMix64) -> int:
-    """One Binomial(n, p) draw, 0 <= p <= 1; consumes exactly one uniform from the stream."""
+def binomial_draw(n: int, p: float, u: float) -> int:
+    """One Binomial(n, p) draw, 0 <= p <= 1, by inversion of the uniform 0 <= u < 1, as _binomial_draws draws it."""
     n = qcore.as_int("n", n)
     if not 0 <= n <= SHOTS_MAX:
         raise ValueError(f"n must be in [0, {SHOTS_MAX}], got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    return int(_binomial_draws(n, np.array([p], dtype=float), np.array([stream.next_float()]))[0])
+    if not 0.0 <= u < 1.0:
+        raise ValueError(f"u must be in [0, 1), got {u}")
+    return int(_binomial_draws(n, np.array([p], dtype=float), np.array([u], dtype=float))[0])
 
 
 def _binomial_draws(n: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -177,7 +162,7 @@ def _normal_draws(n: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _basis_uniforms(streams: np.ndarray) -> np.ndarray:
-    """u[i, b] = SplitMix64(derive_stream(streams[i], b)).next_float() for the uint64 seeds streams[i]."""
+    """u[i, b], the first uniform of the stream derive_stream(streams[i], b), for the uint64 seeds streams[i]."""
     return (mix64(derive_stream(streams[:, None], np.arange(3, dtype=np.uint64)) + _GOLDEN_GAMMA) >> 11) * 2.0**-53
 
 
@@ -213,6 +198,8 @@ class TomographyRecord:
         shots, seed = shots_and_seed(self.shots_per_basis, self.seed)
         if not isinstance(self.counts, dict):
             raise ValueError(f"counts must be a dict of count pairs by basis, got {self.counts!r}")
+        if extra := [b for b in self.counts if b not in BASES]:
+            raise ValueError(f"counts has keys other than X, Y and Z: {', '.join(map(repr, extra))}")
         object.__setattr__(self, "shots_per_basis", shots)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "counts", _Counts((b, _count_pair(b, self.counts.get(b), shots)) for b in BASES))

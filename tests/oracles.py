@@ -5,10 +5,11 @@ entropy, explicit eigenvalues, index arithmetic) so it stays independent of
 the library code paths it is used to check.  The reference algorithms (the
 R-rho-R MLE, the eigenvalue-clipping linear inversion, the dense
 measurement map, the dense golden-section basis search, the scalar
-pure-parent basis rule, the per-record scalar sampler, and the per-point
-dense runner) are the slow ones the library replaced with closed forms or
-batched numpy; the scalar MLE runs the library's guarded Newton solve one
-record at a time, and the multi-start search ascends the dense map by finite
+pure-parent basis rule, the stateful splitmix64 stream, the per-record
+scalar sampler, and the per-point dense runner) are the slow ones the
+library replaced with closed forms or batched numpy; the scalar MLE runs
+the library's guarded Newton solve one record at a time, and the
+multi-start search ascends the dense map by finite
 differences from a coarse dense grid, sharing nothing with the library's
 search but the basis parametrization.  The basis search and
 the runner measure through the dense map here (4x4 projectors, partial
@@ -43,7 +44,7 @@ from cohdist.protocol import (
     Outcome,
     OutcomeSet,
 )
-from cohdist.tomography import BASES, MLE_MAX_STEPS, ReconstructionResult, SplitMix64, TomographyRecord, derive_stream
+from cohdist.tomography import BASES, MLE_MAX_STEPS, ReconstructionResult, TomographyRecord, derive_stream, mix64
 
 # |H>, |V>, |x+->, |y+->: the tests' named kets, which no library code needs
 KET_H = np.array([1.0, 0.0], dtype=complex)
@@ -521,6 +522,21 @@ def binomial_cdf_full(n: int, p: float) -> np.ndarray:
 def _binomial_inverse_cdf(u: float, n: int, p: float) -> int:
     """min{k : F(k) >= u} over the full support 0..n."""
     return int(np.searchsorted(binomial_cdf_full(n, p), u, side="left"))
+
+
+class SplitMix64:
+    """The stateful splitmix64 stream: output k is mix64(seed + (k+1) * 0x9E3779B97F4A7C15), on tomography.mix64."""
+
+    def __init__(self, seed: int):
+        self._state = seed & 0xFFFFFFFFFFFFFFFF
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        return mix64(self._state)
+
+    def next_float(self) -> float:
+        """Uniform double in [0, 1) with 53 random bits."""
+        return (self.next_u64() >> 11) * 2.0 ** -53
 
 
 def binomial_draw_oracle(n: int, p: float, u: float) -> int:

@@ -27,7 +27,7 @@ from cohdist.harness import (
     parse_rows_csv,
     run_experiment,
 )
-from cohdist.tomography import SplitMix64, TomographyRecord, binomial_draw, derive_stream, simulate_counts
+from cohdist.tomography import TomographyRecord, binomial_draw, derive_stream, simulate_counts
 
 import oracles
 
@@ -187,7 +187,7 @@ def test_integer_fields_reject_other_values_naming_the_field(value):
     with pytest.raises(ValueError, match="seed"):
         simulate_counts(np.eye(2) / 2, 100, seed=value)
     with pytest.raises(ValueError, match="n must"):
-        binomial_draw(value, 0.5, SplitMix64(1))
+        binomial_draw(value, 0.5, 0.25)
 
 
 @pytest.mark.parametrize("integer", [np.int64, np.uint64, np.int32])
@@ -198,7 +198,7 @@ def test_numpy_integer_fields_are_stored_as_int(integer):
     assert emit_json(cfg, run_experiment(cfg)) == emit_json(plain, run_experiment(plain))
     record = simulate_counts(np.eye(2) / 2, integer(1000), seed=integer(3))
     assert record == simulate_counts(np.eye(2) / 2, 1000, seed=3) and type(record.seed) is int
-    assert binomial_draw(integer(1000), 0.3, SplitMix64(3)) == binomial_draw(1000, 0.3, SplitMix64(3))
+    assert binomial_draw(integer(1000), 0.3, 0.75) == binomial_draw(1000, 0.3, 0.75)
 
 
 # --- analytic rows --------------------------------------------------------------
@@ -623,6 +623,13 @@ def test_cli_bad_grid_is_usage_error():
     assert result.exit_code == 2
     result = CliRunner().invoke(cli.main, ["pure1", "--points", "50"])
     assert result.exit_code == 2
+
+
+def test_cli_values_that_are_not_numbers_are_usage_errors_naming_the_grid_or_points():
+    for args, name in ((["--grid", "a:1:0.1"], "grid 'a:1:0.1'"), (["--points", "0.5,x"], "--points '0.5,x'")):
+        result = CliRunner().invoke(cli.main, ["werner", *args])
+        assert result.exit_code == 2, args
+        assert f"{name} has a value that is not a number" in result.output
 
 
 def test_cli_points_closer_than_grid_snap_are_usage_error():

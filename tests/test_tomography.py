@@ -18,7 +18,6 @@ from cohdist.tomography import (
     BASES,
     PRNG_ID,
     SHOTS_MAX,
-    SplitMix64,
     TomographyRecord,
     binomial_draw,
     derive_stream,
@@ -31,21 +30,11 @@ import oracles
 from sampling import random_density
 
 
-class _FixedStream:
-    """Stand-in stream that yields one preset uniform."""
-
-    def __init__(self, u):
-        self._u = u
-
-    def next_float(self):
-        return self._u
-
-
 # --- PRNG ---------------------------------------------------------------------
 
 def test_splitmix64_reference_vector():
     # first outputs for seed 0 from the standard splitmix64 implementation
-    s = SplitMix64(0)
+    s = oracles.SplitMix64(0)
     assert [s.next_u64() for _ in range(3)] == [
         0xE220A8397B1DCDAF,
         0x6E789E6AA1B965F4,
@@ -54,7 +43,7 @@ def test_splitmix64_reference_vector():
 
 
 def test_splitmix64_floats_in_unit_interval():
-    s = SplitMix64(987654321)
+    s = oracles.SplitMix64(987654321)
     vals = [s.next_float() for _ in range(1000)]
     assert all(0.0 <= v < 1.0 for v in vals)
     assert PRNG_ID == "splitmix64-sampler-v5"
@@ -78,7 +67,7 @@ def test_batched_stream_uniforms_match_scalar_streams(seed):
     # the harness's (grid point g, target t) records on a 19 x 3 grid, each drawing on Pauli bases b = 0, 1, 2
     g, t = (a.ravel().astype(np.uint64) for a in np.meshgrid(np.arange(19), np.arange(3), indexing="ij"))
     got = tomography._basis_uniforms(derive_stream(seed, g, t))
-    want = [[SplitMix64(derive_stream(derive_stream(seed, int(gi), int(ti)), b)).next_float() for b in range(3)]
+    want = [[oracles.SplitMix64(derive_stream(derive_stream(seed, int(gi), int(ti)), b)).next_float() for b in range(3)]
             for gi, ti in zip(g, t)]
     assert got.tolist() == want
 
@@ -89,7 +78,7 @@ def test_binomial_inversion_matches_exact_cdf():
     # k = min{k : F(k) >= u} against a math.comb oracle
     for n, p in ((10, 0.3), (50, 0.5), (400, 0.91), (2000, 0.02)):
         for u in (0.001, 0.25, 0.5, 0.75, 0.999):
-            k = binomial_draw(n, p, _FixedStream(u))
+            k = binomial_draw(n, p, u)
             assert oracles.binomial_cdf_exact(n, p, k) >= u
             if k > 0:
                 assert oracles.binomial_cdf_exact(n, p, k - 1) < u
@@ -97,23 +86,26 @@ def test_binomial_inversion_matches_exact_cdf():
 
 def test_binomial_inversion_stable_at_large_counts():
     # p = 0.5, n = 10^4 underflows a naive from-zero recursion
-    k = binomial_draw(10_000, 0.5, _FixedStream(0.5))
+    k = binomial_draw(10_000, 0.5, 0.5)
     assert abs(k - 5000) <= 1
 
 
 def test_binomial_degenerate_probabilities():
-    assert binomial_draw(100, 0.0, _FixedStream(0.7)) == 0
-    assert binomial_draw(100, 1.0, _FixedStream(0.7)) == 100
+    assert binomial_draw(100, 0.0, 0.7) == 0
+    assert binomial_draw(100, 1.0, 0.7) == 100
     for p in (math.nan, 1.5, -0.2, -1e-300, 1.0 + 2.0**-52):
         with pytest.raises(ValueError, match="p must"):
-            binomial_draw(100, p, _FixedStream(0.7))
+            binomial_draw(100, p, 0.7)
+    for u in (1.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="u must"):
+            binomial_draw(100, 0.5, u)
 
 
 def test_binomial_normal_path_quantiles():
     n = 1_000_000
     sigma = math.sqrt(n * 0.25)
-    assert binomial_draw(n, 0.5, _FixedStream(0.5)) == n // 2
-    k_hi = binomial_draw(n, 0.5, _FixedStream(0.9986501019683699))  # Phi(3)
+    assert binomial_draw(n, 0.5, 0.5) == n // 2
+    k_hi = binomial_draw(n, 0.5, 0.9986501019683699)  # Phi(3)
     assert abs(k_hi - (n / 2 + 3 * sigma)) <= 2
 
 
@@ -147,7 +139,7 @@ def test_batched_sampler_matches_scalar_oracle_bit_for_bit():
         for i, k in zip(idx, tomography._binomial_draws(n, p, u).tolist()):
             got[i] = k
     assert got == [oracles.binomial_draw_oracle(n, p, u) for n, p, u in triples]
-    assert [binomial_draw(n, p, _FixedStream(u)) for n, p, u in triples[:200]] == got[:200]
+    assert [binomial_draw(n, p, u) for n, p, u in triples[:200]] == got[:200]
 
 
 def _normal_branch_triples(rng, count):
@@ -255,10 +247,10 @@ def test_inversion_draws_make_no_libm_call(monkeypatch):
 
 def test_shots_beyond_the_exact_range_are_rejected():
     with pytest.raises(ValueError):
-        binomial_draw(SHOTS_MAX + 1, 0.5, _FixedStream(0.5))
+        binomial_draw(SHOTS_MAX + 1, 0.5, 0.5)
     with pytest.raises(ValueError):
         simulate_counts(np.eye(2) / 2, SHOTS_MAX + 1, seed=1)
-    assert binomial_draw(SHOTS_MAX, 0.5, _FixedStream(0.5)) == SHOTS_MAX // 2
+    assert binomial_draw(SHOTS_MAX, 0.5, 0.5) == SHOTS_MAX // 2
 
 
 # --- simulate_counts ------------------------------------------------------------
@@ -659,6 +651,13 @@ def test_records_are_checked_when_made():
     for pair in ((11, -1), (-1, 11), (5, 6)):
         with pytest.raises(ValueError, match="counts\\['Y'\\]"):
             TomographyRecord(10, 0, {"X": (7, 3), "Y": pair, "Z": (10, 0)})
+
+
+def test_records_reject_count_keys_other_than_the_bases():
+    with pytest.raises(ValueError, match="keys other than X, Y and Z: 'W'"):
+        TomographyRecord(10, 0, {"X": (7, 3), "Y": (5, 5), "Z": (10, 0), "W": (1, 9)})
+    with pytest.raises(ValueError, match="'x', 'W'"):
+        TomographyRecord.from_json(json.dumps({**_RECORD, "counts": {**_RECORD["counts"], "x": [7, 3], "W": [1, 9]}}))
 
 
 def test_record_counts_cannot_change_after_the_check():

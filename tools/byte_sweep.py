@@ -7,9 +7,10 @@ invocations in process through click's CliRunner: every run command analytic and
 and 1e6 shots; 10,000 draws on the widest inversion window, 10,001 on the normal branch) at epsilon 0 and 0.05 in
 CSV and JSON, a 1,001-point JSON Werner grid, a 4,501-point sampled grid
 (more than one harness.RUN_CHUNK), every fixture table and tomo-demo in both formats, tomo-demo at seeds 0 and
-2^64 - 1 with 7 and 1e6 shots in both formats, every --help page, nine usage errors (four of them parameters out
-of range, which reach the run table's rows and the KINDS state factories) and --version.  Prints each
-invocation whose exit code, stdout or stderr differs between the two checkouts, and exits 1 if any does.
+2^64 - 1 with 7 and 1e6 shots in both formats, every --help page, eleven usage errors (four of them parameters out
+of range, which reach the run table's rows and the KINDS state factories, and two values that are not numbers) and
+--version.  Prints each invocation whose exit code, stdout or stderr differs between the two checkouts, and exits 1
+if any does.
 Where both stdouts parse as JSON it says whether the two results differ only in that JSON's top-level "meta",
 and the last line counts the differing invocations as "in meta only" and "otherwise": a version bump that
 moves nothing else leaves --version as the one "otherwise".
@@ -48,6 +49,8 @@ def invocations() -> list[list[str]]:
         ["tomo-demo", "--theta", "nan"],
         ["pure1", "--points", "50"],
         ["werner", "--grid", "0:2:0.5"],
+        ["werner", "--grid", "a:1:0.1"],
+        ["werner", "--points", "0.5,x"],
     ]
     runs.append(["--version"])
     return runs
