@@ -20,7 +20,6 @@ from .coherence import (
 from .qcore import (
     InvalidStateError,
     ValidationReport,
-    dephase,
     fidelity,
     negativity,
     partial_trace,
@@ -37,7 +36,7 @@ from .protocol import (
     optimal_basis_pure,
     optimize_basis,
 )
-from .states import depolarize, family1, family2, make_werner, singlet
+from .states import family1, family2, make_werner, singlet
 from .tomography import (
     PRNG_ID,
     ReconstructionResult,
@@ -76,8 +75,6 @@ __all__ = [
     "coa_closed_form",
     "coa_numeric",
     "compare_fixtures",
-    "dephase",
-    "depolarize",
     "derive_stream",
     "family1",
     "family2",

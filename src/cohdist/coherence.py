@@ -24,9 +24,8 @@ class CoherenceReport:
 
 def rel_entropy_coherence(rho) -> CoherenceReport:
     """Relative entropy of coherence of a 2x2 or 4x4 density matrix, in bits."""
-    rho = np.asarray(rho, dtype=complex)
     s_state = qcore.von_neumann_entropy(rho)  # validates rho
-    s_dephased = float(qcore.entropy_bits(np.diag(rho).real))
+    s_dephased = float(qcore.entropy_bits(np.diag(np.asarray(rho, dtype=complex)).real))
     return CoherenceReport(s_dephased - s_state, s_dephased, s_state)
 
 

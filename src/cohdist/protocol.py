@@ -40,7 +40,10 @@ class MeasurementBasis:
     bloch: tuple[float, float, float]
 
     def __post_init__(self):
-        n = np.asarray(self.bloch, dtype=float)
+        try:
+            n = np.asarray(self.bloch, dtype=float)
+        except (TypeError, OverflowError) as e:  # a complex component, an int past float range, an object
+            raise ValueError(f"bloch vector must have 3 real components, got {self.bloch!r}") from e
         if n.shape != (3,):
             raise ValueError(f"bloch vector must have 3 components, got {n.shape}")
         norm = float(np.linalg.norm(n))

@@ -60,7 +60,10 @@ def projector(psi) -> np.ndarray:
 
 def ensure_state_vector(psi) -> np.ndarray:
     """Return psi as a complex array, or raise if it is not a unit two-qubit (4,) ket."""
-    psi = np.asarray(psi, dtype=complex)
+    try:
+        psi = np.asarray(psi, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as e:  # "x", a ragged list, an entry that is not a number
+        raise InvalidStateError(f"state vector is not an array of numbers: {e}") from e
     if psi.shape != (4,):
         raise InvalidStateError(f"expected a two-qubit state vector of shape (4,), got shape {psi.shape}")
     norm_sq = float(np.vdot(psi, psi).real)
@@ -83,7 +86,10 @@ def validate_density(rho) -> ValidationReport:
 
     Reporting only: never raises, even on malformed input.
     """
-    rho = np.asarray(rho, dtype=complex)
+    try:
+        rho = np.asarray(rho, dtype=complex)
+    except (TypeError, ValueError, OverflowError):  # not an array of numbers: the shape check below fails it
+        rho = np.empty(0)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4) or not np.isfinite(rho).all():
         return ValidationReport(np.inf, np.inf, -np.inf, False)
     herm, trace, eigs, ok = density_defects(rho)
@@ -92,7 +98,10 @@ def validate_density(rho) -> ValidationReport:
 
 def density_spectrum(rho, dim: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(rho as a complex array, the spectrum of its Hermitian part), or raise InvalidStateError."""
-    rho = np.asarray(rho, dtype=complex)
+    try:
+        rho = np.asarray(rho, dtype=complex)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InvalidStateError(f"density matrix is not an array of numbers: {e}") from e
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
         raise InvalidStateError(f"expected a 2x2 or 4x4 density matrix, got shape {rho.shape}")
     if dim is not None and rho.shape[0] != dim:
@@ -131,23 +140,6 @@ def partial_trace(rho, keep: str) -> np.ndarray:
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
-def dephase(rho, scope: str = "full") -> np.ndarray:
-    """Remove coherences in the reference basis.
-
-    scope="full" zeroes every off-diagonal entry; scope="B" (two-qubit states
-    only) zeroes entries whose Bob index differs while keeping Alice
-    coherences.  Both maps are trace preserving and idempotent.
-    """
-    rho = ensure_density(rho)
-    if scope == "full":
-        return np.diag(np.diag(rho)).astype(complex)
-    if scope == "B":
-        if rho.shape[0] != 4:
-            raise ValueError("scope='B' requires a two-qubit (4x4) state")
-        return rho * BOB_DIAGONAL
-    raise ValueError(f"scope must be 'full' or 'B', got {scope!r}")
-
-
 def entropy_bits(p) -> np.ndarray:
     """Entropy in bits along the last axis of a stack of probability vectors or spectra, clipped to [0, 1]."""
     p = np.clip(p, 0.0, 1.0)
@@ -160,7 +152,7 @@ def von_neumann_entropy(rho) -> float:
 
 
 def qi_bound(rho, spectra) -> np.ndarray:
-    """S(dephase_B rho) - S(rho) in bits for each state of a validated (..., 4, 4) stack with the given spectra."""
+    """S(rho * BOB_DIAGONAL) - S(rho) in bits for each state of a validated (..., 4, 4) stack with the given spectra."""
     return entropy_bits(np.linalg.eigvalsh(rho * BOB_DIAGONAL)) - entropy_bits(spectra)
 
 

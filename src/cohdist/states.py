@@ -22,7 +22,7 @@ def _in_range(values, lo: float, hi: float, what: str) -> np.ndarray:
     x = np.asarray(values, dtype=float)
     ok = (lo <= x) & (x <= hi)
     if not ok.all():  # names the value as passed: an int parameter reads 46, not 46.0
-        raise ValueError(f"{what}, got {np.asarray(values).ravel()[np.argmin(ok.ravel())].item()}")
+        raise ValueError(f"{what}, got {np.asarray(values).ravel().tolist()[np.argmin(ok.ravel())]}")
     return x
 
 
@@ -62,13 +62,3 @@ def make_werner(p) -> np.ndarray:
     p = _in_range(p, 0.0, 1.0, "p must be in [0, 1]")[..., None, None]
     return p * _SINGLET_PROJECTOR + (1.0 - p) * _QUARTER_IDENTITY
 
-
-def depolarize(rho, epsilon: float) -> np.ndarray:
-    """Mix a state with the maximally mixed one: (1-eps) rho + eps I/d.
-
-    Preparation-imperfection knob; epsilon=0 is the ideal factory output.
-    """
-    epsilon = qcore.as_unit_real("epsilon", epsilon)
-    rho = qcore.ensure_density(rho)
-    d = rho.shape[0]
-    return (1.0 - epsilon) * rho + epsilon * np.eye(d, dtype=complex) / d

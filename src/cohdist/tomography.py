@@ -96,10 +96,9 @@ def binomial_draw(n: int, p: float, u: float) -> int:
     n = qcore.as_int("n", n)
     if not 0 <= n <= SHOTS_MAX:
         raise ValueError(f"n must be in [0, {SHOTS_MAX}], got {n}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
-    if not 0.0 <= u < 1.0:
-        raise ValueError(f"u must be in [0, 1), got {u}")
+    p = qcore.as_unit_real("p", p)
+    if not isinstance(u, numbers.Real) or isinstance(u, bool) or not 0.0 <= u < 1.0:  # nan is out of range
+        raise ValueError(f"u must be a real number in [0, 1), got {u!r}")
     return int(_binomial_draws(n, np.array([p], dtype=float), np.array([u], dtype=float))[0])
 
 

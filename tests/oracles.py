@@ -7,7 +7,9 @@ R-rho-R MLE, the eigenvalue-clipping linear inversion, the dense
 measurement map, the dense golden-section basis search, the scalar
 pure-parent basis rule, the stateful splitmix64 stream, the per-record
 scalar sampler, and the per-point dense runner) are the slow ones the
-library replaced with closed forms or batched numpy; the scalar MLE runs
+library replaced with closed forms or batched numpy (mle_rrr_oracles runs
+the R-rho-R iteration on a list of records in lockstep, each to its own
+stop); the scalar MLE runs
 the library's guarded Newton solve one record at a time, and the
 multi-start search ascends the dense map by finite
 differences from a coarse dense grid, sharing nothing with the library's
@@ -163,42 +165,51 @@ def mle_rrr_oracle(record, max_iters: int = 500, tol: float = 1e-10) -> RRRResul
     (Rehacek et al., PRA 75, 042108, 2007), so its value is a lower bound on
     the maximum likelihood, not the maximum.
     """
-    counts = record_counts(record)
-    freqs = counts / (3.0 * record.shots_per_basis)
+    return mle_rrr_oracles([record], max_iters, tol)[0]
 
-    rho = np.eye(2, dtype=complex) / 2.0
-    trace = []
-    blended = False
-    converged = False
-    iterations = 0
+
+def mle_rrr_oracles(records, max_iters: int = 500, tol: float = 1e-10) -> list[RRRResult]:
+    """mle_rrr_oracle of each record, iterated in lockstep as one (N, 2, 2) stack.
+
+    Each record keeps its own iteration count and stops at its own tol; the
+    rows still running take each step together, as numpy calls on the stack.
+    """
+    counts = np.array([record_counts(rec) for rec in records])
+    freqs = counts / (3.0 * np.array([rec.shots_per_basis for rec in records], dtype=float))[:, None]
+    projectors = np.stack(PAULI_PROJECTORS)
+    rho = np.tile(np.eye(2, dtype=complex) / 2.0, (len(records), 1, 1))
+    iterations = np.zeros(len(records), dtype=int)
+    converged = np.zeros(len(records), dtype=bool)
+    blended = np.zeros(len(records), dtype=bool)
+    traces = [[] for _ in records]
+    live = np.arange(len(records))
     for it in range(1, max_iters + 1):
-        iterations = it
-        probs = np.array([float((proj @ rho).trace().real) for proj in PAULI_PROJECTORS])
-        if np.any((freqs > 0.0) & (probs < 1e-15)):
-            rho = (rho + 1e-6 * np.eye(2, dtype=complex)) / (1.0 + 2e-6)
-            blended = True
-            continue
-        observed = counts > 0.0
-        trace.append(float((counts[observed] * np.log(probs[observed])).sum()))
-        r_op = np.zeros((2, 2), dtype=complex)
-        for f, p, proj in zip(freqs, probs, PAULI_PROJECTORS):
-            if f > 0.0:
-                r_op += (f / p) * proj
-        new = r_op @ rho @ r_op
-        new /= new.trace().real
-        new = (new + new.conj().T) / 2.0
-        step = 0.5 * float(np.abs(np.linalg.eigvalsh(new - rho)).sum())
-        rho = new
-        if step < tol:
-            converged = True
+        if not live.size:
             break
-    return RRRResult(
-        state=rho,
-        iterations=iterations,
-        converged=converged,
-        blended=blended,
-        loglik_trace=tuple(trace),
-    )
+        iterations[live] = it
+        probs = np.einsum("jab,nba->nj", projectors, rho[live]).real  # tr(P_j rho)
+        blend = ((freqs[live] > 0.0) & (probs < 1e-15)).any(axis=1)
+        rho[live[blend]] = (rho[live[blend]] + 1e-6 * np.eye(2, dtype=complex)) / (1.0 + 2e-6)
+        blended[live[blend]] = True
+        rows, probs = live[~blend], probs[~blend]
+        observed = counts[rows] > 0.0
+        logliks = np.where(observed, counts[rows] * np.log(np.where(observed, probs, 1.0)), 0.0).sum(axis=1)
+        for i, ll in zip(rows.tolist(), logliks.tolist()):
+            traces[i].append(ll)
+        weights = np.divide(freqs[rows], probs, out=np.zeros_like(probs), where=freqs[rows] > 0.0)
+        r_op = np.einsum("nj,jab->nab", weights, projectors)
+        new = r_op @ rho[rows] @ r_op
+        new /= np.trace(new, axis1=1, axis2=2).real[:, None, None]
+        new = (new + new.conj().swapaxes(1, 2)) / 2.0
+        step = 0.5 * np.abs(np.linalg.eigvalsh(new - rho[rows])).sum(axis=1)
+        rho[rows] = new
+        converged[rows[step < tol]] = True
+        live = np.concatenate([live[blend], rows[step >= tol]])
+    return [
+        RRRResult(state=rho[i], iterations=int(iterations[i]), converged=bool(converged[i]), blended=bool(blended[i]),
+                  loglik_trace=tuple(traces[i]))
+        for i in range(len(records))
+    ]
 
 
 def linear_clip_oracle(record) -> ReconstructionResult:
@@ -629,6 +640,11 @@ def _tomographed_cr(state: np.ndarray, shots: int, seed: int) -> float:
     return _qubit_entropy_at(r[2]) - _qubit_entropy_at(math.hypot(*r))
 
 
+def depolarize(rho: np.ndarray, eps: float) -> np.ndarray:
+    """(1 - eps) rho + eps I/d on the last two axes: the preparation noise the runner applies for RunConfig.epsilon_prep."""
+    return (1.0 - eps) * rho + eps * np.eye(rho.shape[-1], dtype=complex) / rho.shape[-1]
+
+
 def dense_run_oracle(config) -> list[ExperimentRow]:
     """The per-point dense runner that run_experiment batched.
 
@@ -649,7 +665,7 @@ def dense_run_oracle(config) -> list[ExperimentRow]:
         else:
             psi = getattr(states, config.kind)(param)
             rho_ab, basis = qcore.projector(psi), optimal_basis_pure_oracle(psi)
-        rho_ab = states.depolarize(rho_ab, config.epsilon_prep)
+        rho_ab = depolarize(rho_ab, config.epsilon_prep)
         rho_b = qcore.partial_trace(rho_ab, "B")
         outcomes = _measure(rho_ab, basis)
         before, after = rel_entropy_coherence(rho_b).c_r, dense_average(outcomes)
@@ -680,7 +696,7 @@ def per_record_sampled_oracle(config) -> list[ExperimentRow]:
     kind, shots = harness.KINDS[config.kind], config.shots_per_basis
     made = np.stack([kind.factory(x) for x in config.params])
     rho = made[:, :, None] * made[:, None, :].conj() if made.ndim == 2 else made
-    rho = (1.0 - config.epsilon_prep) * rho + config.epsilon_prep * np.eye(4) / 4.0
+    rho = depolarize(rho, config.epsilon_prep)
     a, b, t = protocol._pauli_coordinates(rho)
     outcomes = list(zip(*protocol._outcomes(np.array([0.0, 1.0, 0.0]), a, b, t)))
     rows = []

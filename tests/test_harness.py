@@ -284,6 +284,17 @@ def test_depolarized_preparation_lowers_after_value():
     assert noisy.cd_after_theory == pytest.approx(1.0 - oracles.h2(0.025), abs=1e-9)
 
 
+def test_depolarized_werner_state_stays_in_the_family():
+    # (1 - eps) W(p) + eps I/4 = W((1 - eps) p): the runner's preparation noise at p = 0.8, eps = 0.25 gives W(0.6)
+    rows = []
+    for args in (["--points", "0.8", "--epsilon-prep", "0.25"], ["--points", "0.6"]):
+        result = CliRunner().invoke(cli.main, ["werner", *args, "--format", "json"])
+        assert result.exit_code == 0, result.output
+        rows.append(json.loads(result.output)["rows"][0])
+    for column in ("cd_before_theory", "cd_after_theory", "bound_qi"):
+        assert abs(rows[0][column] - rows[1][column]) <= 1e-12, column
+
+
 # --- serialization ---------------------------------------------------------------
 
 def test_csv_emit_parse_emit_idempotent():
@@ -897,7 +908,7 @@ def test_bound_qi_is_qi_relative_entropy_bit_for_bit(epsilon):
     rows = harness.run_experiment(RunConfig(kind="werner", params=parse_grid("0:1:0.001"), epsilon_prep=epsilon))
     assert len(rows) == 1001
     for row in rows:
-        rho = states.depolarize(states.make_werner(row.param), epsilon)
+        rho = oracles.depolarize(states.make_werner(row.param), epsilon)
         assert row.bound_qi == coherence.qi_relative_entropy(rho), row.param
 
 

@@ -39,7 +39,7 @@ def test_basis_rejects_non_unit_vector():
 
 def test_non_finite_bloch_vectors_and_kets_are_rejected():
     nan, inf = math.nan, math.inf
-    for bloch in ((nan, 0.0, 1.0), (nan, nan, nan), (inf, 0.0, 0.0), (0.0, -inf, 1.0)):
+    for bloch in ((nan, 0.0, 1.0), (nan, nan, nan), (inf, 0.0, 0.0), (0.0, -inf, 1.0), (1, 0, 0j)):
         with pytest.raises(ValueError):
             MeasurementBasis(bloch)
     for bad in (nan, inf, complex(0.0, nan)):
@@ -48,6 +48,10 @@ def test_non_finite_bloch_vectors_and_kets_are_rejected():
             coa_numeric(psi, grid_res=8, refine_iters=0)
         with pytest.raises(qcore.InvalidStateError):
             optimal_basis_pure(psi)
+    for psi in ("x", [1.0, "a", 0.0, 0.0]):  # not numbers
+        for call in (qcore.ensure_state_vector, optimal_basis_pure, lambda v: coa_numeric(v, grid_res=8, refine_iters=0)):
+            with pytest.raises(qcore.InvalidStateError):
+                call(psi)
 
 
 # --- alice_measure -----------------------------------------------------------

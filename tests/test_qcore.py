@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from cohdist import qcore
-from cohdist.coherence import qi_relative_entropy
+from cohdist.coherence import qi_relative_entropy, rel_entropy_coherence
 from cohdist.protocol import MeasurementBasis, alice_measure, optimize_basis
 from cohdist.qcore import (
     InvalidStateError,
-    dephase,
+    ValidationReport,
     fidelity,
     negativity,
     partial_trace,
@@ -53,46 +53,26 @@ def test_partial_trace_rejects_qubit():
         partial_trace(I4 / 4, "C")
 
 
-# --- dephase ----------------------------------------------------------------
-
-def test_dephase_x_plus_gives_maximally_mixed():
-    assert np.allclose(dephase(projector(oracles.KET_X_PLUS)), I2 / 2)
-
+# --- Bob's dephasing: qcore.BOB_DIAGONAL, the mask qi_bound applies ----------
 
 def test_dephase_b_of_singlet():
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 1] = expected[2, 2] = 0.5
-    assert np.allclose(dephase(projector(singlet()), scope="B"), expected, atol=1e-12)
+    assert np.allclose(projector(singlet()) * qcore.BOB_DIAGONAL, expected, atol=1e-12)
 
 
 def test_dephase_b_keeps_alice_coherences():
     rho = np.kron(projector(oracles.KET_X_PLUS), projector(oracles.KET_H))
-    out = dephase(rho, scope="B")
+    out = rho * qcore.BOB_DIAGONAL
     assert abs(out[0, 2] - 0.5) < 1e-12  # <HH| . |VH> coherence survives
-
-
-def test_dephase_diagonal_fixed_point():
-    rho = np.diag([0.3, 0.7]).astype(complex)
-    assert np.allclose(dephase(rho), rho)
 
 
 def test_dephase_idempotent_and_trace_preserving():
     rng = np.random.default_rng(12)
-    for dim in (2, 4):
-        for _ in range(50):
-            rho = random_density(rng, dim)
-            scopes = ("full", "B") if dim == 4 else ("full",)
-            for scope in scopes:
-                out = dephase(rho, scope=scope)
-                assert abs(out.trace() - 1.0) < 1e-12
-                assert np.allclose(dephase(out, scope=scope), out, atol=1e-14)
-
-
-def test_dephase_scope_errors():
-    with pytest.raises(ValueError):
-        dephase(I2 / 2, scope="B")
-    with pytest.raises(ValueError):
-        dephase(I2 / 2, scope="bogus")
+    for _ in range(50):
+        out = random_density(rng, 4) * qcore.BOB_DIAGONAL
+        assert abs(out.trace() - 1.0) < 1e-12
+        assert np.allclose(out * qcore.BOB_DIAGONAL, out, atol=1e-14)
 
 
 # --- von_neumann_entropy ----------------------------------------------------
@@ -149,7 +129,7 @@ def test_dephasing_never_decreases_entropy():
     rng = np.random.default_rng(14)
     for _ in range(1000):
         rho = random_density(rng, 2 if rng.integers(2) else 4)
-        assert von_neumann_entropy(dephase(rho)) >= von_neumann_entropy(rho) - 1e-12
+        assert von_neumann_entropy(np.diag(np.diag(rho))) >= von_neumann_entropy(rho) - 1e-12
 
 
 # --- validate_density -------------------------------------------------------
@@ -177,6 +157,8 @@ def test_validate_negative_eigenvalue():
 def test_validate_never_raises():
     assert not validate_density(np.zeros((3, 3))).ok
     assert not validate_density(np.array([[1.0, 1.0], [0.0, 0.0]])).ok
+    for bad in ("x", [[0.5, "a"], [0.0, 0.5]], [[0.5, 0.0], [0.0]], object(), 10**400):  # not arrays of numbers
+        assert validate_density(bad) == ValidationReport(math.inf, math.inf, -math.inf, False)
 
 
 _NON_FINITE_ENTRY_POINTS = {
@@ -185,15 +167,16 @@ _NON_FINITE_ENTRY_POINTS = {
     "alice_measure": lambda rho: alice_measure(rho, MeasurementBasis((0.0, 1.0, 0.0))),
     "qi_relative_entropy": qi_relative_entropy,
     "negativity": negativity,
+    "rel_entropy_coherence": rel_entropy_coherence,
 }
 
 
 @pytest.mark.parametrize("entry", ["validate_density", *_NON_FINITE_ENTRY_POINTS])
 @pytest.mark.parametrize("dim", [2, 4])
-@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, "x"], ids=["nan", "inf", "text"])
 def test_non_finite_matrices_are_invalid_states(bad, dim, entry):
-    rho = np.eye(dim, dtype=complex) / dim
-    rho[0, dim - 1] = rho[dim - 1, 0] = bad
+    rho = (np.eye(dim, dtype=complex) / dim).tolist()  # a nested list, so an entry may be text
+    rho[0][dim - 1] = rho[dim - 1][0] = bad
     if entry == "validate_density":
         assert not validate_density(rho).ok  # reporting only: it never raises
     else:

@@ -7,7 +7,6 @@ from click.testing import CliRunner
 from cohdist import cli, qcore
 from cohdist.coherence import rel_entropy_coherence
 from cohdist.states import (
-    depolarize,
     family1,
     family2,
     make_werner,
@@ -113,6 +112,11 @@ def test_werner_range_error():
         make_werner(1.2)
     with pytest.raises(ValueError):
         make_werner(-0.01)
+    # a value that is not a number is named as it was passed
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\], got None"):
+        make_werner([0.5, None])
+    with pytest.raises(ValueError, match=r"theta must be in \[0, 45\] degrees, got None"):
+        family1(None)
 
 
 def test_factories_produce_valid_states():
@@ -144,24 +148,7 @@ def test_family2_bob_marginal_structure_and_coherence():
 
 
 def test_maximally_coherent():
-    # the uniform superpositions of 2 and 4 levels carry log2(d) bits, and |+><+| dephases to I/2
+    # the uniform superpositions of 2 and 4 levels carry log2(d) bits
     assert rel_entropy_coherence(qcore.projector(oracles.KET_X_PLUS)).c_r == pytest.approx(1.0, abs=1e-12)
     assert rel_entropy_coherence(qcore.projector(np.full(4, 0.5))).c_r == pytest.approx(2.0, abs=1e-12)
-    assert np.allclose(qcore.dephase(qcore.projector(oracles.KET_X_PLUS)), np.eye(2) / 2)
 
-
-def test_depolarize():
-    rho = qcore.projector(oracles.KET_H)
-    assert np.allclose(depolarize(rho, 0.0), rho)
-    assert np.allclose(depolarize(rho, 1.0), np.eye(2) / 2)
-    assert qcore.validate_density(depolarize(rho, 0.3)).ok
-    # depolarizing a Werner state stays in the family
-    assert np.max(np.abs(depolarize(make_werner(0.8), 0.25) - make_werner(0.6))) <= 1e-12
-    with pytest.raises(ValueError):
-        depolarize(rho, 1.5)
-    # the epsilon_prep rule of RunConfig: a real number in [0, 1], not a bool, a string or nan
-    for epsilon in (True, np.bool_(False), "0.5", None, 1j, math.nan, -0.1):
-        with pytest.raises(ValueError, match="epsilon"):
-            depolarize(rho, epsilon)
-    assert np.array_equal(depolarize(rho, np.float64(0.25)), depolarize(rho, 0.25))
-    assert np.array_equal(depolarize(rho, 1), depolarize(rho, 1.0))

@@ -93,10 +93,11 @@ def test_binomial_inversion_stable_at_large_counts():
 def test_binomial_degenerate_probabilities():
     assert binomial_draw(100, 0.0, 0.7) == 0
     assert binomial_draw(100, 1.0, 0.7) == 100
-    for p in (math.nan, 1.5, -0.2, -1e-300, 1.0 + 2.0**-52):
+    # p and u must be real numbers, not a bool, a string, None or an array
+    for p in (math.nan, 1.5, -0.2, -1e-300, 1.0 + 2.0**-52, "0.5", None, True, np.array([0.5])):
         with pytest.raises(ValueError, match="p must"):
             binomial_draw(100, p, 0.7)
-    for u in (1.0, -0.1, math.nan):
+    for u in (1.0, -0.1, math.nan, "0.5", None, True, np.array([0.5])):
         with pytest.raises(ValueError, match="u must"):
             binomial_draw(100, 0.5, u)
 
@@ -461,11 +462,11 @@ def _kkt_residual(record, r):
     return float(np.linalg.norm(u - lam * v)) / n, lam
 
 
-def _assert_mle_at_least_oracle(record):
+def _assert_mle_at_least_oracle(record, oracle_state):
     res = reconstruct_mle(record)
     assert res.method == "mle" and res.converged and not res.blended
     assert validate_density(res.state).ok
-    ll, ll_oracle = oracles.loglik(record, res.state), oracles.loglik(record, oracles.mle_rrr_oracle(record).state)
+    ll, ll_oracle = oracles.loglik(record, res.state), oracles.loglik(record, oracle_state)
     assert ll >= ll_oracle - 1e-12 * abs(ll_oracle)
     s = oracles.stokes(record)
     r = _bloch(res.state)
@@ -527,14 +528,15 @@ def test_mle_newton_converges_fast_on_every_pipeline_boundary_row():
 def test_mle_at_least_rrr_oracle_on_pipeline_and_mixed_records():
     pipeline = _pipeline_records()
     assert len(pipeline) == 114
-    results = [_assert_mle_at_least_oracle(rec) for rec in pipeline + _mixed_records()]
+    records = pipeline + _mixed_records()
+    results = [_assert_mle_at_least_oracle(rec, res.state) for rec, res in zip(records, oracles.mle_rrr_oracles(records))]
     # Bob's conditional states are pure, so the pipeline exercises the boundary case
     assert sum(res.iterations > 0 for res in results) >= 40
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_RECORDS))
 def test_mle_edge_records(name):
-    _assert_mle_at_least_oracle(EDGE_RECORDS[name])
+    _assert_mle_at_least_oracle(EDGE_RECORDS[name], oracles.mle_rrr_oracle(EDGE_RECORDS[name]).state)
 
 
 def test_mle_edge_record_values():

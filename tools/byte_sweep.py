@@ -13,7 +13,8 @@ of range, which reach the run table's rows and the KINDS state factories, and tw
 if any does.
 Where both stdouts parse as JSON it says whether the two results differ only in that JSON's top-level "meta",
 and the last line counts the differing invocations as "in meta only" and "otherwise": a version bump that
-moves nothing else leaves --version as the one "otherwise".
+moves nothing else leaves --version as the one "otherwise".  Just before that line it prints the names that
+leave or join cohdist.__all__ between the two checkouts, if any do.
 """
 
 import argparse
@@ -57,10 +58,12 @@ def invocations() -> list[list[str]]:
 
 
 def emit(src: str) -> None:
-    """Print, as one JSON list, [args, exit code, exception, stdout, stderr] of every invocation with src first on sys.path."""
+    """Print, as one JSON object, cohdist.__all__ and [args, exit code, exception, stdout, stderr] of every invocation
+    with src first on sys.path."""
     sys.path.insert(0, src)
     from click.testing import CliRunner
 
+    import cohdist
     from cohdist import cli
 
     results = []
@@ -68,10 +71,10 @@ def emit(src: str) -> None:
         result = CliRunner().invoke(cli.main, args)
         error = None if result.exception is None or isinstance(result.exception, SystemExit) else repr(result.exception)
         results.append([args, result.exit_code, error, result.stdout, result.stderr])
-    json.dump(results, sys.stdout)
+    json.dump({"all": sorted(cohdist.__all__), "runs": results}, sys.stdout)
 
 
-def sweep(checkout: Path) -> list:
+def sweep(checkout: Path) -> dict:
     cmd = [sys.executable, __file__, "--emit", str(checkout.resolve() / "src")]
     return json.loads(subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout)
 
@@ -103,7 +106,7 @@ def main(argv=None) -> int:
     parent, change = sweep(args.parent), sweep(args.change)
     fields = ("exit code", "exception", "stdout", "stderr")
     differ = in_meta = 0
-    for old, new in zip(parent, change, strict=True):
+    for old, new in zip(parent["runs"], change["runs"], strict=True):
         changed = [name for name, a, b in zip(fields, old[1:], new[1:]) if a != b]
         if changed:
             differ += 1
@@ -111,7 +114,11 @@ def main(argv=None) -> int:
             in_meta += bool(only)
             note = {None: "", True: "; meta only", False: "; not only meta"}[only]
             print(f"differs ({', '.join(changed)}{note}): cohdist {' '.join(old[0])}")
-    print(f"{len(parent)} invocations, {differ} differ: {in_meta} in meta only, {differ - in_meta} otherwise")
+    left, joined = set(parent["all"]) - set(change["all"]), set(change["all"]) - set(parent["all"])
+    for verb, names in (("leave", left), ("join", joined)):
+        if names:
+            print(f"{verb} cohdist.__all__: {', '.join(sorted(names))}")
+    print(f"{len(parent['runs'])} invocations, {differ} differ: {in_meta} in meta only, {differ - in_meta} otherwise")
     return 1 if differ else 0
 
 
