@@ -67,7 +67,7 @@ def ensure_state_vector(psi) -> np.ndarray:
     if psi.shape != (4,):
         raise InvalidStateError(f"expected a two-qubit state vector of shape (4,), got shape {psi.shape}")
     norm_sq = float(np.vdot(psi, psi).real)
-    if not abs(norm_sq - 1.0) <= 1e-10:  # a nan norm fails too
+    if not abs(norm_sq - 1.0) <= TRACE_TOL:  # a nan norm fails too
         raise InvalidStateError(f"state vector is not normalized: |psi|^2 = {norm_sq!r}")
     return psi
 

@@ -6,11 +6,12 @@ parameters gives the (N, 4) or (N, 4, 4) stack from one numpy pass (numpy's
 cos and sin, the angle rounded as math.radians(2.0 * t)). The bits are per
 numpy build, like the analytic path's; the tests check that a stack has the
 bits of N single calls and that cos and sin round as libm's. A parameter
-outside its range, nan and inf included, raises a ValueError naming the first
-such parameter.
+outside its range (nan, inf, 1j, 10**400 or None included) raises a ValueError
+naming the first such parameter.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -18,12 +19,15 @@ from . import qcore
 
 
 def _in_range(values, lo: float, hi: float, what: str) -> np.ndarray:
-    """values as a float array, or a ValueError naming the first one outside [lo, hi] (nan included)."""
-    x = np.asarray(values, dtype=float)
-    ok = (lo <= x) & (x <= hi)
-    if not ok.all():  # names the value as passed: an int parameter reads 46, not 46.0
-        raise ValueError(f"{what}, got {np.asarray(values).ravel().tolist()[np.argmin(ok.ravel())]}")
-    return x
+    """values as a float array, or a ValueError naming the first one that is not a real number in [lo, hi] (nan included)."""
+    try:
+        x = np.asarray(values, dtype=float)
+        if ((lo <= x) & (x <= hi)).all():
+            return x
+    except (TypeError, ValueError, OverflowError):  # 1j, 10**400, an object: no float array, so the search below names it
+        pass
+    passed = np.asarray(values, dtype=object).ravel().tolist()  # each value as passed: an int parameter reads 46, not 46.0
+    raise ValueError(f"{what}, got {next(v for v in passed if not (isinstance(v, numbers.Real) and lo <= v <= hi))}")
 
 
 def _cos_sin(theta_deg) -> tuple[np.ndarray, np.ndarray]:

@@ -13,7 +13,8 @@ stop); the scalar MLE runs
 the library's guarded Newton solve one record at a time, and the
 multi-start search ascends the dense map by finite
 differences from a coarse dense grid, sharing nothing with the library's
-search but the basis parametrization.  The basis search and
+search but the basis parametrization (multistart_search_oracles runs the
+ascents of a list of states in lockstep, each to its own stop).  The basis search and
 the runner measure through the dense map here (4x4 projectors, partial
 traces), not through the library's Pauli-coordinate closed form; the map
 builds Alice's projectors (I +- n.sigma) / 2 from the basis' Bloch vector n
@@ -381,18 +382,20 @@ def basis_search_oracle(rho: np.ndarray, grid_res: int, refine_iters: int) -> Se
     return SearchResult(grid_index, best["value"], trace)
 
 
-def _angles(v: np.ndarray) -> tuple[float, float]:
+def _angles(v) -> tuple[float, float]:
     return math.atan2(math.hypot(v[0], v[1]), v[2]), math.atan2(v[1], v[0])
 
 
 def dense_assisted_coherences(rho: np.ndarray, angles) -> np.ndarray:
-    """dense_assisted_coherence at each (theta, phi) of angles, as one batch of 4x4 projectors, partial traces and eigvalsh."""
+    """dense_assisted_coherence at each (theta, phi) of angles, as one batch of 4x4 projectors, partial traces and eigvalsh.
+
+    rho is one (4, 4) state for every angle, or a (K, 4, 4) stack with one state per angle."""
     theta, phi = np.asarray(angles, dtype=float).reshape(-1, 2).T
     n = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
     n = np.concatenate([n, -n])  # outcome + of every basis, then outcome -
     alice = (np.eye(2) + np.einsum("ki,ijl->kjl", n, np.stack([qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z]))) / 2.0
-    proj = np.einsum("kac,bd->kabcd", alice, np.eye(2)).reshape(-1, 4, 4)  # kron(alice, I)
-    m = proj @ rho @ proj
+    proj = np.einsum("kac,bd->kabcd", alice, np.eye(2)).reshape(2, -1, 4, 4)  # kron(alice, I), outcome + then -
+    m = (proj @ rho @ proj).reshape(-1, 4, 4)
     p = np.einsum("kii->k", m).real
     kept = p >= ZERO_PROB_TOL
     bob = np.einsum("kabad->kbd", m.reshape(-1, 2, 2, 2, 2)) / np.where(kept, p, 1.0)[:, None, None]
@@ -402,31 +405,32 @@ def dense_assisted_coherences(rho: np.ndarray, angles) -> np.ndarray:
     return np.where(kept, p * c_r, 0.0).reshape(2, -1).sum(axis=0)
 
 
-def _dense_ascent(rho: np.ndarray, theta: float, phi: float, steps: int, h: float = 1e-4) -> float:
-    """Best dense_assisted_coherences value seen on a modified Newton ascent from (theta, phi).
+def _dense_ascent(theta: float, phi: float, steps: int, h: float = 1e-4):
+    """A generator of the modified Newton ascent of the dense map from (theta, phi); it returns the best value seen.
 
-    Each step fits the value's gradient and Hessian by central differences (9 dense evaluations, one batch) in
-    the chart x -> (n + x1 e_theta + x2 e_phi) / |...| at the current basis n, steps by |H|^-1 g with
-    |eigenvalues| floored at 1e-6, and halves that step until the value does not fall.  It stops after
+    It yields each list of (theta, phi) it needs scored and is sent their dense_assisted_coherences values as a
+    list (_lockstep).  Each step fits the value's gradient and Hessian by central differences (9 dense evaluations,
+    one request) in the chart x -> (n + x1 e_theta + x2 e_phi) / |...| at the current basis n, steps by |H|^-1 g
+    with |eigenvalues| floored at 1e-6, and halves that step until the value does not fall.  It stops after
     `steps` steps, when no step longer than 1e-10 raises the value, or after a step of at most 1e-8.
     """
     def chart(theta, phi):
         st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
-        n, e1, e2 = np.array([st * cp, st * sp, ct]), np.array([ct * cp, ct * sp, -st]), np.array([-sp, cp, 0.0])
-        return lambda x: _angles(n + x[0] * e1 + x[1] * e2)
+        n, e1, e2 = (st * cp, st * sp, ct), (ct * cp, ct * sp, -st), (-sp, cp, 0.0)
+        return lambda x: _angles([a + x[0] * b + x[1] * c for a, b, c in zip(n, e1, e2)])  # in Python floats
 
-    value = float(dense_assisted_coherences(rho, [(theta, phi)])[0])
+    (value,) = yield [(theta, phi)]
     for _ in range(steps):
         to_angles = chart(theta, phi)
         offsets = [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
-        f = dict(zip(offsets, dense_assisted_coherences(rho, [to_angles((i * h, j * h)) for i, j in offsets]).tolist()))
+        f = dict(zip(offsets, (yield [to_angles((i * h, j * h)) for i, j in offsets])))
         grad = np.array([f[1, 0] - f[-1, 0], f[0, 1] - f[0, -1]]) / (2.0 * h)
         cross = (f[1, 1] - f[1, -1] - f[-1, 1] + f[-1, -1]) / 4.0
         hess = np.array([[f[1, 0] - 2.0 * f[0, 0] + f[-1, 0], cross], [cross, f[0, 1] - 2.0 * f[0, 0] + f[0, -1]]]) / (h * h)
         w, v = np.linalg.eigh(hess)
         step = v @ ((v.T @ grad) / np.maximum(np.abs(w), 1e-6))
         while np.linalg.norm(step) > 1e-10:
-            trial = float(dense_assisted_coherences(rho, [to_angles(step)])[0])
+            (trial,) = yield [to_angles(step)]
             if trial >= value:
                 (theta, phi), value = to_angles(step), trial
                 break
@@ -436,16 +440,52 @@ def _dense_ascent(rho: np.ndarray, theta: float, phi: float, steps: int, h: floa
     return value
 
 
-def multistart_search_oracle(rho: np.ndarray, starts: int = 2, steps: int = 10) -> float:
-    """A reference optimum of the dense map over Alice's bases, independent of protocol's search.
+def _lockstep(rhos: np.ndarray, walkers: list) -> list[float]:
+    """The return value of each generator walkers[k] = (state index s, _dense_ascent generator), run on rhos[s].
 
-    Scores a 5 x 8 hemisphere grid (theta at 9, 27, ..., 81 degrees, phi every 45 degrees) with
+    Every round scores the requests of all walkers still running in one dense_assisted_coherences batch, then
+    sends each walker its values; a walker stops on its own rule, and the others go on without it."""
+    results, live = [None] * len(walkers), {}
+    for k, (_, walker) in enumerate(walkers):
+        live[k] = next(walker)
+    while live:
+        index = [(k, len(request)) for k, request in live.items()]
+        states = np.repeat([walkers[k][0] for k, _ in index], [size for _, size in index])
+        values = iter(dense_assisted_coherences(rhos[states], [a for request in live.values() for a in request]).tolist())
+        for k, size in index:
+            try:
+                live[k] = walkers[k][1].send([next(values) for _ in range(size)])
+            except StopIteration as stop:
+                results[k] = stop.value
+                del live[k]
+    return results
+
+
+MULTISTART_GRID = [(math.radians(t), math.radians(p)) for t in range(9, 90, 18) for p in range(0, 360, 45)]
+
+
+def multistart_search_oracles(rhos, starts: int = 2, steps: int = 10) -> list[float]:
+    """A reference optimum of the dense map over Alice's bases for each state of rhos, independent of protocol's search.
+
+    Scores a 5 x 8 hemisphere grid (theta at 9, 27, ..., 81 degrees, phi every 45 degrees, MULTISTART_GRID) with
     dense_assisted_coherences and returns the best value of _dense_ascent from each of its `starts` best points.
+    Every (state, start) ascent runs in lockstep with the others (_lockstep) and stops on its own.
     """
-    grid = [(math.radians(t), math.radians(p)) for t in range(9, 90, 18) for p in range(0, 360, 45)]
-    values = dense_assisted_coherences(rho, grid).tolist()
-    scored = [angles for _, angles in sorted(zip(values, grid), key=lambda pair: -pair[0])]
-    return max(_dense_ascent(rho, theta, phi, steps) for theta, phi in scored[:starts])
+    rhos = np.asarray(rhos, dtype=complex).reshape(-1, 4, 4)
+    grid_values = dense_assisted_coherences(np.repeat(rhos, len(MULTISTART_GRID), axis=0), MULTISTART_GRID * len(rhos))
+    walkers = []
+    for s, values in enumerate(grid_values.reshape(len(rhos), -1).tolist()):
+        scored = [angles for _, angles in sorted(zip(values, MULTISTART_GRID), key=lambda pair: -pair[0])]
+        walkers += [(s, _dense_ascent(theta, phi, steps)) for theta, phi in scored[:starts]]
+    best = [-math.inf] * len(rhos)
+    for (s, _), value in zip(walkers, _lockstep(rhos, walkers)):
+        best[s] = max(best[s], value)
+    return best
+
+
+def multistart_search_oracle(rho: np.ndarray, starts: int = 2, steps: int = 10) -> float:
+    """multistart_search_oracles of one state."""
+    return multistart_search_oracles([rho], starts, steps)[0]
 
 
 def bloch_vector(ket) -> np.ndarray:

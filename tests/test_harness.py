@@ -904,6 +904,53 @@ def test_invalid_factory_state_names_parameter_and_exits_2(monkeypatch):
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.05])
+def test_invalid_factory_ket_names_parameter_and_exits_2(monkeypatch, epsilon):
+    # a pure kind's kets are checked by their norm: |psi|^2 off by 2e-3 at theta = 10, a nan entry at theta = 20
+    def factory(params):
+        psi = harness.states.family1(params)
+        psi[np.asarray(params) == 10.0] *= 1.001
+        psi[np.asarray(params) == 20.0, 1] = np.nan
+        return psi
+
+    monkeypatch.setitem(harness.KINDS, "family1", harness.KINDS["family1"]._replace(factory=factory))
+    for theta in (10.0, 20.0):
+        rho = oracles.depolarize(qcore.projector(factory(theta)), epsilon)
+        message = f"invalid density matrix at parameter {theta}: {qcore.validate_density(rho)}"  # the message of a bad matrix
+        with pytest.raises(qcore.InvalidStateError) as err:
+            harness.run_experiment(RunConfig(kind="family1", params=(5.0, theta, 30.0), epsilon_prep=epsilon))
+        assert str(err.value) == message
+        result = CliRunner().invoke(cli.main, ["pure1", "--points", f"5,{theta:g},30", "--epsilon-prep", str(epsilon)])
+        assert result.exit_code == 2
+        assert f"parameter {theta}" in result.output
+    harness.run_experiment(RunConfig(kind="family1", params=(5.0, 30.0), epsilon_prep=epsilon))
+
+
+@pytest.mark.parametrize("kind", ["family1", "family2"])
+def test_pure_kinds_run_without_eigvalsh(monkeypatch, kind):
+    # a pure parent's norm check makes the 4x4 eigvalsh redundant, so the runner makes none, and every value stays
+    configs = [
+        RunConfig(kind=kind, params=THETA_GRID, mode=mode, shots_per_basis=1000, seed=7, epsilon_prep=epsilon)
+        for mode in ("analytic", "sampled") for epsilon in (0.0, 0.05)
+    ]
+    expected = [run_experiment(cfg) for cfg in configs]
+
+    def eigvalsh(a, UPLO="L"):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    for cfg, rows in zip(configs, expected):
+        assert run_experiment(cfg) == rows
+
+
+def test_werner_run_checks_its_stack_by_eigvalsh(monkeypatch):
+    # a matrix factory's stack keeps density_defects, whose spectra feed bound_qi
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, UPLO="L": calls.append(a.shape) or eigvalsh(a, UPLO))
+    run_experiment(RunConfig(kind="werner", params=(0.25, 0.5, 0.75), epsilon_prep=0.05))
+    assert calls == [(3, 4, 4), (3, 4, 4)]  # density_defects, then qi_bound's dephased stack
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
 def test_bound_qi_is_qi_relative_entropy_bit_for_bit(epsilon):
     rows = harness.run_experiment(RunConfig(kind="werner", params=parse_grid("0:1:0.001"), epsilon_prep=epsilon))
     assert len(rows) == 1001

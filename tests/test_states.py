@@ -117,6 +117,15 @@ def test_werner_range_error():
         make_werner([0.5, None])
     with pytest.raises(ValueError, match=r"theta must be in \[0, 45\] degrees, got None"):
         family1(None)
+    # a value with no float form (complex, past float range, an object) is named too, not a TypeError or OverflowError
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\], got 1j$"):
+        make_werner(1j)
+    with pytest.raises(ValueError, match=r"theta must be in \[0, 45\] degrees, got 2j$"):
+        family1(2j)
+    with pytest.raises(ValueError, match=r"p must be in \[0, 1\], got 1" + "0" * 400 + "$"):
+        make_werner(10**400)
+    with pytest.raises(ValueError, match=r"theta must be in \[0, 45\] degrees, got <object object at"):
+        family2([10, object()])
 
 
 def test_factories_produce_valid_states():
