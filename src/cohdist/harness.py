@@ -155,8 +155,8 @@ def _run_points(config: RunConfig, start: int) -> list[ExperimentRow]:
     made = kind.factory(params)
     rho = qcore.projector(made) if made.ndim == 2 else made
     rho = (1.0 - eps) * rho + eps * np.eye(4, dtype=complex) / 4.0
-    if made.ndim == 2:  # |psi|^2 = 1 (ensure_state_vector's check) makes every (1 - eps) psi psi^+ + eps I/4 a state
-        spectra, ok = None, np.abs((made.conj() * made).real.sum(-1) - 1.0) <= qcore.TRACE_TOL  # nan fails
+    if made.ndim == 2:  # psi psi^+ is exactly Hermitian and positive, so a trace within TRACE_TOL of 1 makes it a state
+        spectra, ok = None, np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) <= qcore.TRACE_TOL  # nan fails
     else:  # a matrix factory's stack: its spectra feed qi_bound
         _, _, spectra, ok = qcore.density_defects(rho)
     if not ok.all():

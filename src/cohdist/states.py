@@ -22,12 +22,12 @@ def _in_range(values, lo: float, hi: float, what: str) -> np.ndarray:
     """values as a float array, or a ValueError naming the first one that is not a real number in [lo, hi] (nan included)."""
     try:
         x = np.asarray(values, dtype=float)
-        if ((lo <= x) & (x <= hi)).all():
-            return x
-    except (TypeError, ValueError, OverflowError):  # 1j, 10**400, an object: no float array, so the search below names it
-        pass
-    passed = np.asarray(values, dtype=object).ravel().tolist()  # each value as passed: an int parameter reads 46, not 46.0
-    raise ValueError(f"{what}, got {next(v for v in passed if not (isinstance(v, numbers.Real) and lo <= v <= hi))}")
+        ok = (lo <= x) & (x <= hi)
+    except (TypeError, ValueError, OverflowError):  # 1j, 10**400, an object: no float array, so each value is tested as passed
+        x, ok = None, np.array([isinstance(v, numbers.Real) and lo <= v <= hi for v in np.asarray(values, dtype=object).flat])
+    if not ok.all():  # names the value as passed: an int parameter reads 46, not 46.0
+        raise ValueError(f"{what}, got {np.asarray(values, dtype=object).ravel().tolist()[np.argmin(ok.ravel())]}")
+    return x
 
 
 def _cos_sin(theta_deg) -> tuple[np.ndarray, np.ndarray]:

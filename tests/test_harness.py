@@ -925,6 +925,29 @@ def test_invalid_factory_ket_names_parameter_and_exits_2(monkeypatch, epsilon):
     harness.run_experiment(RunConfig(kind="family1", params=(5.0, 30.0), epsilon_prep=epsilon))
 
 
+@pytest.mark.parametrize(
+    "epsilon, norm_sq, ok", [(0.5, 1.0 + 1.5e-10, True), (0.5, 1.0 + 3e-10, False), (0.5, 1.0 - 3e-10, False), (1.0, 4.0, True)]
+)
+def test_factory_ket_passes_when_its_depolarized_matrix_does(monkeypatch, epsilon, norm_sq, ok):
+    # the check reads the depolarized trace, (1 - eps) |psi|^2 + eps: a norm just outside TRACE_TOL passes at eps = 0.5,
+    # any finite ket passes at eps = 1 (its state is I/4), and the report in a raised error always reads ok=False
+    def factory(params):
+        psi = harness.states.family1(params)
+        psi[np.asarray(params) == 10.0] *= math.sqrt(norm_sq)
+        return psi
+
+    monkeypatch.setitem(harness.KINDS, "family1", harness.KINDS["family1"]._replace(factory=factory))
+    report = qcore.validate_density(oracles.depolarize(qcore.projector(factory(10.0)), epsilon))
+    assert report.ok is ok
+    config = RunConfig(kind="family1", params=(5.0, 10.0), epsilon_prep=epsilon)
+    if ok:
+        assert len(harness.run_experiment(config)) == 2
+    else:
+        with pytest.raises(qcore.InvalidStateError) as err:
+            harness.run_experiment(config)
+        assert str(err.value) == f"invalid density matrix at parameter 10.0: {report}"
+
+
 @pytest.mark.parametrize("kind", ["family1", "family2"])
 def test_pure_kinds_run_without_eigvalsh(monkeypatch, kind):
     # a pure parent's norm check makes the 4x4 eigvalsh redundant, so the runner makes none, and every value stays

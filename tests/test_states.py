@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -126,6 +127,11 @@ def test_werner_range_error():
         make_werner(10**400)
     with pytest.raises(ValueError, match=r"theta must be in \[0, 45\] degrees, got <object object at"):
         family2([10, object()])
+    # a string or Decimal that has a float form is checked by it, so the first one out of range is named
+    with pytest.raises(ValueError, match=r"theta must be in \[0, 45\] degrees, got 50$"):
+        family1(["10", "50"])
+    with pytest.raises(ValueError, match=r"theta must be in \[0, 45\] degrees, got 50$"):
+        family1([Decimal("10"), Decimal("50")])
 
 
 def test_factories_produce_valid_states():

@@ -1,6 +1,6 @@
-"""Per-function profile of a benchmark workload's own tasks, for one checkout or two.
+"""Per-function profile of a benchmark workload's own tasks, for this checkout or for two side by side.
 
-    python3 tools/profile_layers.py --workload W --seed N --rounds R [--checkout DIR]
+    python3 tools/profile_layers.py --workload W --seed N --rounds R
     python3 tools/profile_layers.py --workload W --seed N --rounds R --parent DIR --change DIR
 
 For each checkout one subprocess puts that checkout's perfbench/ and src/ first on sys.path and builds the
@@ -86,7 +86,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=workloads)
     parser.add_argument("--seed", type=int, default=3)
     parser.add_argument("--rounds", type=int, default=20)
-    parser.add_argument("--checkout", type=Path, default=ROOT, help="the checkout to profile (default: this one)")
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
     parser.add_argument("--emit", type=Path, help=argparse.SUPPRESS)  # the subprocess: profile this checkout
@@ -100,7 +99,7 @@ def main(argv=None) -> int:
         parser.error("--parent and --change go together")
     title = f"{args.workload}, seed {args.seed}, rounds 1-{args.rounds}"
     if args.parent is None:
-        one = profile(args.checkout, args)
+        one = profile(ROOT, args)
         print(f"{title}: {one['tasks']} tasks, {one['total_ms']:.1f} ms profiled")
         print(f"{'function':<44} {'calls':>8} {'self ms':>10} {'cum ms':>10}")
         for name, (calls, self_ms, cum_ms) in sorted(one["rows"].items(), key=lambda item: -item[1][2]):
