@@ -17,17 +17,15 @@ round a stack and a single record differently.
 
 Reproducibility contract
 ------------------------
-All randomness comes from splitmix64, a counter-based 64-bit generator:
-stream element k is mix64(seed + (k+1) * 0x9E3779B97F4A7C15) where mix64 is
-the splitmix64 finalizer.  Uniform doubles are (u64 >> 11) * 2**-53.  Each
-Pauli basis uses its own stream derived as seed XOR mix64 of the basis index,
-and each binomial draw inverts one uniform, its stream's element 0, so identical
-(state, shots, seed) give bit-identical counts on one numpy build, and up to
-10_000 shots the same Bloch vectors give the same counts on every build (see
-below).  Shots and seeds pass one check, shots_and_seed, and a
-TomographyRecord checks its counts when it is made and refuses any change to
-them after (a TypeError), so every record reconstructs and writes JSON.
-PRNG_ID names the algorithm in harness output metadata.
+All randomness comes from splitmix64, a counter-based 64-bit generator: stream element k is
+mix64(seed + (k+1) * 0x9E3779B97F4A7C15) where mix64 is the splitmix64 finalizer.  Uniform doubles are
+(u64 >> 11) * 2**-53.  Each Pauli basis uses its own stream derived as seed XOR mix64 of the basis index (the three
+mixes are made once, at import, as _BASIS_MIXES: the streams are unchanged), and each binomial draw inverts one
+uniform, its stream's element 0, so identical (state, shots, seed) give bit-identical counts on one numpy build, and
+up to 10_000 shots the same Bloch vectors give the same counts on every build (see below).  Shots and seeds pass
+one check, shots_and_seed, and a TomographyRecord checks its counts when it is made and refuses any change to them
+after (a TypeError), so every record reconstructs and writes JSON.  PRNG_ID names the algorithm in harness output
+metadata.
 
 Axis k gives "+" with probability (1 + r_k) / 2 for the Bloch vector r.
 Binomial sampling uses exact CDF inversion (k = min{k : F(k) >= u}) for shots <= 10_000, with the terms
@@ -38,11 +36,9 @@ Inversion uses only +, -, *, /, floor and sqrt, which IEEE 754 rounds correctly,
 every build.  The normal branch's AS241 calls the C library's log where |u - 1/2| > 0.425, and the MLE numpy's
 SIMD arcsin and sin, so those are bit-stable on one build only.  Thresholds and methods are fixed so frozen
 golden counts stay valid.
-The inversion evaluates a window around the mode from Bernstein's tail bound,
-e^-40 on each side: left of it the full-support F(k) is below 2**-53, the
-least uniform drawn, inside it the sums lack at most e^-40 (a few ulps of F),
-and right of it F is 1.0.  The draws of one p share one CDF row and one
-search over their uniforms.
+The inversion evaluates a window around the mode from Bernstein's tail bound, e^-40 on each side: left of it the
+full-support F(k) is below 2**-53, the least uniform drawn, inside it the sums lack at most e^-40 (a few ulps of
+F), and right of it F is 1.0.  The draws of one p share one CDF row and one search over their uniforms.
 """
 
 import json
@@ -72,7 +68,11 @@ _NEWTON_GAIN = 0.5  # a Newton step on the MLE multiplier must shrink |h| this m
 
 
 def mix64(x):
-    """splitmix64 finalizer: the stateless 64-bit mixing function, on an int or a uint64 array."""
+    """splitmix64 finalizer: the stateless 64-bit mixing function, on an int or a uint64 array (which wraps at 2**64 unmasked)."""
+    if isinstance(x, np.ndarray):
+        x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+        x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+        return x ^ (x >> 31)
     z = x & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -87,7 +87,7 @@ def derive_stream(seed, *indices):
     """
     h, *indices = (int(x) & _MASK if isinstance(x, numbers.Integral) else x for x in (seed, *indices))  # no numpy scalar math
     for slot, idx in enumerate(indices):
-        h = h ^ mix64((((slot + 1) * _GOLDEN_GAMMA) & _MASK) + idx & _MASK)
+        h = h ^ mix64((((slot + 1) * _GOLDEN_GAMMA) & _MASK) + idx)  # mix64 masks an int sum; a uint64 one wraps
     return h
 
 
@@ -107,16 +107,18 @@ def _binomial_draws(n: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     u, p = np.maximum(u, 2.0**-53), np.clip(p, 0.0, 1.0)  # states pass validation to 1e-10, so p may sit just outside [0, 1]
     k = np.where(p == 1.0, n, 0)
     live = np.flatnonzero((p > 0.0) & (p < 1.0) & (n > 0))
-    if n > _INVERSION_MAX_SHOTS:
+    if n > _INVERSION_MAX_SHOTS or not live.size:  # the normal branch (with no live draw, it assigns nothing)
         k[live] = _normal_draws(n, p[live], u[live])
         return k
     live = live[np.argsort(p[live], kind="stable")]  # sorted by p: the draws of one p are one run and share its CDF
     ps, first = np.unique(p[live], return_index=True)
-    runs = np.split(live, first[1:])
+    runs = np.split(u[live], first[1:])  # the uniforms of each run
     rows = max(1, _WINDOW_FLOATS // (sum(_window(n, np.array([0.5]))[1:]) + 1))  # about the widest window, p = 1/2's
+    k0, found = np.empty(ps.size, dtype=np.int64), []
     for i in range(0, ps.size, rows):
-        for k0, row, run in zip(*_window_cdf(n, ps[i : i + rows]), runs[i : i + rows]):
-            k[run] = k0 + np.searchsorted(row, u[run])
+        k0[i : i + rows], cdf = _window_cdf(n, ps[i : i + rows])
+        found += map(np.ndarray.searchsorted, cdf, runs[i : i + rows])
+    k[live] = np.repeat(k0, np.diff(first, append=live.size)) + np.concatenate(found)
     return k
 
 
@@ -138,10 +140,10 @@ def _window_cdf(n: int, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mode, wl, wr = _window(n, p)
     # the ratios pmf(k -+ 1) / pmf(k) outward from each row's own mode, 0 off the support; their products are pmf / pmf(mode)
     odds = np.divide(1.0 - p, p, out=np.zeros_like(p), where=mode > 0)  # no terms left of a mode at 0
-    k = mode[:, None] - np.arange(wl)
-    below = np.maximum(k, 0) / (n - k + 1.0) * odds[:, None]
-    k = mode[:, None] + np.arange(wr)
-    above = np.maximum(n - k, 0) / (k + 1.0) * (p / (1.0 - p))[:, None]
+    k = mode[:, None] - np.arange(wl, dtype=float)  # in float: every k is an integer below 2**53
+    below = np.maximum(k, 0.0) / (n - k + 1.0) * odds[:, None]
+    k = mode[:, None] + np.arange(wr, dtype=float)
+    above = np.maximum(n - k, 0.0) / (k + 1.0) * (p / (1.0 - p))[:, None]
     cdf = np.empty((p.size, wl + 1 + wr))
     np.cumprod(below, axis=1, out=cdf[:, wl - 1 :: -1])
     np.cumprod(above, axis=1, out=cdf[:, wl + 1 :])
@@ -160,9 +162,12 @@ def _normal_draws(n: int, p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.clip(np.floor(n * p + z * np.sqrt(n * p * (1.0 - p)) + 0.5), 0, n).astype(np.int64)
 
 
+_BASIS_MIXES = mix64(_GOLDEN_GAMMA + np.arange(3, dtype=np.uint64))  # derive_stream's mixes of the basis index b = 0, 1, 2
+
+
 def _basis_uniforms(streams: np.ndarray) -> np.ndarray:
-    """u[i, b], the first uniform of the stream derive_stream(streams[i], b), for the uint64 seeds streams[i]."""
-    return (mix64(derive_stream(streams[:, None], np.arange(3, dtype=np.uint64)) + _GOLDEN_GAMMA) >> 11) * 2.0**-53
+    """u[i, b], the first uniform of the stream derive_stream(streams[i], b) = streams[i] ^ _BASIS_MIXES[b], for uint64 streams."""
+    return (mix64((streams[:, None] ^ _BASIS_MIXES) + _GOLDEN_GAMMA) >> 11) * 2.0**-53
 
 
 def _pauli_counts(blochs: np.ndarray, shots: int, streams: np.ndarray) -> np.ndarray:
@@ -284,8 +289,8 @@ def reconstruct_linear(record: TomographyRecord) -> ReconstructionResult:
     return ReconstructionResult(state=qcore.bloch_state(bloch), method="linear", iterations=0, converged=True)
 
 
-def _axis_roots(s: np.ndarray, mu: np.ndarray, unit: bool) -> np.ndarray:
-    """Bloch components r(mu) of the boundary MLE, elementwise; unit says whether any |s| is 1.
+def _axis_roots(s: np.ndarray, s15: np.ndarray, mu: np.ndarray, unit: bool) -> np.ndarray:
+    """Bloch components r(mu) of the boundary MLE, elementwise, given s15 = 1.5 s; unit says whether any |s| is 1.
 
     For |s| < 1, r is the root in (-1, 1) of (1+s)/(1+r) - (1-s)/(1-r) = 2 mu r,
     which is the middle real root of the cubic mu r^3 - (1 + mu) r + s = 0.
@@ -296,7 +301,7 @@ def _axis_roots(s: np.ndarray, mu: np.ndarray, unit: bool) -> np.ndarray:
     # trigonometric middle root, written as 2/a sin(arcsin(c)/3) so it has no cancellation as mu -> 0
     mu1 = 1.0 + mu
     a = np.sqrt(3.0 * mu / mu1)
-    r = 2.0 / a * np.sin(np.arcsin(np.maximum(-1.0, np.minimum(1.0, 1.5 * s * a / mu1))) / 3.0)
+    r = 2.0 / a * np.sin(np.arcsin(np.maximum(-1.0, np.minimum(1.0, s15 * a / mu1))) / 3.0)
     if unit:
         r = np.where(np.abs(s) == 1.0, np.where(mu <= 0.5, s, s * (np.sqrt(1.0 + 4.0 / np.maximum(mu, 0.5)) - 1.0) / 2.0), r)
     return r
@@ -314,24 +319,26 @@ def _mle(plus: np.ndarray, shots: int) -> tuple[np.ndarray, np.ndarray]:
     unit, tol = bool(pinned.any()), 4.0 * np.finfo(float).eps
     # r(mu) ~ s / (1 + mu) gives |s| - 1, kept above 0 where sqrt rounds it to 0 (r(0) is 0/0);
     # a unit axis stays pinned at s_k (so h > 0) up to mu = 1/2
-    mu = np.maximum(np.sqrt(np.vecdot(t, t)) - 1.0, np.finfo(float).tiny) + 0.5 * pinned
-    lo, hi, last = np.zeros_like(mu), np.full_like(mu, 1.5), np.full_like(mu, np.inf)
+    mu = (np.maximum(np.sqrt(np.vecdot(t, t)) - 1.0, np.finfo(float).tiny) + 0.5 * pinned)[:, None]  # a column, as h is
+    t15, lo, hi, last = 1.5 * t, np.zeros_like(mu), np.full_like(mu, 1.5), np.full_like(mu, np.inf)
     for step in range(1, MLE_MAX_STEPS + 1):
-        r = _axis_roots(t, mu[:, None], unit)
+        r = _axis_roots(t, t15, mu, unit)
         q = r * r
-        h = q.sum(axis=1) - 1.0
-        lo, hi = np.where(h > 0.0, mu, lo), np.where(h > 0.0, hi, mu)
+        h = np.add.reduce(q, axis=1, keepdims=True) - 1.0
+        up = h > 0.0
+        np.copyto(lo, mu, where=up)
+        np.copyto(hi, mu, where=~up)
         a = np.abs(h)
         with np.errstate(all="ignore"):  # a 0/0 slope at a unit axis's mu = 1/2 only sends the row to the midpoint
-            new = mu - h / (2.0 * np.sum(q * (1.0 - q) / (3.0 * mu[:, None] * q - 1.0 - mu[:, None]), axis=1))
+            new = mu - h / (2.0 * np.add.reduce(q * (1.0 - q) / (3.0 * mu * q - 1.0 - mu), axis=1, keepdims=True))
             newton = (lo < new) & (new < hi) & ((a <= 1e-8) | (a <= _NEWTON_GAIN * last))
-        new = np.where(newton, new, 0.5 * (lo + hi))
-        done = (a <= tol) | (np.abs(new - mu) <= tol)
-        if done.any():
-            s[rows[done]] = r[done] / np.sqrt(h[done] + 1.0)[:, None]
+        np.copyto(new, 0.5 * (lo + hi), where=~newton)
+        done = ((a <= tol) | (np.abs(new - mu) <= tol))[:, 0]
+        if np.count_nonzero(done):
+            s[rows[done]] = r[done] / np.sqrt(h[done] + 1.0)
             steps[rows[done]] = step
             keep = ~done
-            rows, t, lo, hi, new, a = rows[keep], t[keep], lo[keep], hi[keep], new[keep], a[keep]
+            rows, t, t15, lo, hi, new, a = rows[keep], t[keep], t15[keep], lo[keep], hi[keep], new[keep], a[keep]
             if not rows.size:
                 return s, steps
         mu, last = new, a

@@ -903,6 +903,25 @@ def test_invalid_factory_state_names_parameter_and_exits_2(monkeypatch):
     harness.run_experiment(RunConfig(kind="werner", params=(0.25, 0.75)))
 
 
+@pytest.mark.parametrize("entry, bad", [((1, 2), np.nan), ((0, 0), np.nan), ((3, 0), complex(0.0, np.nan))])
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+def test_non_finite_factory_matrix_names_parameter_and_exits_2(monkeypatch, entry, bad, epsilon):
+    # a matrix factory's stack with a nan entry at p = 0.5 fails that point, where eigvalsh raised LinAlgError
+    def factory(params):
+        rho = harness.states.make_werner(params)
+        rho[(np.asarray(params) == 0.5, *entry)] = bad
+        return rho
+
+    monkeypatch.setitem(harness.KINDS, "werner", harness.KINDS["werner"]._replace(factory=factory))
+    message = f"invalid density matrix at parameter 0.5: {qcore.validate_density(oracles.depolarize(factory(0.5), epsilon))}"
+    with pytest.raises(qcore.InvalidStateError) as err:
+        harness.run_experiment(RunConfig(kind="werner", params=(0.25, 0.5, 0.75), epsilon_prep=epsilon))
+    assert str(err.value) == message
+    result = CliRunner().invoke(cli.main, ["werner", "--points", "0.25,0.5", "--epsilon-prep", str(epsilon)])
+    assert result.exit_code == 2
+    assert "parameter 0.5" in result.output
+
+
 @pytest.mark.parametrize("epsilon", [0.0, 0.05])
 def test_invalid_factory_ket_names_parameter_and_exits_2(monkeypatch, epsilon):
     # a pure kind's kets are checked by their norm: |psi|^2 off by 2e-3 at theta = 10, a nan entry at theta = 20

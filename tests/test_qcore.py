@@ -184,6 +184,20 @@ def test_non_finite_matrices_are_invalid_states(bad, dim, entry):
             _NON_FINITE_ENTRY_POINTS[entry](rho)
 
 
+def test_density_defects_fails_a_non_finite_matrix_of_a_stack():
+    # eigvalsh does not converge on a nan or inf entry, so a stack holding one fails that matrix and checks the rest
+    rho = np.stack([np.eye(4, dtype=complex) / 4] * 5)
+    rho[1, 0, 3] = rho[1, 3, 0] = np.nan
+    rho[2, 2, 2] = complex(0.0, np.nan)
+    assert qcore.density_defects(rho[:3])[3].tolist() == [True, False, False]
+    rho[3, 2, 2] = np.inf
+    rho[4, 0, 1] = rho[4, 1, 0] = 1e308  # finite, but its Hermitian part (rho + rho^+) / 2 overflows to inf
+    with np.errstate(invalid="ignore", over="ignore"):  # the defects of these two are inf - inf and an overflow
+        herm, trace, eigs, ok = qcore.density_defects(rho)
+    assert ok.tolist() == [True, False, False, False, False]
+    assert eigs[0].tolist() == [0.25] * 4 and (eigs[1:] == 0.0).all()
+
+
 # --- negativity -------------------------------------------------------------
 
 def test_negativity_singlet():

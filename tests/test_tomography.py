@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -405,18 +406,23 @@ def test_linear_closed_form_matches_eigenvalue_clipping():
 
 # --- reconstruct_mle --------------------------------------------------------------
 
-def _pipeline_records():
-    """Every record of the 19-point family1/family2 sampled pipeline at 1e5 shots, seed 42."""
-    records = []
+def _pipeline_states():
+    """(Bob's state, stream) of every record of the 19-point family1/family2 sampled pipeline, seed 42."""
+    states = []
     for family in (family1, family2):
         for g in range(19):
             psi = family(2.5 * g)
             rho_ab = projector(psi)
-            records.append(simulate_counts(partial_trace(rho_ab, "B"), 10**5, derive_stream(42, g, 0)))
+            states.append((partial_trace(rho_ab, "B"), derive_stream(42, g, 0)))
             for t, outcome in enumerate(alice_measure(rho_ab, optimal_basis_pure(psi)), start=1):
                 if outcome.prob > 0.0:
-                    records.append(simulate_counts(outcome.bob_state, 10**5, derive_stream(42, g, t)))
-    return records
+                    states.append((outcome.bob_state, derive_stream(42, g, t)))
+    return states
+
+
+def _pipeline_records():
+    """Every record of the 19-point family1/family2 sampled pipeline at 1e5 shots, seed 42."""
+    return [simulate_counts(state, 10**5, stream) for state, stream in _pipeline_states()]
 
 
 def _mixed_records():
@@ -556,6 +562,73 @@ def test_mle_raises_when_root_find_hits_step_cap(monkeypatch):
     monkeypatch.setattr(tomography, "MLE_MAX_STEPS", 1)
     with pytest.raises(RuntimeError, match="did not converge"):
         reconstruct_mle(rec)
+
+
+TOMOGRAPHY_BITS = Path(__file__).parent / "data" / "tomography_bits_0.14.0.json"
+
+
+def _tomography_bits() -> dict:
+    """{"<kernel> <case>": [int or float.hex, ...]} of the sampled path's kernels on inputs at their edges.
+
+    Streams: derive_stream and _basis_uniforms at seeds 0 and 2^64 - 1 with uint64 indices near 2^64, so the
+    stream arithmetic wraps.  Draws: _binomial_draws at n = 1, 7, 3,520 and 1e4 on p drawn once and p drawn
+    several times, p at and just beyond 0 and 1, u = 0, 2^-53 and 1 - 2^-52, enough distinct p for several CDF
+    blocks, single draws, and empty and all-degenerate inputs.  MLE: _mle's Bloch vectors and steps on the stacks
+    of _assert_lockstep_mle_matches_scalar_estimator (pinned rows, rows that stop at different steps), and the
+    counts and estimates of tomograph on the pipeline's states at 1e3, 1e5 and 1e6 shots and on random mixed
+    states at 1e3 to 1e6 shots.  tomography_bits_0.14.0.json holds this function's output under cohdist 0.14.0
+    (splitmix64-sampler-v5, mle-newton-v2), one key a line after an "about" key, written with tests/ and src/ on
+    sys.path."""
+    out = {}
+    near = np.array([0, 1, 2, 2**63, 2**64 - 2**32, 2**64 - 3, 2**64 - 1], dtype=np.uint64)
+    for seed in (0, 2**64 - 1):
+        streams = derive_stream(seed, *np.meshgrid(near, near, indexing="ij")).ravel()
+        out[f"derive_stream {seed}"] = streams.tolist()
+        out[f"derive_stream of streams {seed}"] = derive_stream(streams, near[:, None]).ravel().tolist()
+        out[f"_basis_uniforms {seed}"] = [x.hex() for x in tomography._basis_uniforms(streams).ravel().tolist()]
+    rng = np.random.default_rng(33)
+    edge_u = [0.0, 2.0**-53, 1.0 - 2.0**-52]
+    for n in (1, 7, 3_520, 10_000):
+        ps = np.concatenate([[0.0, 1.0, -2.0**-60, 1.0 + 2.0**-52, 1e-12, 1.0 - 1e-12, 0.5], rng.uniform(size=60),
+                             10 ** rng.uniform(-14, 0, 10), 1 - 10 ** rng.uniform(-14, 0, 10)])
+        p = np.repeat(ps, np.where(rng.uniform(size=ps.size) < 0.3, rng.integers(2, 7, ps.size), 1))  # most p once
+        u = np.where(rng.uniform(size=p.size) < 0.2, rng.choice(edge_u, p.size), rng.uniform(size=p.size))
+        order = rng.permutation(p.size)
+        draw = functools.partial(tomography._binomial_draws, n)
+        out[f"_binomial_draws {n}"] = draw(p[order], u[order]).tolist()
+        out[f"_binomial_draws {n} edge u"] = draw(np.repeat(ps, 3), np.tile(edge_u, ps.size)).tolist()
+        out[f"_binomial_draws {n} single"] = [draw(ps[i : i + 1], u[i : i + 1]).tolist() for i in range(20)]
+        out[f"_binomial_draws {n} degenerate"] = draw(np.array([0.0, 1.0, 1.0, -0.0]), rng.uniform(size=4)).tolist()
+        out[f"_binomial_draws {n} empty"] = draw(np.empty(0), np.empty(0)).tolist()
+    by_shots = {}
+    for rec in _pipeline_records() + _mixed_records() + list(EDGE_RECORDS.values()):
+        by_shots.setdefault(rec.shots_per_basis, []).append([rec.counts[b][0] for b in BASES])
+    for shots, plus in sorted(by_shots.items()):
+        blochs, steps = tomography._mle(np.array(plus), shots)
+        out[f"_mle {shots}"] = [x.hex() for x in blochs.ravel().tolist()]
+        out[f"_mle {shots} steps"] = steps.tolist()
+    states, streams = zip(*_pipeline_states())
+    pipeline = (np.array([qcore.bloch_vector(rho) for rho in states]), np.array(streams, dtype=np.uint64))
+    mixed = (np.array([qcore.bloch_vector(random_density(rng, 2)) for _ in range(60)]), derive_stream(7, np.arange(60, dtype=np.uint64)))
+    for name, (blochs, streams), shots_list in (("pipeline", pipeline, (10**3, 10**5, 10**6)),
+                                                ("mixed", mixed, (10**3, 9_999, 10**4, 10**5, 10**6))):
+        for shots in shots_list:
+            out[f"_pauli_counts {name} {shots}"] = tomography._pauli_counts(blochs, shots, streams).ravel().tolist()
+            est, steps = tomography.tomograph(blochs, shots, streams)
+            out[f"tomograph {name} {shots}"] = [x.hex() for x in est.ravel().tolist()]
+            out[f"tomograph {name} {shots} steps"] = steps.tolist()
+    return out
+
+
+def test_tomography_kernels_match_0_14_0_bit_for_bit():
+    # streams, draws and MLE iterates, pinned before the kernels lost their redundant numpy passes
+    stored = json.loads(TOMOGRAPHY_BITS.read_text())
+    got = _tomography_bits()
+    assert sorted(got) == sorted(k for k in stored if k != "about")
+    steps = got["_mle 100000 steps"]
+    assert sum(n > 0 for n in steps) >= 40 and len(set(steps) - {0}) >= 2  # boundary rows that stop at different steps
+    for name, values in got.items():
+        assert values == stored[name], f"{name} differs from the golden written by: {stored['about']}"
 
 
 @st.composite

@@ -3,14 +3,14 @@
     python3 tools/byte_sweep.py --parent DIR --change DIR
 
 For each checkout one subprocess puts that checkout's src/ first on sys.path and runs a fixed list of CLI
-invocations in process through click's CliRunner: every run command analytic and sampled (7, 10,000, 10,001
-and 1e6 shots; 10,000 draws on the widest inversion window, 10,001 on the normal branch) at epsilon 0 and 0.05 in
-CSV and JSON, a 1,001-point JSON Werner grid, a 4,501-point sampled grid
-(more than one harness.RUN_CHUNK), every fixture table and tomo-demo in both formats, tomo-demo at seeds 0 and
-2^64 - 1 with 7 and 1e6 shots in both formats, every --help page, eleven usage errors (four of them parameters out
-of range, which reach the run table's rows and the KINDS state factories, and two values that are not numbers) and
---version.  Prints each invocation whose exit code, stdout or stderr differs between the two checkouts, and exits 1
-if any does.
+invocations in process through click's CliRunner: every run command analytic and sampled (7, 10,000, 10,001, the
+default 100,000 and 1e6 shots; 10,000 draws on the widest inversion window, 10,001 on the normal branch, and at
+100,000 and epsilon 0 a third of the pure kinds' records take the boundary MLE) at epsilon 0 and 0.05 in CSV and
+JSON, a 1,001-point JSON Werner grid, a 4,501-point sampled grid (more than one harness.RUN_CHUNK), every fixture
+table and tomo-demo in both formats, tomo-demo at seeds 0 and 2^64 - 1 with 7 and 1e6 shots in both formats, every
+--help page, eleven usage errors (four of them parameters out of range, which reach the run table's rows and the
+KINDS state factories, and two values that are not numbers) and --version.  Prints each invocation whose exit code,
+stdout or stderr differs between the two checkouts, and exits 1 if any does.
 Where both stdouts parse as JSON it says whether the two results differ only in that JSON's top-level "meta",
 and the last line counts the differing invocations as "in meta only" and "otherwise": a version bump that
 moves nothing else leaves --version as the one "otherwise".  Just before that line it prints the names that
@@ -32,6 +32,7 @@ def invocations() -> list[list[str]]:
                 tail = ["--epsilon-prep", eps, "--format", fmt]
                 runs.append([command, *tail])
                 runs += [[command, "--mode", "sampled", "--shots", shots, *tail] for shots in ("7", "10000", "10001", "1000000")]
+                runs.append([command, "--mode", "sampled", *tail])  # the default shots
     runs.append(["werner", "--grid", "0:1:0.001", "--format", "json"])
     runs.append(["werner", "--grid", "0:0.9:0.0002", "--mode", "sampled", "--shots", "1000"])
     for fmt in ("csv", "json"):
