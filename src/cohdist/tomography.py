@@ -319,23 +319,23 @@ def _mle(plus: np.ndarray, shots: int) -> tuple[np.ndarray, np.ndarray]:
     unit, tol = bool(pinned.any()), 4.0 * np.finfo(float).eps
     # r(mu) ~ s / (1 + mu) gives |s| - 1, kept above 0 where sqrt rounds it to 0 (r(0) is 0/0);
     # a unit axis stays pinned at s_k (so h > 0) up to mu = 1/2
-    mu = (np.maximum(np.sqrt(np.vecdot(t, t)) - 1.0, np.finfo(float).tiny) + 0.5 * pinned)[:, None]  # a column, as h is
+    mu = np.maximum(np.sqrt(np.vecdot(t, t)) - 1.0, np.finfo(float).tiny) + 0.5 * pinned
     t15, lo, hi, last = 1.5 * t, np.zeros_like(mu), np.full_like(mu, 1.5), np.full_like(mu, np.inf)
     for step in range(1, MLE_MAX_STEPS + 1):
-        r = _axis_roots(t, t15, mu, unit)
+        r = _axis_roots(t, t15, mu[:, None], unit)
         q = r * r
-        h = np.add.reduce(q, axis=1, keepdims=True) - 1.0
+        h = np.add.reduce(q, axis=1) - 1.0
         up = h > 0.0
         np.copyto(lo, mu, where=up)
         np.copyto(hi, mu, where=~up)
         a = np.abs(h)
         with np.errstate(all="ignore"):  # a 0/0 slope at a unit axis's mu = 1/2 only sends the row to the midpoint
-            new = mu - h / (2.0 * np.add.reduce(q * (1.0 - q) / (3.0 * mu * q - 1.0 - mu), axis=1, keepdims=True))
+            new = mu - h / (2.0 * np.add.reduce(q * (1.0 - q) / (3.0 * mu[:, None] * q - 1.0 - mu[:, None]), axis=1))
             newton = (lo < new) & (new < hi) & ((a <= 1e-8) | (a <= _NEWTON_GAIN * last))
         np.copyto(new, 0.5 * (lo + hi), where=~newton)
-        done = ((a <= tol) | (np.abs(new - mu) <= tol))[:, 0]
+        done = (a <= tol) | (np.abs(new - mu) <= tol)
         if np.count_nonzero(done):
-            s[rows[done]] = r[done] / np.sqrt(h[done] + 1.0)
+            s[rows[done]] = r[done] / np.sqrt(h[done] + 1.0)[:, None]
             steps[rows[done]] = step
             keep = ~done
             rows, t, t15, lo, hi, new, a = rows[keep], t[keep], t15[keep], lo[keep], hi[keep], new[keep], a[keep]
