@@ -76,11 +76,12 @@ def density_defects(rho):
     """(hermiticity defect, trace defect, Hermitian-part spectrum, ok) of each matrix in a (..., d, d) stack."""
     herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
-    # eigenvalues of the Hermitian part, so the check is defined for any input; eigvalsh does not converge on a nan or
-    # inf entry, so a matrix whose part has one fails, with 0s for its spectrum
-    part = (rho + rho.conj().swapaxes(-1, -2)) / 2.0
-    finite = np.isfinite(part).all(axis=(-2, -1))
-    eigs = np.linalg.eigvalsh(part if finite.all() else np.where(finite[..., None, None], part, 0.0))
+    part, finite = (rho + rho.conj().swapaxes(-1, -2)) / 2.0, True  # the Hermitian part's spectrum is defined for any input
+    try:
+        eigs = np.linalg.eigvalsh(part)
+    except np.linalg.LinAlgError:  # no convergence on a nan or inf entry: a matrix with one fails, with 0s for its spectrum
+        finite = np.isfinite(part).all(axis=(-2, -1))
+        eigs = np.linalg.eigvalsh(np.where(finite[..., None, None], part, 0.0))
     return herm, trace, eigs, finite & (herm <= HERMITICITY_TOL) & (trace <= TRACE_TOL) & (eigs[..., 0] >= -EIGENVALUE_TOL)
 
 

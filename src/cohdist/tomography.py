@@ -22,10 +22,9 @@ mix64(seed + (k+1) * 0x9E3779B97F4A7C15) where mix64 is the splitmix64 finalizer
 (u64 >> 11) * 2**-53.  Each Pauli basis uses its own stream derived as seed XOR mix64 of the basis index (the three
 mixes are made once, at import, as _BASIS_MIXES: the streams are unchanged), and each binomial draw inverts one
 uniform, its stream's element 0, so identical (state, shots, seed) give bit-identical counts on one numpy build, and
-up to 10_000 shots the same Bloch vectors give the same counts on every build (see below).  Shots and seeds pass
-one check, shots_and_seed, and a TomographyRecord checks its counts when it is made and refuses any change to them
-after (a TypeError), so every record reconstructs and writes JSON.  PRNG_ID names the algorithm in harness output
-metadata.
+up to 10_000 shots the same Bloch vectors give the same counts on every build (see below).  Shots and seeds pass one
+check, shots_and_seed, and a TomographyRecord checks its counts when it is made and refuses any change to them after
+(a TypeError), so every record reconstructs and writes JSON.  PRNG_ID names the algorithm in harness output metadata.
 
 Axis k gives "+" with probability (1 + r_k) / 2 for the Bloch vector r.
 Binomial sampling uses exact CDF inversion (k = min{k : F(k) >= u}) for shots <= 10_000, with the terms

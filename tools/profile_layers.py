@@ -13,11 +13,11 @@ under the profiled time of all the tasks.  With --parent and --change it prints 
 difference in cumulative ms.
 
 --mle measures the lockstep MLE instead.  The subprocess runs the tasks of rounds 1 to R once, keeping every stack
-of "+" counts that they hand to tomography._mle, then times _mle on those stacks in a loop (best of --repeat loops,
-after one warm-up loop) and counts its _axis_roots calls in one more.  It prints the stacks, their rows and boundary
-rows (the rows with a root step), the _axis_roots calls, root steps per boundary row, and µs per stack and per
-boundary row; with --parent and --change both sides, whose calls and steps agree when the two estimators take the
-same steps.  The times include the stacks of interior rows only, which return before the root search.
+of "+" counts that they hand to tomography._mle, then times _mle on those stacks in a loop (best of MLE_LOOPS
+loops, after one warm-up loop) and counts its _axis_roots calls in one more.  It prints the stacks, their rows and
+boundary rows (the rows with a root step), the _axis_roots calls, root steps per boundary row, and µs per stack and
+per boundary row; with --parent and --change both sides, whose calls and steps agree when the two estimators take
+the same steps.  The times include the stacks of interior rows only, which return before the root search.
 
 The profile's times are cProfile's and include its per-call overhead: compare two checkouts
 with it, not a profile with a benchmark.  Each side runs once, one after the other, so the call counts are exact
@@ -32,6 +32,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MLE_LOOPS = 20  # --mle: timed loops over the stacks, the best one taken
 
 
 def layer_name(code, package: Path) -> str | None:
@@ -48,22 +49,27 @@ def layer_name(code, package: Path) -> str | None:
     return None
 
 
-def emit(checkout: Path, workload: str, seed: int, rounds: int) -> None:
-    """Print, as one JSON object, the task count, the profiled ms and {name: [calls, self ms, cumulative ms]}."""
-    import cProfile
-
+def load(checkout: Path, workload: str, seed: int, rounds: int) -> list:
+    """The tasks of rounds 1 to R of the checkout's workload, with its cohdist imported and round 0 run once."""
     sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout
     sys.path.insert(0, str(checkout / "perfbench"))
     import run  # perfbench/run.py: pins BLAS to one thread before numpy is imported
 
     run.use_checkout_source()
-    import cohdist
-
-    package = Path(cohdist.__file__).resolve().parent
     built, first = run.build_workload(workload, seed)
     for task in first:  # warm-up
         task.run()
-    tasks = [task for r in range(1, rounds + 1) for task in built.round(r)]
+    return [task for r in range(1, rounds + 1) for task in built.round(r)]
+
+
+def emit(checkout: Path, workload: str, seed: int, rounds: int) -> None:
+    """Print, as one JSON object, the task count, the profiled ms and {name: [calls, self ms, cumulative ms]}."""
+    import cProfile
+
+    tasks = load(checkout, workload, seed, rounds)
+    import cohdist
+
+    package = Path(cohdist.__file__).resolve().parent
     profiler = cProfile.Profile()
     profiler.enable()
     for task in tasks:
@@ -79,23 +85,15 @@ def emit(checkout: Path, workload: str, seed: int, rounds: int) -> None:
     json.dump({"tasks": len(tasks), "total_ms": total_ms, "rows": rows}, sys.stdout)
 
 
-def emit_mle(checkout: Path, workload: str, seed: int, rounds: int, repeat: int) -> None:
+def emit_mle(checkout: Path, workload: str, seed: int, rounds: int) -> None:
     """Print, as one JSON object, the stack, row, boundary-row, _axis_roots-call and root-step counts of the _mle calls
     of rounds 1 to R, and the best time in ms of one loop of _mle over those stacks."""
     import time
 
+    tasks = load(checkout, workload, seed, rounds)
     import numpy as np
-
-    sys.dont_write_bytecode = True
-    sys.path.insert(0, str(checkout / "perfbench"))
-    import run
-
-    run.use_checkout_source()
     from cohdist import tomography
 
-    built, first = run.build_workload(workload, seed)
-    for task in first:  # warm-up
-        task.run()
     mle, axis_roots, stacks, calls = tomography._mle, tomography._axis_roots, [], [0]
 
     def keep(plus, shots):
@@ -103,12 +101,11 @@ def emit_mle(checkout: Path, workload: str, seed: int, rounds: int, repeat: int)
         return mle(plus, shots)
 
     tomography._mle = keep
-    tasks = [task for r in range(1, rounds + 1) for task in built.round(r)]
     for task in tasks:
         task.run()
     tomography._mle = mle
     best = float("inf")
-    for i in range(repeat + 1):  # loop 0 warms up
+    for i in range(MLE_LOOPS + 1):  # loop 0 warms up
         start = time.perf_counter()
         for plus, shots in stacks:
             mle(plus, shots)
@@ -143,7 +140,7 @@ def profile(checkout: Path, args) -> dict:
     if not (checkout / "perfbench" / "run.py").is_file():
         sys.exit(f"{checkout} is not a cohdist checkout: it has no perfbench/run.py")
     cmd = [sys.executable, __file__, "--emit", str(checkout.resolve()), "--workload", args.workload,
-           "--seed", str(args.seed), "--rounds", str(args.rounds)] + (["--mle", "--repeat", str(args.repeat)] if args.mle else [])
+           "--seed", str(args.seed), "--rounds", str(args.rounds)] + ["--mle"] * args.mle
     result = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if result.returncode:
         sys.exit(f"profiling {checkout} failed:\n{result.stderr}")
@@ -159,14 +156,13 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", type=Path)
     parser.add_argument("--change", type=Path)
     parser.add_argument("--mle", action="store_true", help="time the lockstep MLE on the workload's own stacks")
-    parser.add_argument("--repeat", type=int, default=20, help="--mle: timed loops over the stacks, best taken")
     parser.add_argument("--emit", type=Path, help=argparse.SUPPRESS)  # the subprocess: profile this checkout
     args = parser.parse_args(argv)
-    if args.rounds < 1 or args.repeat < 1:
-        parser.error("--rounds and --repeat must be at least 1")
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     if args.emit:
         if args.mle:
-            emit_mle(args.emit, args.workload, args.seed, args.rounds, args.repeat)
+            emit_mle(args.emit, args.workload, args.seed, args.rounds)
         else:
             emit(args.emit, args.workload, args.seed, args.rounds)
         return 0
@@ -175,7 +171,7 @@ def main(argv=None) -> int:
     title = f"{args.workload}, seed {args.seed}, rounds 1-{args.rounds}"
     if args.mle:
         sides = [profile(ROOT, args)] if args.parent is None else [profile(args.parent, args), profile(args.change, args)]
-        print(f"{title}: _mle on the stacks of {sides[0]['tasks']} tasks, best of {args.repeat} loops"
+        print(f"{title}: _mle on the stacks of {sides[0]['tasks']} tasks, best of {MLE_LOOPS} loops"
               + ("" if len(sides) == 1 else " (parent, change)"))
         for label, *values in zip(*map(mle_rows, sides)):
             print(f"{label[0]:<30}" + "".join(f" {v:>12}" for _, v in (label, *values)))
