@@ -76,13 +76,13 @@ def density_defects(rho):
     """(hermiticity defect, trace defect, Hermitian-part spectrum, ok) of each matrix in a (..., d, d) stack."""
     herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
-    part, finite = (rho + rho.conj().swapaxes(-1, -2)) / 2.0, True  # the Hermitian part's spectrum is defined for any input
+    part = (rho + rho.conj().swapaxes(-1, -2)) / 2.0  # the Hermitian part's spectrum is defined for any input
     try:
         eigs = np.linalg.eigvalsh(part)
-    except np.linalg.LinAlgError:  # no convergence on a nan or inf entry: a matrix with one fails, with 0s for its spectrum
-        finite = np.isfinite(part).all(axis=(-2, -1))
-        eigs = np.linalg.eigvalsh(np.where(finite[..., None, None], part, 0.0))
-    return herm, trace, eigs, finite & (herm <= HERMITICITY_TOL) & (trace <= TRACE_TOL) & (eigs[..., 0] >= -EIGENVALUE_TOL)
+    except np.linalg.LinAlgError:  # no convergence on a nan or inf entry: a matrix with one gets a nan spectrum, so fails
+        finite = np.isfinite(part).all(axis=(-2, -1))[..., None]
+        eigs = np.where(finite, np.linalg.eigvalsh(np.where(finite[..., None], part, 0.0)), np.nan)
+    return herm, trace, eigs, (herm <= HERMITICITY_TOL) & (trace <= TRACE_TOL) & (eigs[..., 0] >= -EIGENVALUE_TOL)
 
 
 def validate_density(rho) -> ValidationReport:

@@ -195,7 +195,7 @@ def test_density_defects_fails_a_non_finite_matrix_of_a_stack():
     with np.errstate(invalid="ignore", over="ignore"):  # the defects of these two are inf - inf and an overflow
         herm, trace, eigs, ok = qcore.density_defects(rho)
     assert ok.tolist() == [True, False, False, False, False]
-    assert eigs[0].tolist() == [0.25] * 4 and (eigs[1:] == 0.0).all()
+    assert eigs[0].tolist() == [0.25] * 4 and np.isnan(eigs[1:]).all()
 
 
 # --- negativity -------------------------------------------------------------
