@@ -33,7 +33,7 @@ from .tomography import ESTIMATOR_ID, PRNG_ID, derive_stream, shots_and_seed, to
 GRID_SNAP = 1e-9
 GRID_MAX_POINTS = 1_000_000
 RUN_CHUNK = 4096  # grid points per numpy pass, so a long grid's temporaries stay small
-VERSION = "0.14.0"  # cohdist.__version__
+VERSION = "0.15.0"  # cohdist.__version__
 META = {"prng": PRNG_ID, "estimator": ESTIMATOR_ID, "version": VERSION}  # the "meta" of every JSON output (dump_json)
 
 PURE_CSV_HEADER = "theta_deg,cd_before_theory,cd_before_sim,cd_after_theory,cd_after_sim,delta_sim"
@@ -153,12 +153,13 @@ def run_experiment(config: RunConfig) -> list[ExperimentRow]:
 def _run_points(config: RunConfig, start: int) -> list[ExperimentRow]:
     kind, eps, params = KINDS[config.kind], config.epsilon_prep, config.params[start : start + RUN_CHUNK]
     made = kind.factory(params)
-    rho = qcore.projector(made) if made.ndim == 2 else made
-    rho = (1.0 - eps) * rho + eps * np.eye(4, dtype=complex) / 4.0
-    if made.ndim == 2:  # psi psi^+ is exactly Hermitian and positive, so a trace within TRACE_TOL of 1 makes it a state
-        spectra, ok = None, np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) <= qcore.TRACE_TOL  # nan fails
-    else:  # a matrix factory's stack: its spectra feed qi_bound
-        _, _, spectra, ok = qcore.density_defects(rho)
+    with np.errstate(invalid="ignore", over="ignore"):  # an inf entry's nan fails the check below, without a numpy warning
+        rho = qcore.projector(made) if made.ndim == 2 else made
+        rho = (1.0 - eps) * rho + eps * np.eye(4, dtype=complex) / 4.0
+        if made.ndim == 2:  # psi psi^+ is exactly Hermitian and positive, so a trace within TRACE_TOL of 1 makes it a state
+            spectra, ok = None, np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) <= qcore.TRACE_TOL  # nan fails
+        else:  # a matrix factory's stack: its spectra feed qi_bound
+            _, _, spectra, ok = qcore.density_defects(rho)
     if not ok.all():
         i = int(np.argmin(ok))
         report = qcore.validate_density(rho[i])

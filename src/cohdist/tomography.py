@@ -9,11 +9,11 @@ Maximum likelihood
 ------------------
 The Pauli likelihood separates by axis, so the qubit MLE is closed-form (see
 reconstruct_mle) up to one multiplier per record on the Bloch-sphere
-boundary.  Those records solve for it in lockstep with a Newton iteration
-kept inside a bisection bracket, in numpy's arcsin and sin.  ESTIMATOR_ID
+boundary.  Those records solve for it in lockstep, in numpy's arcsin and sin: three unguarded Newton
+steps, then a Newton iteration kept inside a bisection bracket for the rows they leave unsolved.  ESTIMATOR_ID
 names it in harness output metadata.  The estimates are bit-stable from run
 to run on one numpy build, but not across builds, and numpy's SIMD trig may
-round a stack and a single record differently.
+round a stack and numpy scalars differently.
 
 Reproducibility contract
 ------------------------
@@ -50,7 +50,7 @@ import numpy as np
 from . import qcore
 
 PRNG_ID = "splitmix64-sampler-v5"
-ESTIMATOR_ID = "mle-newton-v2"
+ESTIMATOR_ID = "mle-newton-v3"
 BASES = ("X", "Y", "Z")
 SHOTS_MAX = 2**53  # counts and n p stay exact in float64
 SEED_LIMIT = 2**64  # seeds are integers in [0, SEED_LIMIT)
@@ -62,6 +62,7 @@ _TAIL = 40.0  # Bernstein exponent of the inversion window on each side of the m
 _WINDOW_FLOATS = 2**14  # window elements per numpy pass, so the sampler's temporaries stay small
 # step cap for the MLE multiplier search; bisection alone needs at most 51 steps
 MLE_MAX_STEPS = 100
+_FAST_STEPS = 3  # unguarded Newton steps every boundary MLE row takes from its second-order start, before any bracket
 _STANDARD_NORMAL = NormalDist()
 _NEWTON_GAIN = 0.5  # a Newton step on the MLE multiplier must shrink |h| this much while |h| > 1e-8, or the row bisects
 
@@ -308,40 +309,57 @@ def _axis_roots(s: np.ndarray, s15: np.ndarray, mu: np.ndarray, unit: bool) -> n
 
 def _mle(plus: np.ndarray, shots: int) -> tuple[np.ndarray, np.ndarray]:
     """(Bloch vectors, root steps) of the closed-form MLE for "+" counts plus[i] on X, Y, Z (see reconstruct_mle)."""
-    s = (2 * plus - shots) / shots
-    steps = np.zeros(len(s), dtype=np.int64)
+    s, steps = (2 * plus - shots) / shots, np.zeros(len(plus), dtype=np.int64)
     rows = np.flatnonzero(np.vecdot(s, s) > 1.0)
     if not rows.size:
         return s, steps
     t = s[rows]
-    pinned = (np.abs(t) == 1.0).any(axis=1)
-    unit, tol = bool(pinned.any()), 4.0 * np.finfo(float).eps
-    # r(mu) ~ s / (1 + mu) gives |s| - 1, kept above 0 where sqrt rounds it to 0 (r(0) is 0/0);
-    # a unit axis stays pinned at s_k (so h > 0) up to mu = 1/2
-    mu = np.maximum(np.sqrt(np.vecdot(t, t)) - 1.0, np.finfo(float).tiny) + 0.5 * pinned
-    t15, lo, hi, last = 1.5 * t, np.zeros_like(mu), np.full_like(mu, 1.5), np.full_like(mu, np.inf)
-    for step in range(1, MLE_MAX_STEPS + 1):
+    q = t * t
+    pinned, norm2 = (np.abs(t) == 1.0).any(axis=1), np.add.reduce(q, axis=1)
+    unit, tol, t15, tiny = bool(pinned.any()), 4.0 * np.finfo(float).eps, 1.5 * t, np.finfo(float).tiny
+    with np.errstate(all="ignore"):  # unguarded steps that take mu to 0 or below make nan, and the row takes the bracketed search
+        # the root of |r(mu)|^2 ~ |s|^2 - 2 mu (|s|^2 - sum s_k^4) to O((|s| - 1)^2), or of its form past a unit axis's mu = 1/2
+        mu = np.where(pinned, 0.5 + (norm2 - 1.0) / 6.0, np.maximum((np.sqrt(norm2) - 1.0) / (1.0 - np.add.reduce(q * q, axis=1) / (norm2 * norm2)), tiny))
+        for _ in range(_FAST_STEPS):
+            mu = _newton(t, t15, mu, unit)[2]
         r = _axis_roots(t, t15, mu[:, None], unit)
-        q = r * r
-        h = np.add.reduce(q, axis=1) - 1.0
-        up = h > 0.0
-        np.copyto(lo, mu, where=up)
-        np.copyto(hi, mu, where=~up)
-        a = np.abs(h)
+        h = np.add.reduce(r * r, axis=1) - 1.0
+        s[rows] = r / np.sqrt(h + 1.0)[:, None]  # the bracketed search replaces the rows it takes
+    steps[rows] = _FAST_STEPS + 1
+    keep = ~(np.abs(h) <= 2.0 * tol)  # r(mu)'s rounding leaves |h| up to ~7 eps at the root; nan is kept
+    if not keep.any():
+        return s, steps
+    rows, t, t15, pinned, norm2, mu = rows[keep], t[keep], t15[keep], pinned[keep], norm2[keep], mu[keep]
+    # else r(mu) ~ s / (1 + mu) gives |s| - 1, kept above 0 (r(0) is 0/0); a unit axis stays pinned at s_k (h > 0) to mu = 1/2
+    mu = np.where((mu > 0.0) & (mu < 1.5), mu, np.maximum(np.sqrt(norm2) - 1.0, tiny) + 0.5 * pinned)
+    lo, hi, last = np.zeros_like(mu), np.full_like(mu, 1.5), np.full_like(mu, np.inf)
+    for step in range(1, MLE_MAX_STEPS + 1):
         with np.errstate(all="ignore"):  # a 0/0 slope at a unit axis's mu = 1/2 only sends the row to the midpoint
-            new = mu - h / (2.0 * np.add.reduce(q * (1.0 - q) / (3.0 * mu[:, None] * q - 1.0 - mu[:, None]), axis=1))
+            r, h, new = _newton(t, t15, mu, unit)
+            up = h > 0.0
+            np.copyto(lo, mu, where=up)
+            np.copyto(hi, mu, where=~up)
+            a = np.abs(h)
             newton = (lo < new) & (new < hi) & ((a <= 1e-8) | (a <= _NEWTON_GAIN * last))
         np.copyto(new, 0.5 * (lo + hi), where=~newton)
         done = (a <= tol) | (np.abs(new - mu) <= tol)
         if np.count_nonzero(done):
             s[rows[done]] = r[done] / np.sqrt(h[done] + 1.0)[:, None]
-            steps[rows[done]] = step
+            steps[rows[done]] += step
             keep = ~done
             rows, t, t15, lo, hi, new, a = rows[keep], t[keep], t15[keep], lo[keep], hi[keep], new[keep], a[keep]
             if not rows.size:
                 return s, steps
         mu, last = new, a
     raise RuntimeError(f"MLE multiplier search did not converge in {MLE_MAX_STEPS} steps: {plus[rows[0]]} of {shots}")
+
+
+def _newton(t: np.ndarray, t15: np.ndarray, mu: np.ndarray, unit: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(r(mu), h(mu) = |r(mu)|^2 - 1, the Newton point mu - h / h') of boundary rows t, with r_k' = (r_k - r_k^3) / (3 mu r_k^2 - 1 - mu)."""
+    r = _axis_roots(t, t15, mu[:, None], unit)
+    q = r * r
+    h = np.add.reduce(q, axis=1) - 1.0
+    return r, h, mu - h / (2.0 * np.add.reduce(q * (1.0 - q) / (3.0 * mu[:, None] * q - 1.0 - mu[:, None]), axis=1))
 
 
 def reconstruct_mle(record: TomographyRecord) -> ReconstructionResult:
@@ -352,16 +370,18 @@ def reconstruct_mle(record: TomographyRecord) -> ReconstructionResult:
     where n+/(1 + r_k) - n-/(1 - r_k) = 2 lambda r_k on each axis: for fixed
     mu = 2 lambda / N, r_k is the middle real root of
     mu r^3 - (1 + mu) r + s_k = 0 (trigonometric form), and |r(mu)| falls
-    monotonically in mu on [0, 3/2], which brackets the multiplier.
-    Newton steps on h(mu) = |r(mu)|^2 - 1, with r_k' = (r_k - r_k^3) / (3 mu r_k^2 - 1 - mu)
-    from the cubic, start at mu = |s| - 1 (above 0), plus 1/2 if some |s_k| = 1.  The sign of h
-    narrows the bracket; a step that leaves it, or that fails to shrink |h| by
-    _NEWTON_GAIN while |h| > 1e-8, takes the bracket's midpoint instead.  The solve
-    stops with r / |r| when |h| <= 4 eps or the step moves mu by at most 4 eps.
+    monotonically in mu on [0, 3/2], which brackets the multiplier.  Newton steps on h(mu) = |r(mu)|^2 - 1 take
+    r_k' = (r_k - r_k^3) / (3 mu r_k^2 - 1 - mu) from the cubic.  Every record takes _FAST_STEPS of them unguarded,
+    from mu = (|s| - 1) / (1 - sum_k s_k^4 / |s|^4) (h's root to O((|s| - 1)^2), at least the smallest normal float),
+    or 1/2 + (|s|^2 - 1) / 6 if some |s_k| = 1, and stops with r / |r| if then |h| <= 8 eps.  The others go on from
+    there if mu is in (0, 3/2), else from mu = |s| - 1 (above 0, plus 1/2 if some |s_k| = 1), in a bracket that
+    the sign of h narrows: a step that leaves it, or that fails to shrink |h| by _NEWTON_GAIN while |h| > 1e-8,
+    takes the midpoint; they stop with r / |r| when |h| <= 4 eps or the step moves mu by at most 4 eps.  So no
+    record's steps depend on the other records of its stack.
 
-    `iterations` counts the evaluations of r(mu), 0 in the interior.  RuntimeError
-    is raised if the root-find has not converged in MLE_MAX_STEPS; the
-    result is never an unconverged or blended iterate.  The tests check it
+    `iterations` counts the evaluations of r(mu): _FAST_STEPS + 1 if the unguarded steps solve the record, more
+    if it goes on, 0 in the interior.  RuntimeError is raised if the bracketed search has not converged in
+    MLE_MAX_STEPS more; the result is never an unconverged or blended iterate.  The tests check it
     against Hradil's iterative R-rho-R estimator (PRA 55, R1561, 1997).
     """
     bloch, steps = _mle(np.array([[record.counts[b][0] for b in BASES]]), record.shots_per_basis)

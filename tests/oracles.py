@@ -10,7 +10,7 @@ scalar sampler, and the per-point dense runner) are the slow ones the
 library replaced with closed forms or batched numpy (mle_rrr_oracles runs
 the R-rho-R iteration on a list of records in lockstep, each to its own
 stop); the scalar MLE runs
-the library's guarded Newton solve one record at a time, and the
+the library's unguarded Newton steps and guarded Newton solve one record at a time, and the
 multi-start search ascends the dense map by finite
 differences from a coarse dense grid, sharing nothing with the library's
 search but the basis parametrization (multistart_search_oracles runs the
@@ -631,33 +631,54 @@ def _axis_root(s: float, mu: float) -> float:
     return 2.0 / a * float(np.sin(np.arcsin(max(-1.0, min(1.0, 1.5 * s * a / (1.0 + mu)))) / 3.0))
 
 
+def _root_step(s: list, mu: float) -> tuple[list, float, float]:
+    """(r(mu), h(mu) = |r(mu)|^2 - 1, the Newton point mu - h / h') of one record, as tomography._newton makes them."""
+    r = [_axis_root(sk, mu) for sk in s]
+    h = sum(rk * rk for rk in r) - 1.0
+    try:  # a zero or 0/0 slope leaves the bracket, as numpy's inf and nan do
+        return r, h, mu - h / (2.0 * sum(rk * rk * (1.0 - rk * rk) / (3.0 * mu * rk * rk - 1.0 - mu) for rk in r))
+    except ZeroDivisionError:
+        return r, h, math.nan
+
+
 def mle_oracle(record) -> tuple[np.ndarray, int]:
     """(Bloch vector, root steps) of the closed-form MLE, one record at a time in scalar floats.
 
-    The guarded Newton iteration of tomography._mle on |r(mu)|^2 = 1: from mu = |s| - 1, or the smallest
-    normal float if that rounds to 0 (+ 1/2 with a unit axis), take the Newton point mu - h / h' while it
-    stays inside the bracket [lo, hi] that h's sign keeps, and while it shrinks |h| by _NEWTON_GAIN
-    (or |h| <= 1e-8); else take the midpoint.
-    Stop when |h| <= 4 eps or the step moves mu by at most 4 eps.
+    The rule of tomography._mle on |r(mu)|^2 = 1.  First _FAST_STEPS unguarded Newton steps from the
+    second-order start mu = (|s| - 1) / (1 - sum s_k^4 / |s|^4), or the smallest normal float if that is
+    smaller, or mu = 1/2 + (|s|^2 - 1) / 6 with a unit axis; r(mu) once more, and the record stops there
+    if |h| <= 8 eps.  Else the guarded Newton iteration, its steps counted on from there: from that mu if
+    it lies in (0, 3/2), else from mu = |s| - 1, or the smallest normal float if that rounds to 0 (+ 1/2
+    with a unit axis), take the Newton point mu - h / h' while it stays inside the bracket [lo, hi] that
+    h's sign keeps, and while it shrinks |h| by _NEWTON_GAIN (or |h| <= 1e-8); else take the midpoint.
+    Stop when |h| <= 4 eps or the step moves mu by at most 4 eps.  The sums run in the order of _mle's
+    np.add.reduce, so the start has _mle's bits.
     """
     s = stokes(record)
     if float(s @ s) <= 1.0:
         return s, 0
-    tol, s = 4.0 * np.finfo(float).eps, s.tolist()
-    mu = max(math.sqrt(sum(x * x for x in s)) - 1.0, float(np.finfo(float).tiny)) + (0.5 if 1.0 in map(abs, s) else 0.0)
+    tol, tiny, s = 4.0 * np.finfo(float).eps, float(np.finfo(float).tiny), s.tolist()
+    norm2, unit, fast = sum(x * x for x in s), 1.0 in map(abs, s), tomography._FAST_STEPS + 1
+    mu = math.nan
+    try:  # a step to mu <= 0 is a math error here and a nan in numpy: either way the record takes the bracketed search
+        mu = 0.5 + (norm2 - 1.0) / 6.0 if unit else max((math.sqrt(norm2) - 1.0) / (1.0 - sum((x * x) * (x * x) for x in s) / (norm2 * norm2)), tiny)
+        for _ in range(tomography._FAST_STEPS):
+            mu = _root_step(s, mu)[2]
+        r, h, _ = _root_step(s, mu)
+    except (ValueError, ZeroDivisionError):
+        h = math.nan
+    if abs(h) <= 2.0 * tol:
+        return np.array(r) / math.sqrt(h + 1.0), fast
+    if not 0.0 < mu < 1.5:
+        mu = max(math.sqrt(norm2) - 1.0, tiny) + (0.5 if unit else 0.0)
     lo, hi, last = 0.0, 1.5, math.inf
     for steps in range(1, MLE_MAX_STEPS + 1):
-        r = [_axis_root(sk, mu) for sk in s]
-        h = sum(rk * rk for rk in r) - 1.0
+        r, h, new = _root_step(s, mu)
         lo, hi = (mu, hi) if h > 0.0 else (lo, mu)
-        try:  # a zero or 0/0 slope leaves the bracket, as numpy's inf and nan do
-            new = mu - h / (2.0 * sum(rk * rk * (1.0 - rk * rk) / (3.0 * mu * rk * rk - 1.0 - mu) for rk in r))
-        except ZeroDivisionError:
-            new = math.nan
         if not (lo < new < hi and (abs(h) <= 1e-8 or abs(h) <= tomography._NEWTON_GAIN * last)):
             new = 0.5 * (lo + hi)
         if abs(h) <= tol or abs(new - mu) <= tol:
-            return np.array(r) / math.sqrt(h + 1.0), steps
+            return np.array(r) / math.sqrt(h + 1.0), fast + steps
         mu, last = new, abs(h)
     raise RuntimeError(f"MLE multiplier search did not converge in {MLE_MAX_STEPS} steps")
 

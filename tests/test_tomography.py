@@ -511,11 +511,13 @@ def test_lockstep_mle_matches_scalar_estimator():
 
 
 def test_lockstep_mle_bisection_path_matches_scalar_estimator(monkeypatch):
-    # with a gain of 0 no Newton step is taken while |h| > 1e-8: every row bisects down to there, in more than
-    # 8 steps, unless its seed already solves h = 0 (the sqrt-rounds-seed records stop at step 1 either way)
+    # with no fast steps every row that its start does not solve goes to the bracketed search, and with a gain of 0
+    # that takes no Newton step while |h| > 1e-8: a row whose start is within 1e-8 ends in Newton steps by step 3,
+    # and every other row bisects down to there, in more than 8 steps (the sqrt-rounds-seed records stop at step 1)
+    monkeypatch.setattr(tomography, "_FAST_STEPS", 0)
     monkeypatch.setattr(tomography, "_NEWTON_GAIN", 0.0)
     steps = _assert_lockstep_mle_matches_scalar_estimator()
-    assert steps.count(1) == 2 and min(n for n in steps if n > 1) > 8
+    assert steps.count(1) == 2 and all(n <= 3 or n > 9 for n in steps) and sum(n > 9 for n in steps) >= 30
 
 
 def test_mle_newton_converges_fast_on_every_pipeline_boundary_row():
@@ -557,14 +559,60 @@ def test_mle_edge_record_values():
 
 
 def test_mle_raises_when_root_find_hits_step_cap(monkeypatch):
-    rec = EDGE_RECORDS["one-axis-no-minus-counts"]
-    assert reconstruct_mle(rec).iterations > 1
+    # the cap holds on the bracketed search: newton-two-cycle leaves the unguarded steps for it, and with no
+    # unguarded steps one-axis-no-minus-counts goes to it from its start
+    assert reconstruct_mle(EDGE_RECORDS["newton-two-cycle"]).iterations > tomography._FAST_STEPS + 2
     monkeypatch.setattr(tomography, "MLE_MAX_STEPS", 1)
     with pytest.raises(RuntimeError, match="did not converge"):
-        reconstruct_mle(rec)
+        reconstruct_mle(EDGE_RECORDS["newton-two-cycle"])
+    monkeypatch.setattr(tomography, "_FAST_STEPS", 0)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        reconstruct_mle(EDGE_RECORDS["one-axis-no-minus-counts"])
 
 
-TOMOGRAPHY_BITS = Path(__file__).parent / "data" / "tomography_bits_0.14.0.json"
+def test_mle_row_does_not_depend_on_its_stack():
+    # every boundary row takes the same unguarded steps and the bracketed search stops each row on its own, so the
+    # estimate and steps of a row are the same in a shuffled stack, in sub-stacks of any size and alone
+    rng = np.random.default_rng(34)
+    by_shots = {}
+    for rec in _pipeline_records() + _mixed_records() + list(EDGE_RECORDS.values()):
+        by_shots.setdefault(rec.shots_per_basis, []).append([rec.counts[b][0] for b in BASES])
+    for shots, plus in by_shots.items():
+        plus = np.array(plus)
+        whole, whole_steps = tomography._mle(plus, shots)
+        order = rng.permutation(len(plus))
+        cuts = np.sort(rng.choice(np.arange(1, len(plus)), min(len(plus) - 1, 5), replace=False))
+        for parts in (np.split(order, cuts), np.split(order, len(order))):
+            for part in parts:
+                blochs, steps = tomography._mle(plus[part], shots)
+                assert blochs.tobytes() == whole[part].tobytes() and steps.tolist() == whole_steps[part].tolist(), shots
+
+
+def test_mle_low_shot_sweep_falls_back_and_keeps_the_kkt_point():
+    # from 3 to 100 shots many boundary rows fail the unguarded steps and take the bracketed search; every estimate
+    # still solves the KKT conditions, reaches the R-rho-R likelihood and matches the scalar estimator
+    rng = np.random.default_rng(340)
+    records = []
+    for shots in (3, 5, 7, 10, 20, 50, 100):
+        r = rng.normal(size=(40, 3))
+        r *= rng.uniform(0.8, 1.0, (40, 1)) / np.linalg.norm(r, axis=1, keepdims=True)
+        plus = rng.binomial(shots, (1.0 + r) / 2.0).tolist()
+        records += [_record_from_counts(shots, *((k, shots - k) for k in row)) for row in plus]
+    results = [_assert_mle_at_least_oracle(rec, res.state) for rec, res in zip(records, oracles.mle_rrr_oracles(records))]
+    steps = np.array([res.iterations for res in results])
+    assert (steps > 0).sum() >= 100 and (steps > tomography._FAST_STEPS + 1).sum() >= 0.1 * (steps > 0).sum()
+    for rec, res in zip(records, results):
+        want, want_steps = oracles.mle_oracle(rec)
+        assert np.all(np.abs(_bloch(res.state) - want) <= 1e-15) and res.iterations == want_steps
+    # the 1e5-shot pipeline's boundary rows, Bob's pure conditional states, all end on the unguarded steps
+    records = _pipeline_records()
+    _, steps = tomography._mle(np.array([[rec.counts[b][0] for b in BASES] for rec in records]), 10**5)
+    assert set(steps.tolist()) == {0, tomography._FAST_STEPS + 1}
+
+
+TOMOGRAPHY_BITS_0_14_0 = Path(__file__).parent / "data" / "tomography_bits_0.14.0.json"
+TOMOGRAPHY_BITS_0_15_0 = Path(__file__).parent / "data" / "tomography_bits_0.15.0.json"
+ESTIMATE_MOVE_0_15_0 = 1e-14  # the most a Bloch component moved from mle-newton-v2 to v3 here was 9.2e-16
 
 
 def _tomography_bits() -> dict:
@@ -576,9 +624,9 @@ def _tomography_bits() -> dict:
     blocks, single draws, and empty and all-degenerate inputs.  MLE: _mle's Bloch vectors and steps on the stacks
     of _assert_lockstep_mle_matches_scalar_estimator (pinned rows, rows that stop at different steps), and the
     counts and estimates of tomograph on the pipeline's states at 1e3, 1e5 and 1e6 shots and on random mixed
-    states at 1e3 to 1e6 shots.  tomography_bits_0.14.0.json holds this function's output under cohdist 0.14.0
-    (splitmix64-sampler-v5, mle-newton-v2), one key a line after an "about" key, written with tests/ and src/ on
-    sys.path."""
+    states at 1e3 to 1e6 shots.  tomography_bits_<version>.json holds this function's output under that cohdist
+    version (0.14.0: splitmix64-sampler-v5, mle-newton-v2; 0.15.0: the same sampler, mle-newton-v3), one key a
+    line after an "about" key, written with tests/ and src/ on sys.path."""
     out = {}
     near = np.array([0, 1, 2, 2**63, 2**64 - 2**32, 2**64 - 3, 2**64 - 1], dtype=np.uint64)
     for seed in (0, 2**64 - 1):
@@ -620,14 +668,35 @@ def _tomography_bits() -> dict:
     return out
 
 
-def test_tomography_kernels_match_0_14_0_bit_for_bit():
-    # streams, draws and MLE iterates, pinned before the kernels lost their redundant numpy passes
-    stored = json.loads(TOMOGRAPHY_BITS.read_text())
-    got = _tomography_bits()
-    assert sorted(got) == sorted(k for k in stored if k != "about")
-    steps = got["_mle 100000 steps"]
-    assert sum(n > 0 for n in steps) >= 40 and len(set(steps) - {0}) >= 2  # boundary rows that stop at different steps
-    for name, values in got.items():
+@pytest.fixture(scope="module")
+def tomography_bits() -> dict:
+    return _tomography_bits()
+
+
+def test_tomography_kernels_match_0_14_0_to_the_stated_bound(tomography_bits):
+    # streams and counts are 0.14.0's bit for bit; mle-newton-v3 moves each estimate by at most ESTIMATE_MOVE_0_15_0
+    # and keeps which rows are on the boundary, with their steps counted from the unguarded ones
+    stored = json.loads(TOMOGRAPHY_BITS_0_14_0.read_text())
+    assert sorted(tomography_bits) == sorted(k for k in stored if k != "about")
+    for name, values in tomography_bits.items():
+        if name.endswith(" steps"):
+            assert [n > 0 for n in values] == [n > 0 for n in stored[name]], name
+            assert all(n == 0 or n > tomography._FAST_STEPS for n in values), name
+        elif name.startswith(("_mle", "tomograph")):
+            got, want = (np.array([float.fromhex(x) for x in v]) for v in (values, stored[name]))
+            assert np.max(np.abs(got - want)) <= ESTIMATE_MOVE_0_15_0, f"{name} moved from the golden written by: {stored['about']}"
+        else:
+            assert values == stored[name], f"{name} differs from the golden written by: {stored['about']}"
+
+
+def test_tomography_kernels_match_0_15_0_bit_for_bit(tomography_bits):
+    # streams, draws and MLE iterates under mle-newton-v3, with boundary rows that end on the unguarded steps and
+    # rows that go on to the bracketed search
+    stored = json.loads(TOMOGRAPHY_BITS_0_15_0.read_text())
+    assert sorted(tomography_bits) == sorted(k for k in stored if k != "about")
+    steps = [n for name, values in tomography_bits.items() if name.startswith("_mle") and name.endswith(" steps") for n in values]
+    assert steps.count(tomography._FAST_STEPS + 1) >= 40 and sum(n > tomography._FAST_STEPS + 1 for n in steps) >= 4
+    for name, values in tomography_bits.items():
         assert values == stored[name], f"{name} differs from the golden written by: {stored['about']}"
 
 

@@ -15,9 +15,10 @@ difference in cumulative ms.
 --mle measures the lockstep MLE instead.  The subprocess runs the tasks of rounds 1 to R once, keeping every stack
 of "+" counts that they hand to tomography._mle, then times _mle on those stacks in a loop (best of MLE_LOOPS
 loops, after one warm-up loop) and counts its _axis_roots calls in one more.  It prints the stacks, their rows and
-boundary rows (the rows with a root step), the _axis_roots calls, root steps per boundary row, and µs per stack and
-per boundary row; with --parent and --change both sides, whose calls and steps agree when the two estimators take
-the same steps.  The times include the stacks of interior rows only, which return before the root search.
+boundary rows (the rows with a root step), the boundary rows that leave the unguarded steps for the bracketed search
+("-" for an estimator without them, before mle-newton-v3), the _axis_roots calls, root steps per boundary row, and µs
+per stack and per boundary row; with --parent and --change both sides, whose calls and steps agree when the two
+estimators take the same steps.  The times include the stacks of interior rows only, which return before the root search.
 
 The profile's times are cProfile's and include its per-call overhead: compare two checkouts
 with it, not a profile with a benchmark.  Each side runs once, one after the other, so the call counts are exact
@@ -118,7 +119,9 @@ def emit_mle(checkout: Path, workload: str, seed: int, rounds: int) -> None:
     tomography._axis_roots = count
     steps = np.concatenate([mle(plus, shots)[1] for plus, shots in stacks] or [np.zeros(0, dtype=np.int64)])
     tomography._axis_roots = axis_roots
+    fast = getattr(tomography, "_FAST_STEPS", None)  # None before mle-newton-v3, which has no fast path
     json.dump({"tasks": len(tasks), "stacks": len(stacks), "rows": int(steps.size), "boundary_rows": int(np.count_nonzero(steps)),
+               "fallback_rows": None if fast is None else int(np.count_nonzero(steps > fast + 1)),
                "axis_roots_calls": calls[0], "root_steps": int(steps.sum()), "best_ms": best * 1e3}, sys.stdout)
 
 
@@ -129,6 +132,7 @@ def mle_rows(side: dict) -> list[tuple[str, str]]:
         ("stacks", f"{side['stacks']}"),
         ("rows", f"{side['rows']}"),
         ("boundary rows", f"{boundary}"),
+        ("rows off the fast path", "-" if side["fallback_rows"] is None else f"{side['fallback_rows']}"),
         ("_axis_roots calls", f"{side['axis_roots_calls']}"),
         ("root steps per boundary row", f"{side['root_steps'] / boundary:.3f}" if boundary else "-"),
         ("µs per stack", f"{side['best_ms'] * 1e3 / side['stacks']:.2f}" if side["stacks"] else "-"),
