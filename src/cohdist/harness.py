@@ -153,12 +153,12 @@ def run_experiment(config: RunConfig) -> list[ExperimentRow]:
 def _run_points(config: RunConfig, start: int) -> list[ExperimentRow]:
     kind, eps, params = KINDS[config.kind], config.epsilon_prep, config.params[start : start + RUN_CHUNK]
     made = kind.factory(params)
-    with np.errstate(invalid="ignore", over="ignore"):  # an inf entry's nan fails the check below, without a numpy warning
-        rho = qcore.projector(made) if made.ndim == 2 else made
-        rho = (1.0 - eps) * rho + eps * np.eye(4, dtype=complex) / 4.0
-        if made.ndim == 2:  # psi psi^+ is exactly Hermitian and positive, so a trace within TRACE_TOL of 1 makes it a state
-            spectra, ok = None, np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) <= qcore.TRACE_TOL  # nan fails
-        else:  # a matrix factory's stack: its spectra feed qi_bound
+    if made.ndim == 2:  # psi psi^+ is exactly Hermitian and positive, so a trace within TRACE_TOL of 1 makes it a state
+        rho = (1.0 - eps) * qcore.projector(made) + eps * np.eye(4, dtype=complex) / 4.0
+        spectra, ok = None, np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) <= qcore.TRACE_TOL  # nan fails
+    else:  # a matrix factory's stack, whose spectra feed qi_bound: an inf entry's nans fail it without a numpy warning
+        with np.errstate(invalid="ignore", over="ignore"):
+            rho = (1.0 - eps) * made + eps * np.eye(4, dtype=complex) / 4.0
             _, _, spectra, ok = qcore.density_defects(rho)
     if not ok.all():
         i = int(np.argmin(ok))
