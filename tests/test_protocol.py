@@ -589,6 +589,71 @@ def test_search_bits_match_0_11_0():
             assert record == want, f"{name}[{i}] differs from the golden written by: {stored['about']}"
 
 
+LOCAL_MODEL_BITS_0_15_0 = Path(__file__).parent / "data" / "local_model_bits_0_15_0.json"
+
+
+def _local_model_points():
+    """[(rho, theta, phi), ...]: the 465 points at which the local_model_bits golden pins _local_model.
+
+    Random mixed, Werner and random pure states at random angles and at theta = 0 and pi / 2; a product |H><H| x rho_B
+    at theta = 0 and pi (one outcome has p = 0); I / 4 and |H><H| x I / 2 (an outcome with s = 0); and pure parents
+    whose outcomes have s and |r_z| at or a few ulps from 1, where they clip at 1 - 2^-53 (a Bell state and |HH>
+    at the poles, family1 at theta = pi / 2)."""
+    rng = np.random.default_rng(64)
+    rhos = [random_density(rng, 4) for _ in range(25)] + [make_werner(float(p)) for p in rng.uniform(0.05, 0.95, 10)]
+    rhos += [projector(random_pure_state(rng, 4)) for _ in range(25)]
+    points = [(rho, rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)) for rho in rhos for _ in range(4)]
+    points += [(rho, theta, rng.uniform(0.0, 2.0 * math.pi)) for rho in rhos[::2] for theta in (0.0, math.pi / 2.0)]
+    bell = projector((np.kron(oracles.KET_H, oracles.KET_H) + np.kron(oracles.KET_V, oracles.KET_V)) / math.sqrt(2.0))
+    special = [np.kron(projector(oracles.KET_H), random_density(rng, 2)) for _ in range(5)]
+    special += [np.eye(4) / 4.0, np.kron(projector(oracles.KET_H), np.eye(2) / 2.0), bell, projector(np.kron(oracles.KET_H, oracles.KET_H))]
+    special += [projector(family1(t)) for t in (0.0, 10.0, 22.5, 40.0)] + [projector(family2(t)) for t in (0.0, 30.0)]
+    for rho in special:
+        points += [(rho, theta, phi) for theta in (0.0, math.pi / 2.0, math.pi) for phi in (0.0, 1.0, math.pi / 2.0)]
+    points += [(rho, rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)) for rho in special for _ in range(2)]
+    return points
+
+
+def _local_model_bits() -> dict:
+    """{"local_model", "from_angles", "near_unit"}, every float as float.hex, in the layout of the local_model_bits golden.
+
+    local_model[i] is _local_model at _local_model_points()[i] with the coordinates .tolist()-ed: value, gradient,
+    Hessian (row by row), n and frame (e_theta, then e_phi), one space-joined string; the same call with ndarray
+    coordinates must give the same bits.  from_angles[i] is MeasurementBasis.from_angles at the same angles, and
+    near_unit[i] the basis of the i-th of 200 random 3-vectors whose norm is within 1e-10 of 1.
+    local_model_bits_<version>.json holds this function's output under that cohdist version:
+    json.dumps({"about": ..., **_local_model_bits()}, indent=1) with tests/ and src/ on sys.path."""
+
+    def bits(*xs):
+        return " ".join(float(x).hex() for x in xs)
+
+    out = {"local_model": [], "from_angles": [], "near_unit": []}
+    for rho, theta, phi in _local_model_points():
+        coords = protocol._pauli_coordinates(rho)
+        models = [protocol._local_model(theta, phi, c) for c in ([x.tolist() for x in coords], coords)]
+        flat = [[value, *grad, *hess[0], *hess[1], *n, *frame[0], *frame[1]] for n, frame, value, grad, hess in models]
+        assert bits(*flat[0]) == bits(*flat[1]), "list and ndarray coordinates must give the same bits"
+        out["local_model"].append(bits(*flat[0]))
+        out["from_angles"].append(bits(*MeasurementBasis.from_angles(theta, phi).bloch))
+    rng = np.random.default_rng(65)
+    for _ in range(200):
+        v = np.array(random_bloch(rng)) * (1.0 + rng.uniform(-9e-11, 9e-11))
+        out["near_unit"].append(bits(*MeasurementBasis(tuple(v.tolist())).bloch))
+    return out
+
+
+def test_local_model_bits_match_0_15_0():
+    # the tangent model and the basis construction must not move a single bit, with list or ndarray coordinates
+    stored = json.loads(LOCAL_MODEL_BITS_0_15_0.read_text())
+    got = _local_model_bits()
+    assert sorted(got) == sorted(k for k in stored if k != "about")
+    for name, records in got.items():
+        assert len(records) == len(stored[name])
+        for i, (record, want) in enumerate(zip(records, stored[name])):
+            # one build's bits (see "about"): on another build a mismatch can be libm rounding, not a program fault
+            assert record == want, f"{name}[{i}] differs from the golden written by: {stored['about']}"
+
+
 def test_every_gate_state_matches_the_multistart_reference_at_the_defaults():
     for name, (_, _, states) in _search_gate_sets().items():
         for i, (rho, reference) in enumerate(zip(states, oracles.multistart_search_oracles(states), strict=True)):
