@@ -19,6 +19,7 @@ flat objective (a Werner state's equator, a Bell state) rounding picks the grid 
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,7 @@ ZERO_PROB_TOL = 1e-12
 GRID_RES_DEFAULT, GRID_RES_MAX = 16, 1024  # optimize_basis' and coa_numeric's grid_res; a grid holds at most GRID_RES_MAX^2 bases
 NEWTON_GTOL, NEWTON_XTOL, RIDGE_STEP, RIDGE_FTOL = 1e-7, 1e-9, 0.5, 2e-14  # the basis search's stop rules (see _basis_search)
 _PAULIS = np.stack([qcore.IDENTITY_2, qcore.PAULI_X, qcore.PAULI_Y, qcore.PAULI_Z])
+_SIGNS = np.array([1.0, -1.0])  # outcomes + and - along _outcomes' leading axis
 # (rho.ravel() @ _PAULI_PAIRS)[4m + n] = tr[rho (s_m x s_n)]
 _PAULI_PAIRS = np.einsum("mji,nlk->ikjlmn", _PAULIS, _PAULIS).reshape(16, 16)
 
@@ -40,16 +42,22 @@ class MeasurementBasis:
     bloch: tuple[float, float, float]
 
     def __post_init__(self):
-        try:
-            n = np.asarray(self.bloch, dtype=float)
-        except (TypeError, OverflowError) as e:  # a complex component, an int past float range, an object
-            raise ValueError(f"bloch vector must have 3 real components, got {self.bloch!r}") from e
+        try:  # numpy would take "1", True or bytes as numbers: each component type is checked once, as RunConfig does
+            kinds = set(map(type, self.bloch))
+            real = kinds == {float} or not isinstance(self.bloch, (bytes, bytearray)) and all(
+                issubclass(t, numbers.Real) and t is not bool for t in kinds)
+            n = np.asarray(self.bloch, dtype=float) if real else None
+        except (TypeError, OverflowError):  # not a sequence, an int past float range
+            n = None
+        if n is None:
+            raise ValueError(f"bloch vector must have 3 real components, got {self.bloch!r}")
         if n.shape != (3,):
             raise ValueError(f"bloch vector must have 3 components, got {n.shape}")
-        norm = float(np.linalg.norm(n))
+        norm = math.sqrt(n.dot(n))  # np.linalg.norm's arithmetic for a real vector
         if not abs(norm - 1.0) <= 1e-10:  # a nan norm fails too
             raise ValueError(f"bloch vector must be unit length, got |n| = {norm}")
-        object.__setattr__(self, "bloch", tuple(float(x / norm) + 0.0 for x in n))
+        x, y, z = n.tolist()
+        object.__setattr__(self, "bloch", (x / norm + 0.0, y / norm + 0.0, z / norm + 0.0))
 
     @classmethod
     def from_angles(cls, theta: float, phi: float) -> "MeasurementBasis":
@@ -172,7 +180,7 @@ def _outcomes(n: np.ndarray, a, b, t) -> tuple[np.ndarray, np.ndarray]:
         na, tn = (n @ a[:, None])[..., 0], n @ t
     else:
         na, tn = (n[..., None, :] @ a[..., None])[..., 0, 0], (n[..., None, :] @ t)[..., 0, :]
-    sign = np.array([1.0, -1.0]).reshape(2, *[1] * na.ndim)
+    sign = _SIGNS.reshape((2,) + (1,) * na.ndim)
     p = (1.0 + sign * na) / 2.0
     kept = p >= ZERO_PROB_TOL
     d, r = 2.0 * np.where(kept, p, 1.0), np.empty((3, *p.shape))
@@ -187,12 +195,6 @@ def _assisted_coherence(n: np.ndarray, a, b, t) -> np.ndarray:
     return sum(p * _qubit_coherence(r))
 
 
-def _entropy(u: float) -> float:
-    """_qubit_entropy of one Python float, through libm's log2."""
-    hi, lo = (1.0 + min(abs(u), 1.0)) / 2.0, (1.0 - min(abs(u), 1.0)) / 2.0
-    return -(hi * math.log2(hi) + (lo * math.log2(lo) if lo > 0.0 else 0.0))
-
-
 def _local_model(theta: float, phi: float, coords):
     """(n, frame, value, gradient, Hessian) of the search objective f at the basis (theta, phi), in Python floats.
 
@@ -203,24 +205,29 @@ def _local_model(theta: float, phi: float, coords):
     gains +-[a C_r(r) + M grad C_r(r)] / 2 and Hess f gains M Hess C_r(r) M^t / (2 d), where ln 2 grad C_r = atanh(s) r
     / s - atanh(r_z) e_z and ln 2 Hess C_r = atanh(s) / s (I - r r^t / s^2) + r r^t / (s^2 (1 - s^2)) - e_z e_z^t / (1 -
     r_z^2).  s and |r_z| are clipped at 1 - 2^-53, so a pure outcome's terms stay finite, and a zero-probability outcome adds 0."""
-    st, ct, sp, cp = math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi)
-    n, frame, top, ln2 = (st * cp, st * sp, ct), ((ct * cp, ct * sp, -st), (-sp, cp, 0.0)), 1.0 - 2.0**-53, math.log(2.0)
+    st, ct, sp, cp, log2, atanh = math.sin(theta), math.cos(theta), math.sin(phi), math.cos(phi), math.log2, math.atanh
+    ex, ey, ez, fx, nx, ny = ct * cp, ct * sp, -st, -sp, st * cp, st * sp
+    n, frame, top, ln2 = (nx, ny, ct), ((ex, ey, ez), (fx, cp, 0.0)), 1.0 - 2.0**-53, math.log(2.0)
     (a0, a1, a2), (b0, b1, b2), ((t00, t01, t02), (t10, t11, t12), (t20, t21, t22)) = coords
-    (u0, u1, u2, ua), (v0, v1, v2, va), (n0, n1, n2, na) = [(x * t00 + y * t10 + z * t20, x * t01 + y * t11 + z * t21,
-        x * t02 + y * t12 + z * t22, x * a0 + y * a1 + z * a2) for x, y, z in (*frame, n)]  # (v^t T, v . a), v = e_theta, e_phi, n
-    value = gt = gp = gn = h00 = h01 = h11 = 0.0
-    for sign in (1.0, -1.0):
-        p = (1.0 + sign * na) / 2.0
+    u0, u1, u2 = ex * t00 + ey * t10 + ez * t20, ex * t01 + ey * t11 + ez * t21, ex * t02 + ey * t12 + ez * t22  # e_theta^t T
+    v0, v1, v2 = fx * t00 + cp * t10 + 0.0 * t20, fx * t01 + cp * t11 + 0.0 * t21, fx * t02 + cp * t12 + 0.0 * t22  # e_phi^t T
+    n0, n1, n2 = nx * t00 + ny * t10 + ct * t20, nx * t01 + ny * t11 + ct * t21, nx * t02 + ny * t12 + ct * t22  # n^t T
+    ua, va, na = ex * a0 + ey * a1 + ez * a2, fx * a0 + cp * a1 + 0.0 * a2, nx * a0 + ny * a1 + ct * a2  # (e_theta, e_phi, n) . a
+    value = gt = gp = gn = h00 = h01 = h11 = 0.0  # below: q = 2 p+- exactly, so r = (b +- T^t n) / q
+    for sign, q, x, y, z in ((1.0, 1.0 + na, b0 + n0, b1 + n1, b2 + n2), (-1.0, 1.0 - na, b0 - n0, b1 - n1, b2 - n2)):
+        p = q / 2.0
         if p < ZERO_PROB_TOL:
             continue
-        x, y, z = (b0 + sign * n0) / (2.0 * p), (b1 + sign * n1) / (2.0 * p), (b2 + sign * n2) / (2.0 * p)
-        s = math.sqrt(x * x + y * y + z * z)
-        sc, zc = min(s, top), max(-top, min(z, top))
-        k, az = math.atanh(sc) / s if s > 0.0 else 1.0, math.atanh(zc)  # atanh(s) / s is 1 at s = 0
+        x, y, z = x / q, y / q, z / q
+        s = math.sqrt(x * x + y * y + z * z)  # below: min(s, top), max(-top, min(z, top)), min(s, 1) and min(|z|, 1)
+        sc, zc = top if top < s else s, top if top < z else (z if z > -top else -top)
+        ms, mz = 1.0 if 1.0 < s else s, 1.0 if 1.0 < abs(z) else abs(z)
+        k, az = atanh(sc) / s if s > 0.0 else 1.0, atanh(zc)  # atanh(s) / s is 1 at s = 0
         w, zz = (1.0 / (1.0 - sc * sc) - k) / (s * s) if s > 0.0 else 0.0, 1.0 / (1.0 - zc * zc)
         e0, e1, e2, f0, f1, f2, nz = u0 - ua * x, u1 - ua * y, u2 - ua * z, v0 - va * x, v1 - va * y, v2 - va * z, n2 - na * z
         er, fr, nr = e0 * x + e1 * y + e2 * z, f0 * x + f1 * y + f2 * z, (n0 - na * x) * x + (n1 - na * y) * y + nz * z  # v^t M r
-        c, d = _entropy(z) - _entropy(s), 4.0 * p * ln2
+        hs, ls, hz, lz, d = (1.0 + ms) / 2.0, (1.0 - ms) / 2.0, (1.0 + mz) / 2.0, (1.0 - mz) / 2.0, 4.0 * p * ln2
+        c = (hs * log2(hs) + (ls * log2(ls) if ls > 0.0 else 0.0)) - (hz * log2(hz) + (lz * log2(lz) if lz > 0.0 else 0.0))  # C_r(r)
         value += p * c
         gt += sign * (ua * c + (k * er - az * e2) / ln2) / 2.0
         gp += sign * (va * c + (k * fr - az * f2) / ln2) / 2.0
@@ -259,13 +266,13 @@ def _basis_search(rho: np.ndarray, grid_res: int, refine_iters: int):
         raise ValueError(f"refine_iters must be an int >= 0, got {refine_iters!r}")
     coords, (thetas, phis, grid) = _pauli_coordinates(rho), _hemisphere(int(grid_res))
     values = _assisted_coherence(grid, *coords)
-    i, j = np.unravel_index(np.argmax(values), values.shape)
+    i, j = divmod(int(values.argmax()), grid_res)
     theta, phi, value = float(thetas[i]), float(phis[j]), float(values[i, j])
     trace, coords = [((theta, phi), value)], [x.tolist() for x in coords]
     n, frame, _, grad, hess = _local_model(theta, phi, coords)
     grad_size = math.hypot(*grad)  # each |grad| and |step| once, for the value it measures
     for _ in range(refine_iters):
-        ((h00, h01), (_, h11)), (g0, g1) = hess, grad
+        ((h00, h01), (_, h11)), (g0, g1), (m0, m1, m2), ((e0, e1, e2), (f0, f1, f2)) = hess, grad, n, frame
         mid, half = (h00 + h11) / 2.0, math.hypot((h00 - h11) / 2.0, h01)
         low, width = mid - half, 2.0 * half  # (u0, u1) = P grad, P = (hess - low I) / width the eigenprojector of mid + half
         u0, u1 = (((h00 - low) * g0 + h01 * g1) / width, (h01 * g0 + (h11 - low) * g1) / width) if half > 0.0 else (0.0, 0.0)
@@ -275,7 +282,7 @@ def _basis_search(rho: np.ndarray, grid_res: int, refine_iters: int):
         if ridge and size > RIDGE_STEP:
             s0, s1, size = s0 * (RIDGE_STEP / size), s1 * (RIDGE_STEP / size), RIDGE_STEP
         while size > NEWTON_XTOL:
-            x, y, z = [m + s0 * e + s1 * f for m, e, f in zip(n, *frame)]
+            x, y, z = m0 + s0 * e0 + s1 * f0, m1 + s0 * e1 + s1 * f1, m2 + s0 * e2 + s1 * f2
             angles = math.atan2(math.hypot(x, y), z), math.atan2(y, x)
             model = _local_model(*angles, coords)
             if model[2] >= value:

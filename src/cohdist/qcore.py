@@ -40,7 +40,7 @@ class ValidationReport:
 
 def as_int(name: str, value) -> int:
     """value as a Python int if it is an integer (a numpy one too, not a bool); else a ValueError naming the field."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+    if type(value) is not int and (not isinstance(value, numbers.Integral) or isinstance(value, bool)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -74,9 +74,10 @@ def ensure_state_vector(psi) -> np.ndarray:
 
 def density_defects(rho):
     """(hermiticity defect, trace defect, Hermitian-part spectrum, ok) of each matrix in a (..., d, d) stack."""
-    herm = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    trace = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0)
-    part = (rho + rho.conj().swapaxes(-1, -2)) / 2.0  # the Hermitian part's spectrum is defined for any input
+    adjoint = rho.conj().swapaxes(-1, -2)
+    herm = np.abs(rho - adjoint).max(axis=(-2, -1))
+    trace = np.abs(rho.trace(axis1=-2, axis2=-1) - 1.0)
+    part = (rho + adjoint) / 2.0  # the Hermitian part's spectrum is defined for any input
     try:
         eigs = np.linalg.eigvalsh(part)
     except np.linalg.LinAlgError:  # no convergence on a nan or inf entry: a matrix with one gets a nan spectrum, so fails

@@ -37,6 +37,20 @@ def test_basis_rejects_non_unit_vector():
         MeasurementBasis((0.0, 0.0, 0.9))
 
 
+def test_basis_components_must_be_real_numbers():
+    # numpy reads "1", True and the bytes of b"\x00\x01\x00" as numbers; the basis refuses them, as RunConfig does
+    bad = [("0", "1", "0"), "010", (True, False, False), (1.0, True, 0.0), (np.True_, 0.0, 0.0), np.array([True, False, False])]
+    bad += [b"abc", b"\x00\x01\x00", bytearray(b"\x00\x01\x00"), np.array(["0", "1", "0"]), None, (None, 1.0, 0.0), 1.0]
+    bad += [(1.0, 0.0, 0j), (np.complex128(1.0), 0.0, 0.0), np.array([1.0, 0.0, 0.0], dtype=complex)]
+    for bloch in bad:
+        with pytest.raises(ValueError, match="must have 3 real components"):
+            MeasurementBasis(bloch)
+    good = [(np.float64(0.0), np.int64(1), np.float32(0.0)), [0, 1, 0], np.array([0.0, 1.0, 0.0]), (np.uint8(0), 1, np.int8(0))]
+    for bloch in good:
+        basis = MeasurementBasis(bloch)
+        assert basis.bloch == (0.0, 1.0, 0.0) and all(type(x) is float for x in basis.bloch)
+
+
 def test_non_finite_bloch_vectors_and_kets_are_rejected():
     nan, inf = math.nan, math.inf
     for bloch in ((nan, 0.0, 1.0), (nan, nan, nan), (inf, 0.0, 0.0), (0.0, -inf, 1.0), (1, 0, 0j)):

@@ -9,13 +9,17 @@ the 400 two-basin Bell-diagonal states of tests/sampling.py::two_basin_states wi
 sys.path and runs protocol._basis_search on every state: the gate sets at their own (grid_res, refine_iters), the
 two-basin set and the workload-like states at that checkout's defaults (optimize_basis' signature).  Each
 checkout runs --rounds times, the two alternating which runs first, and each set is timed as its best pass over
-all of a checkout's runs (--repeat passes a run).  Prints, per set, the largest value rise and fall (change -
-parent), the converged counts and the microseconds per search, and for the two-basin set how many searches fall
-more than 1e-9 short of the closed form and by how much at most.
+all of a checkout's runs (--repeat passes a run).  After the timed passes, one more pass counts each climb through
+a wrapper of protocol._local_model: the model calls per search, the Newton steps kept, the halvings (a trial that
+lowered the value and was not a ridge probe) and the ridge probes (a trial from a basis with |g| <= NEWTON_GTOL).
+Prints, per set, the largest value rise and fall (change - parent), the converged counts, the microseconds per
+search and the four climb counts (the last three summed over the set), and for the two-basin set how many searches
+fall more than 1e-9 short of the closed form and by how much at most.
 """
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -44,8 +48,41 @@ def build_states(change: Path) -> dict:
     return sets
 
 
+def climb_counts(protocol, rhos, grid_res: int, refine_iters: int) -> dict:
+    """{"calls", "kept", "halved", "ridge"} summed over _basis_search on rhos, replayed from its _local_model calls.
+
+    The search scores its first model at the grid argmax; each later call is a trial step from the last kept basis,
+    kept if its value does not fall.  A trial from a basis with |g| <= NEWTON_GTOL is a ridge probe, never halved;
+    any other trial that is not kept is followed by a halving."""
+    model, calls, counts = protocol._local_model, [], dict.fromkeys(("calls", "kept", "halved", "ridge"), 0)
+
+    def counted(*args):
+        calls.append(model(*args))
+        return calls[-1]
+
+    protocol._local_model = counted
+    try:
+        for rho in rhos:
+            calls.clear()
+            _, _, trace, _ = protocol._basis_search(rho, grid_res, refine_iters)
+            (_, _, value, grad, _), kept = calls[0], 0
+            for _, _, trial, trial_grad, _ in calls[1:]:
+                ridge = math.hypot(*grad) <= protocol.NEWTON_GTOL
+                counts["ridge"] += ridge
+                if trial >= value:
+                    value, grad, kept = trial, trial_grad, kept + 1
+                elif not ridge:
+                    counts["halved"] += 1
+            assert kept == len(trace) - 1, "the replay must keep the steps the search kept"
+            counts["calls"] += len(calls)
+            counts["kept"] += kept
+    finally:
+        protocol._local_model = model
+    return counts
+
+
 def emit(src: str, states_file: str, repeat: int) -> None:
-    """Print, as JSON, {name: {"grid", "values", "converged", "us"}} of _basis_search with src first on sys.path."""
+    """Print, as JSON, {name: {"grid", "values", "converged", "us", "counts"}} of _basis_search with src first on sys.path."""
     sys.path.insert(0, src)
     import inspect
 
@@ -68,6 +105,7 @@ def emit(src: str, states_file: str, repeat: int) -> None:
             "values": [value for _, value, _, _ in results],
             "converged": sum(bool(ok) for _, _, _, ok in results),
             "us": best / len(rhos) * 1e6,
+            "counts": climb_counts(protocol, rhos, grid_res, refine_iters),
         }
     json.dump(out, sys.stdout)
 
@@ -101,13 +139,16 @@ def main(argv=None) -> int:
             for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                 runs[side].append(sweep(getattr(args, side), states_file, args.repeat))
     parent, change = ({name: {**run[0][name], "us": min(r[name]["us"] for r in run)} for name in sets} for run in runs.values())
-    print(f"{'set':14} {'states':>6} {'grid':>13} {'converged':>11} {'largest rise':>13} {'largest fall':>13} {'us/search':>15}")
+    print(f"{'set':14} {'states':>6} {'grid':>13} {'converged':>11} {'largest rise':>13} {'largest fall':>13} {'us/search':>15} "
+          f"{'calls/search':>13} {'steps kept':>13} {'halvings':>13} {'ridge probes':>13}")
     for name, (_, _, rhos, optimum) in sets.items():
         old, new = parent[name], change[name]
         diff = np.array(new["values"]) - np.array(old["values"])
         grids = "/".join(",".join(map(str, side["grid"])) for side in (old, new))
+        calls = "/".join(f"{side['counts']['calls'] / len(rhos):.2f}" for side in (old, new))
+        climb = " ".join(f"{'/'.join(str(side['counts'][k]) for side in (old, new)):>13}" for k in ("kept", "halved", "ridge"))
         print(f"{name:14} {len(rhos):6d} {grids:>13} {old['converged']:5d}/{new['converged']:<5d} {max(diff.max(), 0.0):13.3g} "
-              f"{min(diff.min(), 0.0):13.3g} {old['us']:7.0f}/{new['us']:<7.0f}")
+              f"{min(diff.min(), 0.0):13.3g} {old['us']:7.0f}/{new['us']:<7.0f} {calls:>13} {climb}")
         if optimum is not None:
             for side, result in (("parent", old), ("change", new)):
                 short = np.array(optimum) - np.array(result["values"])
