@@ -43,9 +43,8 @@ class MeasurementBasis:
 
     def __post_init__(self):
         try:  # numpy would take "1", True or bytes as numbers: each component type is checked once, as RunConfig does
-            kinds = set(map(type, self.bloch))
-            real = kinds == {float} or not isinstance(self.bloch, (bytes, bytearray)) and all(
-                issubclass(t, numbers.Real) and t is not bool for t in kinds)
+            real = not isinstance(self.bloch, (bytes, bytearray)) and all(
+                issubclass(t, numbers.Real) and t is not bool for t in set(map(type, self.bloch)))
             n = np.asarray(self.bloch, dtype=float) if real else None
         except (TypeError, OverflowError):  # not a sequence, an int past float range
             n = None

@@ -620,7 +620,8 @@ def _local_model_points():
     points += [(rho, theta, rng.uniform(0.0, 2.0 * math.pi)) for rho in rhos[::2] for theta in (0.0, math.pi / 2.0)]
     bell = projector((np.kron(oracles.KET_H, oracles.KET_H) + np.kron(oracles.KET_V, oracles.KET_V)) / math.sqrt(2.0))
     special = [np.kron(projector(oracles.KET_H), random_density(rng, 2)) for _ in range(5)]
-    special += [np.eye(4) / 4.0, np.kron(projector(oracles.KET_H), np.eye(2) / 2.0), bell, projector(np.kron(oracles.KET_H, oracles.KET_H))]
+    special += [np.eye(4) / 4.0, np.kron(projector(oracles.KET_H), np.eye(2) / 2.0)]
+    special += [bell, projector(np.kron(oracles.KET_H, oracles.KET_H))]
     special += [projector(family1(t)) for t in (0.0, 10.0, 22.5, 40.0)] + [projector(family2(t)) for t in (0.0, 30.0)]
     for rho in special:
         points += [(rho, theta, phi) for theta in (0.0, math.pi / 2.0, math.pi) for phi in (0.0, 1.0, math.pi / 2.0)]
