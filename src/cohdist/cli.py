@@ -8,12 +8,10 @@ import os
 import sys
 
 import click
-import numpy as np
 
-from . import protocol, qcore, tomography
+from . import qcore, tomography
 from .harness import (
     ALICE_BLOCH,
-    KINDS,
     VERSION,
     RunConfig,
     compare_fixtures,
@@ -22,10 +20,11 @@ from .harness import (
     emit_json,
     fixture_run_config,
     parse_grid,
+    run_chunk,
     run_experiment,
     spaced,
 )
-from .tomography import BASES, SEED_LIMIT, SHOTS_MAX, TomographyRecord, derive_stream
+from .tomography import BASES, SEED_LIMIT, SHOTS_MAX, TomographyRecord
 
 _RUNS = {  # run command: (KINDS key, default --grid, help)
     "pure1": ("family1", "0:45:2.5", "First pure family: cos(2t)|HH> + sin(2t)|VV>."),
@@ -156,28 +155,24 @@ def tomo_demo(family, theta, shots, seed, fmt, out):
     _check_out(out)
     try:
         config = RunConfig(f"family{family}", (theta,), mode="sampled", shots_per_basis=shots, seed=seed)
-        psi = KINDS[config.kind].factory(config.params[0])  # the run's factory; -0.0 reads as 0.0, as in the run
+        p, blochs, c_true, c_sim, _, (_, _, streams, plus, mle, steps) = run_chunk(config, 0)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    probs, bob = protocol._outcomes(ALICE_BLOCH, *protocol._pauli_coordinates(qcore.projector(psi)))  # p = 1/2 along y
-    streams = derive_stream(seed, 0, np.arange(1, 3, dtype=np.uint64))
-    plus = tomography._pauli_counts(bob, shots, streams)
-    lin, (mle, steps) = tomography._linear(plus, shots), tomography._mle(plus, shots)
-    cr_true, cr_mle = protocol._qubit_coherence(bob).tolist(), protocol._qubit_coherence(mle).tolist()
+    lin = tomography._linear(plus, shots)
     results = []
-    for i, label in enumerate("+-"):
-        record = TomographyRecord(shots, streams[i], {b: (k, shots - k) for b, k in zip(BASES, plus[i].tolist())})
-        true_state = qcore.bloch_state(bob[i])
+    for t, label in ((1, "+"), (2, "-")):  # p = 1/2 along y, so the sampled records are t = 0, 1, 2 of the one point
+        record = TomographyRecord(shots, streams[t], {b: (k, shots - k) for b, k in zip(BASES, plus[t].tolist())})
+        true_state = qcore.bloch_state(blochs[t, 0])
         results.append({
             "label": label,
-            "prob": float(probs[i]),
+            "prob": float(p[t - 1, 0]),
             "record": json.loads(record.to_json()),
-            "fidelity_linear": qcore.fidelity(qcore.bloch_state(lin[i]), true_state),
-            "fidelity_mle": qcore.fidelity(qcore.bloch_state(mle[i]), true_state),
-            "cr_true": cr_true[i],
-            "cr_mle": cr_mle[i],
-            "mle_iterations": int(steps[i]),
-            "mle_converged": True,  # _mle raises rather than return an unconverged estimate
+            "fidelity_linear": qcore.fidelity(qcore.bloch_state(lin[t]), true_state),
+            "fidelity_mle": qcore.fidelity(qcore.bloch_state(mle[t]), true_state),
+            "cr_true": float(c_true[t, 0]),
+            "cr_mle": float(c_sim[t, 0]),
+            "mle_iterations": int(steps[t]),
+            "mle_converged": True,  # the MLE raises rather than return an unconverged estimate
         })
     if fmt == "json":
         _write(dump_json(config=vars(config), basis_bloch=ALICE_BLOCH.tolist(), outcomes=results), out)

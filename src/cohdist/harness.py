@@ -9,17 +9,16 @@ rows report the single-copy post-assistance value C_d(rho_1^B) together with
 the quantum-incoherent upper bound, since whether that bound is attainable
 for mixed states is unresolved and the harness must not claim it is.
 
-One runner serves every kind through the KINDS table: it builds a stack of
-grid states in one factory call, validates it once and scores it in Pauli
-coordinates in one numpy pass (protocol._outcomes), Alice measuring along y;
-Bob's marginal and both outcomes are the records t = 0, 1, 2 of one (3, N)
-stack, and sampled mode tomographs those with p > 0 in one tomograph call.
+One runner, run_chunk, serves every kind through the KINDS table: it builds a stack of grid states in one factory
+call, validates it once and scores it in Pauli coordinates in one numpy pass (protocol._outcomes), Alice measuring along
+y.  Bob's marginal and both outcomes are the records t = 0, 1, 2 of one (3, N) stack; sampled mode tomographs record t
+of grid point g on stream derive_stream(seed, g, t), all but the outcomes with p = 0, in one tomograph call.
+run_experiment's rows and tomo-demo's records are read from its arrays.
 """
 
 import itertools
 import json
 import math
-import numbers
 import operator
 from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple
@@ -93,7 +92,7 @@ class RunConfig:
             raise ValueError(f"mode must be 'analytic' or 'sampled', got {self.mode!r}")
         if not params:
             raise ValueError("parameter grid is empty")
-        bad = sorted(t.__name__ for t in set(map(type, params)) if not issubclass(t, numbers.Real) or issubclass(t, bool))
+        bad = sorted(t.__name__ for t in set(map(type, params)) if not qcore.is_real_type(t))
         if bad:  # one check per type, not per point; nan and inf pass here and reach the factory's range check
             raise ValueError(f"params must be real numbers, got {', '.join(bad)}")
         shots, seed = shots_and_seed(self.shots_per_basis, self.seed)
@@ -141,24 +140,33 @@ def spaced(values, label: str) -> tuple[float, ...]:
 
 
 def run_experiment(config: RunConfig) -> list[ExperimentRow]:
-    """Theory and (optionally) sampled rows for every grid point of config.kind, RUN_CHUNK points per numpy pass.
+    """Theory and (optionally) sampled rows for every grid point of config.kind, from run_chunk's arrays; an invalid
+    state raises InvalidStateError naming the first bad parameter."""
+    rows = []
+    for start in range(0, len(config.params), RUN_CHUNK):
+        p, _, c_true, c_sim, bounds, _ = run_chunk(config, start)
+        before, after = c_true[0].tolist(), sum(p * c_true[1:]).tolist()
+        before_sim, after_sim = (c_sim[0].tolist(), sum(p * c_sim[1:]).tolist()) if config.mode == "sampled" else (before, after)
+        delta = map(operator.sub, after_sim, before_sim)
+        bounds = itertools.repeat(None) if bounds is None else bounds.tolist()
+        fields = zip(config.params[start : start + RUN_CHUNK], before, before_sim, after, after_sim, delta, bounds)
+        rows += map(tuple.__new__, itertools.repeat(ExperimentRow), fields)  # as parse_rows_csv: no Python call per row
+    return rows
 
-    An invalid state raises InvalidStateError naming the first bad parameter.
-    Sampled mode tomographs Bob's marginal on stream (seed, g, 0) and each
-    outcome with p >= ZERO_PROB_TOL on (seed, g, 1) for "+" and (seed, g, 2) for "-".
-    """
-    return [row for start in range(0, len(config.params), RUN_CHUNK) for row in _run_points(config, start)]
 
+def run_chunk(config: RunConfig, start: int) -> tuple:
+    """(p, blochs, c_true, c_sim, bounds, sampled) of config's grid points start + i, i < RUN_CHUNK; see the module docstring.
 
-def _run_points(config: RunConfig, start: int) -> list[ExperimentRow]:
+    p[k, i] is the probability of outcome k ("+", "-"); blochs[t, i], c_true[t, i] and c_sim[t, i] are record t's Bloch
+    vector, C_r and its estimate's C_r (c_true in analytic mode; 0 where p = 0); bounds is qi_bound per point or None.
+    sampled is None, or each tomographed record's (t, i, stream, "+" counts, estimate, root steps) in np.nonzero's order."""
     kind, eps, params = KINDS[config.kind], config.epsilon_prep, config.params[start : start + RUN_CHUNK]
     made = kind.factory(params)
-    if made.ndim == 2:  # psi psi^+ is exactly Hermitian and positive, so a trace within TRACE_TOL of 1 makes it a state
-        rho = (1.0 - eps) * qcore.projector(made) + eps * np.eye(4, dtype=complex) / 4.0
-        spectra, ok = None, np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) <= qcore.TRACE_TOL  # nan fails
-    else:  # a matrix factory's stack, whose spectra feed qi_bound: an inf entry's nans fail it without a numpy warning
-        with np.errstate(invalid="ignore", over="ignore"):
-            rho = (1.0 - eps) * made + eps * np.eye(4, dtype=complex) / 4.0
+    with np.errstate(invalid="ignore", over="ignore"):  # an inf entry makes nans, which fail the check without a numpy warning
+        rho = (1.0 - eps) * (qcore.projector(made) if made.ndim == 2 else made) + eps * np.eye(4, dtype=complex) / 4.0
+        if made.ndim == 2:  # psi psi^+ is exactly Hermitian and positive, so a trace within TRACE_TOL of 1 makes it a state
+            spectra, ok = None, np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1.0) <= qcore.TRACE_TOL  # nan fails
+        else:  # a matrix factory's stack, whose spectra feed qi_bound
             _, _, spectra, ok = qcore.density_defects(rho)
     if not ok.all():
         i = int(np.argmin(ok))
@@ -166,21 +174,17 @@ def _run_points(config: RunConfig, start: int) -> list[ExperimentRow]:
         raise qcore.InvalidStateError(f"invalid density matrix at parameter {params[i]}: {report}")
     a, b, t = protocol._pauli_coordinates(rho)
     p, r = protocol._outcomes(ALICE_BLOCH, a, b, t)
-    blochs = np.concatenate([b[None], r])  # the records: Bob's marginal (t = 0) and the outcomes t = 1, 2
+    blochs = np.concatenate([b[None], r])
     c_true = protocol._qubit_coherence(blochs)
-    before, after = c_true[0].tolist(), sum(p * c_true[1:]).tolist()
-    bounds = qcore.qi_bound(rho, spectra).tolist() if "bound_qi" in kind.columns else [None] * len(params)
-    before_sim, after_sim = before, after
-    if config.mode == "sampled":  # every record but the outcomes with p = 0
-        target, point = np.nonzero(np.concatenate([np.ones((1, len(params)), bool), p > 0.0]))
-        streams = derive_stream(config.seed, (start + point).astype(np.uint64), target.astype(np.uint64))
-        est, _ = tomograph(blochs[target, point], config.shots_per_basis, streams)
-        c_r = np.zeros((3, len(params)))
-        c_r[target, point] = protocol._qubit_coherence(est)
-        before_sim, after_sim = c_r[0].tolist(), sum(p * c_r[1:]).tolist()
-    delta = map(operator.sub, after_sim, before_sim)
-    fields = zip(params, before, before_sim, after, after_sim, delta, bounds)
-    return list(map(tuple.__new__, itertools.repeat(ExperimentRow), fields))  # as parse_rows_csv: no Python call per row
+    bounds = qcore.qi_bound(rho, spectra) if "bound_qi" in kind.columns else None
+    if config.mode == "analytic":
+        return p, blochs, c_true, c_true, bounds, None
+    target, point = np.nonzero(np.concatenate([np.ones((1, len(params)), bool), p > 0.0]))
+    streams = derive_stream(config.seed, (start + point).astype(np.uint64), target.astype(np.uint64))
+    plus, est, steps = tomograph(blochs[target, point], config.shots_per_basis, streams)
+    c_sim = np.zeros((3, len(params)))
+    c_sim[target, point] = protocol._qubit_coherence(est)
+    return p, blochs, c_true, c_sim, bounds, (target, point, streams, plus, est, steps)
 
 
 # ---------------------------------------------------------------------------

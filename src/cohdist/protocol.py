@@ -19,7 +19,6 @@ flat objective (a Werner state's equator, a Bell state) rounding picks the grid 
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +42,7 @@ class MeasurementBasis:
 
     def __post_init__(self):
         try:  # numpy would take "1", True or bytes as numbers: each component type is checked once, as RunConfig does
-            real = not isinstance(self.bloch, (bytes, bytearray)) and all(
-                issubclass(t, numbers.Real) and t is not bool for t in set(map(type, self.bloch)))
+            real = not isinstance(self.bloch, (bytes, bytearray)) and all(map(qcore.is_real_type, set(map(type, self.bloch))))
             n = np.asarray(self.bloch, dtype=float) if real else None
         except (TypeError, OverflowError):  # not a sequence, an int past float range
             n = None

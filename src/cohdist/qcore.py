@@ -45,9 +45,14 @@ def as_int(name: str, value) -> int:
     return int(value)
 
 
+def is_real_type(t: type) -> bool:
+    """Whether t is the type of a real number but not a bool: int, float, numpy's ints and floats (numbers.Real, not np.bool_)."""
+    return issubclass(t, numbers.Real) and not issubclass(t, bool)
+
+
 def as_unit_real(name: str, value) -> float:
     """value as a float if it is a real number in [0, 1] (a numpy one too, not a bool or nan); else a ValueError naming the field."""
-    if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0.0 <= value <= 1.0:  # nan is out of range
+    if not is_real_type(type(value)) or not 0.0 <= value <= 1.0:  # nan is out of range
         raise ValueError(f"{name} must be a real number in [0, 1], got {value!r}")
     return float(value)
 

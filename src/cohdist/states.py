@@ -6,12 +6,11 @@ parameters gives the (N, 4) or (N, 4, 4) stack from one numpy pass (numpy's
 cos and sin, the angle rounded as math.radians(2.0 * t)). The bits are per
 numpy build, like the analytic path's; the tests check that a stack has the
 bits of N single calls and that cos and sin round as libm's. A parameter
-outside its range (nan, inf, 1j, 10**400 or None included) raises a ValueError
-naming the first such parameter.
+outside its range (nan, inf, 1j, 10**400, None or a bool included) raises a
+ValueError naming the first such parameter.
 """
 
 import math
-import numbers
 
 import numpy as np
 
@@ -19,14 +18,17 @@ from . import qcore
 
 
 def _in_range(values, lo: float, hi: float, what: str) -> np.ndarray:
-    """values as a float array, or a ValueError naming the first one that is not a real number in [lo, hi] (nan included)."""
+    """values as a float array, or a ValueError naming the first that is not a number in [lo, hi] (nan and bools included)."""
+    passed = np.asarray(values, dtype=object).ravel().tolist()  # as passed, to name one: an int parameter reads 46, not 46.0
     try:
         x = np.asarray(values, dtype=float)
-        ok = (lo <= x) & (x <= hi)
+        ok = ((lo <= x) & (x <= hi)).ravel()
     except (TypeError, ValueError, OverflowError):  # 1j, 10**400, an object: no float array, so each value is tested as passed
-        x, ok = None, np.array([isinstance(v, numbers.Real) and lo <= v <= hi for v in np.asarray(values, dtype=object).flat])
-    if not ok.all():  # names the value as passed: an int parameter reads 46, not 46.0
-        raise ValueError(f"{what}, got {np.asarray(values, dtype=object).ravel().tolist()[np.argmin(ok.ravel())]}")
+        x, ok = None, np.array([qcore.is_real_type(type(v)) and lo <= v <= hi for v in passed])
+    if not all(map(qcore.is_real_type, set(map(type, passed)))):  # numpy's cast reads "0.5" as 0.5, which passes, and True as 1.0
+        ok &= [not isinstance(v, (bool, np.bool_)) for v in passed]
+    if not ok.all():
+        raise ValueError(f"{what}, got {passed[np.argmin(ok)]}")
     return x
 
 

@@ -1,9 +1,9 @@
 """Simulated Pauli-basis photon counting for a single qubit, plus state
 reconstruction by linear inversion and by closed-form maximum likelihood.
 
-Every stage works on a stack of records: `tomograph` takes all of a curve's
-Bloch vectors in one call, and simulate_counts, binomial_draw,
-reconstruct_linear and reconstruct_mle wrap the same kernels for one record.
+Every stage works on a stack of records: `tomograph` takes all of a curve's Bloch vectors in one call and returns
+their "+" counts, MLE estimates and root steps, and simulate_counts, binomial_draw, reconstruct_linear and
+reconstruct_mle wrap the same kernels for one record.
 
 Maximum likelihood
 ------------------
@@ -97,7 +97,7 @@ def binomial_draw(n: int, p: float, u: float) -> int:
     if not 0 <= n <= SHOTS_MAX:
         raise ValueError(f"n must be in [0, {SHOTS_MAX}], got {n}")
     p = qcore.as_unit_real("p", p)
-    if not isinstance(u, numbers.Real) or isinstance(u, bool) or not 0.0 <= u < 1.0:  # nan is out of range
+    if not qcore.is_real_type(type(u)) or not 0.0 <= u < 1.0:  # nan is out of range
         raise ValueError(f"u must be a real number in [0, 1), got {u!r}")
     return int(_binomial_draws(n, np.array([p], dtype=float), np.array([u], dtype=float))[0])
 
@@ -175,9 +175,10 @@ def _pauli_counts(blochs: np.ndarray, shots: int, streams: np.ndarray) -> np.nda
     return _binomial_draws(shots, ((1.0 + blochs) / 2.0).ravel(), _basis_uniforms(streams).ravel()).reshape(-1, 3)
 
 
-def tomograph(blochs: np.ndarray, shots: int, streams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(MLE Bloch vectors, root steps) from simulated counts of each qubit; see _pauli_counts and reconstruct_mle."""
-    return _mle(_pauli_counts(blochs, shots, streams), shots)
+def tomograph(blochs: np.ndarray, shots: int, streams: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(counts of "+" on X, Y, Z, MLE Bloch vectors, root steps) of each qubit; see _pauli_counts and reconstruct_mle."""
+    plus = _pauli_counts(blochs, shots, streams)
+    return (plus, *_mle(plus, shots))
 
 
 def shots_and_seed(shots, seed) -> tuple[int, int]:

@@ -134,6 +134,20 @@ def test_werner_range_error():
         family1([Decimal("10"), Decimal("50")])
 
 
+def test_factories_refuse_bools():
+    # numpy's float cast reads True as 1.0: a bool is refused and named, whether scalar, in a sequence or a bool array
+    cases = ((family1, "theta must be in"), (family2, "theta must be in"), (make_werner, "p must be in"))
+    for bad, name in ((True, "True"), (np.True_, "True"), ([False, 1.0], "False"), ((1.0, np.bool_(False)), "False"),
+                      (np.array([1.0, 0.5]) > 0.7, "True"), (np.array([[False]]), "False")):
+        for factory, message in cases:
+            with pytest.raises(ValueError, match=f"{message}.*, got {name}$"):
+                factory(bad)
+    # ints, numpy floats and ints and float arrays still pass, as their float values
+    for good in (1, np.int64(1), np.float32(0.5), np.float64(0.5), [0, 1.0], np.array([0.0, 0.5, 1.0]), np.arange(2)):
+        for factory, _ in cases:
+            assert np.array_equal(factory(good), factory(np.asarray(good, dtype=float)))
+
+
 def test_factories_produce_valid_states():
     for theta in THETA_GRID:
         assert qcore.validate_density(qcore.projector(family1(theta))).ok

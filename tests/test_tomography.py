@@ -662,7 +662,7 @@ def _tomography_bits() -> dict:
                                                 ("mixed", mixed, (10**3, 9_999, 10**4, 10**5, 10**6))):
         for shots in shots_list:
             out[f"_pauli_counts {name} {shots}"] = tomography._pauli_counts(blochs, shots, streams).ravel().tolist()
-            est, steps = tomography.tomograph(blochs, shots, streams)
+            _, est, steps = tomography.tomograph(blochs, shots, streams)
             out[f"tomograph {name} {shots}"] = [x.hex() for x in est.ravel().tolist()]
             out[f"tomograph {name} {shots} steps"] = steps.tolist()
     return out

@@ -7,10 +7,11 @@ invocations in process through click's CliRunner: every run command analytic and
 default 100,000 and 1e6 shots; 10,000 draws on the widest inversion window, 10,001 on the normal branch, and at
 100,000 and epsilon 0 a third of the pure kinds' records take the boundary MLE) at epsilon 0 and 0.05 in CSV and
 JSON, a 1,001-point JSON Werner grid, a 4,501-point sampled grid (more than one harness.RUN_CHUNK), every fixture
-table and tomo-demo in both formats, tomo-demo at seeds 0 and 2^64 - 1 with 7 and 1e6 shots in both formats, every
---help page, eleven usage errors (four of them parameters out of range, which reach the run table's rows and the
-KINDS state factories, and two values that are not numbers) and --version.  Prints each invocation whose exit code,
-stdout or stderr differs between the two checkouts, and exits 1 if any does.
+table and tomo-demo in both formats, tomo-demo at seeds 0 and 2^64 - 1 with 7 and 1e6 shots in both formats, tomo-demo
+of both families at theta 0 and 45 (a unit Bloch axis, whose MLE is pinned) with 10,000 and 10,001 shots (the two
+sampler paths) in both formats, every --help page, eleven usage errors (four of them parameters out of range, which
+reach the run table's rows and the KINDS state factories, and two values that are not numbers) and --version.  Prints
+each invocation whose exit code, stdout or stderr differs between the two checkouts, and exits 1 if any does.
 Where both stdouts parse as JSON it says whether the two results differ only in that JSON's top-level "meta",
 and the last line counts the differing invocations as "in meta only" and "otherwise": a version bump that
 moves nothing else leaves --version as the one "otherwise".  Just before that line it prints the names that
@@ -40,6 +41,8 @@ def invocations() -> list[list[str]]:
         runs += [["tomo-demo", "--family", family, "--format", fmt] for family in ("1", "2")]
         runs += [["tomo-demo", "--seed", seed, "--shots", shots, "--format", fmt]
                  for seed in ("0", "18446744073709551615") for shots in ("7", "1000000")]
+        runs += [["tomo-demo", "--family", family, "--theta", theta, "--shots", shots, "--format", fmt]
+                 for family in ("1", "2") for theta in ("0", "45") for shots in ("10000", "10001")]
     runs += [[*command, "--help"] for command in ([], ["pure1"], ["pure2"], ["werner"], ["fixtures"], ["tomo-demo"])]
     runs += [
         ["pure1", "--grid", "0:45"],

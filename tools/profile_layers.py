@@ -39,7 +39,7 @@ MLE_LOOPS = 20  # --mle: timed loops over the stacks, the best one taken
 def layer_name(code, package: Path) -> str | None:
     """module.qualname of a cohdist function's code object, "numpy.linalg.eigvalsh", or None for any other.
 
-    A nested function, lambda or comprehension is named in its enclosing function, as harness._run_points.<genexpr>."""
+    A nested function, lambda or comprehension is named in its enclosing function, as harness.DeviationReport.to_csv.<genexpr>."""
     if isinstance(code, str):  # a built-in function
         return None
     path, qualname = Path(code.co_filename), getattr(code, "co_qualname", code.co_name).replace(".<locals>", "")
